@@ -18,19 +18,25 @@ from .rootsys import CartanType, RootSystem, RootVec, all_roots, build_root_syst
 LabeledSubDiagram = tuple[tuple[RootVec, int], ...]
 
 
+def _grading_counts(rsf: RootSystem, labels: Sequence[int]) -> tuple[int, int]:
+    """The numbers of roots at pairing 0 and at pairing 2 with the labels."""
+    zero = two = 0
+    for gamma in all_roots(rsf):
+        val = sum(c * l for c, l in zip(gamma, labels))
+        if val == 0:
+            zero += 1
+        elif val == 2:
+            two += 1
+    return zero, two
+
+
 def is_distinguished(rs_factor: RootSystem, labels: Sequence[int]) -> bool:
     """Dimension criterion for a {0,2}-labeling of an irreducible factor."""
     if len(labels) != rs_factor.rank:
         raise InputError("label vector length must match the rank")
     if any(v not in (0, 2) for v in labels):
         raise InputError(f"labels must lie in {{0, 2}}, got {tuple(labels)}")
-    zero = two = 0
-    for gamma in all_roots(rs_factor):
-        val = sum(c * l for c, l in zip(gamma, labels))
-        if val == 0:
-            zero += 1
-        elif val == 2:
-            two += 1
+    zero, two = _grading_counts(rs_factor, labels)
     return zero + rs_factor.rank == two
 
 
@@ -57,14 +63,7 @@ class DistinguishedClass:
 
 
 def _factor_dims(ctype: CartanType, labels: Sequence[int]) -> tuple[int, int]:
-    rsf = build_root_system(ctype)
-    zero = two = 0
-    for gamma in all_roots(rsf):
-        val = sum(c * l for c, l in zip(gamma, labels))
-        if val == 0:
-            zero += 1
-        elif val == 2:
-            two += 1
+    zero, two = _grading_counts(build_root_system(ctype), labels)
     return zero + ctype.rank, two
 
 

@@ -2,12 +2,13 @@
 
 Exit codes: 0 success, 1 usage error, 2 verification failure or unrecognized
 fingerprint, 3 resource budget exceeded.  Output bytes are deterministic for
-identical inputs, independent of --jobs.
+identical inputs.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
 from importlib import resources
@@ -33,6 +34,7 @@ from .pseudolevi import (
     enumerate_pseudolevis,
     extended_diagram,
     point_order,
+    subsystem_closure,
     witness_element,
 )
 from .rootsys import (
@@ -91,11 +93,11 @@ def _display_name(names: dict, ctype: str, diagram: tuple[int, ...]) -> str:
 
 
 def build_report_document(
-    ctype: CartanType, p: int = 0, budget: int = DEFAULT_BUDGET, jobs: int = 1
+    ctype: CartanType, p: int = 0, budget: int = DEFAULT_BUDGET
 ) -> dict:
     """The canonical JSON-ready document for one Cartan type."""
     rs = build_root_system(ctype)
-    reports = component_group_report(rs, p=p, budget=budget, jobs=jobs)
+    reports = component_group_report(rs, p=p, budget=budget)
     names = _display_names()
     bad = bad_primes(rs)
     doc_reports = []
@@ -215,7 +217,7 @@ def cmd_roots(args) -> int:
 def cmd_pseudolevis(args) -> int:
     ct = _parse_type(args.type, args.max_rank)
     rs = build_root_system(ct)
-    pls = enumerate_pseudolevis(rs, jobs=args.jobs)
+    pls = enumerate_pseudolevis(rs, args.budget)
     print(f"{len(pls)} subsystem classes for {ct}  (node {rs.rank} is the affine node)")
     print("J | factors | d_J" + (" | witness order" if args.witness is not None else ""))
     for pl in pls:
@@ -231,11 +233,12 @@ def cmd_pseudolevis(args) -> int:
     return EXIT_OK
 
 
-def _verify(ct: CartanType, budget: int, jobs: int) -> list[str]:
+def _verify(ct: CartanType, budget: int) -> list[str]:
     """Cross-checks for one type; returns a list of failure messages."""
     failures: list[str] = []
     rs = build_root_system(ct)
-    reports = component_group_report(rs, p=0, budget=budget, jobs=jobs)
+    pls = enumerate_pseudolevis(rs, budget)
+    reports = component_group_report(rs, p=0, budget=budget)
 
     n_records = sum(len(rep.classes) for rep in reports.values())
     recount = count_pair_orbits(rs, budget=budget)
@@ -244,29 +247,21 @@ def _verify(ct: CartanType, budget: int, jobs: int) -> list[str]:
 
     levi_canons = set()
     ext = extended_diagram(rs)
-    import itertools as _it
-
     for size in range(rs.rank + 1):
-        for K in _it.combinations(range(rs.rank), size):
-            from .pseudolevi import subsystem_closure
-
+        for K in itertools.combinations(range(rs.rank), size):
             levi_canons.add(canonical_subsystem(rs, subsystem_closure(ext, K)))
     for rep in reports.values():
         ones = [rec for rec in rep.classes if rec.order == 1]
         if len(ones) != 1:
             failures.append(f"diagram {rep.diagram}: {len(ones)} order-1 classes")
             continue
-        from .pseudolevi import subsystem_closure
-
         sub = subsystem_closure(ext, ones[0].J)
         if canonical_subsystem(rs, sub) not in levi_canons:
             failures.append(f"diagram {rep.diagram}: order-1 datum is not a Levi")
 
     if ct.rank <= 4:
         bound = default_denominator_bound(rs)
-        subset_side = {
-            canonical_subsystem(rs, pl.subsystem) for pl in enumerate_pseudolevis(rs)
-        }
+        subset_side = {canonical_subsystem(rs, pl.subsystem) for pl in pls}
         point_side = alcove_pseudolevis(rs, bound)
         if subset_side != point_side:
             failures.append("alcove-point oracle disagrees with subset enumeration")
@@ -287,14 +282,14 @@ def _verify(ct: CartanType, budget: int, jobs: int) -> list[str]:
                 failures.append("partition oracle diagrams disagree with report keys")
 
     docs = {
-        p: serialize_document(build_report_document(ct, p=p, budget=budget, jobs=jobs))
+        p: serialize_document(build_report_document(ct, p=p, budget=budget))
         for p in (0, 7, 11)
     }
     if len(set(docs.values())) != 1:
         failures.append("reports differ across characteristics 0, 7, 11")
 
     for p in (0, 7):
-        for pl in enumerate_pseudolevis(rs):
+        for pl in pls:
             vec = witness_element(rs, pl.J, p)
             _, walls = alcove_reduce(rs, vec)
             if walls != frozenset(pl.J):
@@ -310,7 +305,7 @@ def cmd_component_groups(args) -> int:
     if args.cache_dir:
         doc = cache_load(str(ct), args.cache_dir)
     if doc is None:
-        doc = build_report_document(ct, p=0, budget=args.budget, jobs=args.jobs)
+        doc = build_report_document(ct, p=0, budget=args.budget)
         if args.cache_dir:
             cache_store(doc, args.cache_dir)
     if args.format == "json":
@@ -324,7 +319,7 @@ def cmd_component_groups(args) -> int:
     else:
         sys.stdout.write(text)
     if args.verify:
-        failures = _verify(ct, args.budget, args.jobs)
+        failures = _verify(ct, args.budget)
         if failures:
             for msg in failures:
                 print(f"verify: {msg}", file=sys.stderr)
@@ -351,7 +346,12 @@ def make_parser(defaults: dict | None = None) -> _Parser:
 
     def common(p):
         p.add_argument("type", help="Cartan type, e.g. E8 or B4")
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument(
+            "--jobs",
+            type=int,
+            default=1,
+            help="accepted for compatibility; has no effect",
+        )
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
         p.add_argument("--max-rank", type=int, default=DEFAULT_MAX_RANK)
 

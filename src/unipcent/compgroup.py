@@ -17,10 +17,12 @@ from .balacarter import LabeledSubDiagram, distinguished_labelings_for_base
 from .errors import BudgetExceeded, FingerprintError, InputError, InvariantViolation
 from .induce import LabeledDiagram, cochar_for_labeled_base, induced_diagram
 from .pseudolevi import (
-    _parallel_map,
+    _check_subset,
+    _proper_subsets,
     base_components,
     extended_diagram,
     enumerate_pseudolevis,
+    torsion_order,
 )
 from .rootsys import (
     DEFAULT_BUDGET,
@@ -67,8 +69,6 @@ def build_triple_record(
     order: int | None = None,
 ) -> TripleRecord:
     """Assemble a record for a node subset J with labeled base items."""
-    from .pseudolevi import _check_subset, torsion_order
-
     ext = extended_diagram(rs)
     J = _check_subset(ext, J)
     items = tuple(sorted((tuple(r), int(l)) for r, l in labels))
@@ -122,8 +122,9 @@ def pairs_conjugate(
     return c1 == c2
 
 
-def _record_drafts_for_class(args):
-    rs, J, dJ, budget = args
+def _record_drafts_for_class(
+    rs: RootSystem, J: tuple[int, ...], dJ: int, budget: int
+) -> list[TripleRecord]:
     ext = extended_diagram(rs)
     base = tuple(ext.root_of[j] for j in J)
     drafts = []
@@ -150,28 +151,20 @@ def _record_drafts_for_class(args):
     return kept
 
 
-@lru_cache(maxsize=None)
-def _enumerate_triples_cached(rs: RootSystem, budget: int) -> tuple[TripleRecord, ...]:
-    return _enumerate_triples_impl(rs, budget, jobs=1)
-
-
 def enumerate_triples(
-    rs: RootSystem, budget: int = DEFAULT_BUDGET, jobs: int = 1
+    rs: RootSystem, budget: int = DEFAULT_BUDGET
 ) -> tuple[TripleRecord, ...]:
     """One record per Weyl orbit of (subsystem class, distinguished labeling)."""
-    if jobs <= 1:
-        return _enumerate_triples_cached(rs, budget)
-    return _enumerate_triples_impl(rs, budget, jobs)
+    return _enumerate_triples_cached(rs, budget)
 
 
-def _enumerate_triples_impl(rs, budget, jobs) -> tuple[TripleRecord, ...]:
-    pls = enumerate_pseudolevis(rs, jobs=jobs)
-    batches = _parallel_map(
-        _record_drafts_for_class,
-        [(rs, pl.J, pl.dJ, budget) for pl in pls],
-        jobs,
-    )
-    records = [rec for batch in batches for rec in batch]
+@lru_cache(maxsize=None)
+def _enumerate_triples_cached(rs: RootSystem, budget: int) -> tuple[TripleRecord, ...]:
+    records = [
+        rec
+        for pl in enumerate_pseudolevis(rs, budget)
+        for rec in _record_drafts_for_class(rs, pl.J, pl.dJ, budget)
+    ]
     records.sort(key=lambda r: (r.induced, r.order, r.factor_types, r.labels, r.J))
     return tuple(records)
 
@@ -182,8 +175,6 @@ def count_pair_orbits(rs: RootSystem, budget: int = DEFAULT_BUDGET) -> int:
     Walks all proper subsets with all distinguished labelings, skipping the
     subsystem-class grouping that enumerate_triples relies on.
     """
-    from .pseudolevi import _proper_subsets, torsion_order
-
     ext = extended_diagram(rs)
     buckets: dict[tuple, list[TripleRecord]] = {}
     for J in _proper_subsets(len(ext.root_of)):
@@ -359,10 +350,7 @@ def recognize_group(orders: Iterable[int]) -> str:
 
 
 def component_group_report(
-    rs: RootSystem,
-    p: int = 0,
-    budget: int = DEFAULT_BUDGET,
-    jobs: int = 1,
+    rs: RootSystem, p: int = 0, budget: int = DEFAULT_BUDGET
 ) -> dict[LabeledDiagram, AuReport]:
     """Per unipotent class (keyed by labeled diagram), the A(u) class data.
 
@@ -371,7 +359,7 @@ def component_group_report(
     """
     if not is_good_prime(rs, p):
         raise InputError(f"p={p} is not good for {rs.ctype}")
-    records = enumerate_triples(rs, budget=budget, jobs=jobs)
+    records = enumerate_triples(rs, budget=budget)
     grouped: dict[LabeledDiagram, list[TripleRecord]] = {}
     for rec in records:
         grouped.setdefault(rec.induced, []).append(rec)

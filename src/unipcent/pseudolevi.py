@@ -9,7 +9,6 @@ torsion order d_J = gcd of the marks outside J.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -18,6 +17,7 @@ from typing import Iterable, Sequence
 
 from .errors import InputError, InvariantViolation, WitnessSearchExhausted
 from .rootsys import (
+    DEFAULT_BUDGET,
     CartanType,
     CocharVec,
     RootSystem,
@@ -289,8 +289,7 @@ def _proper_subsets(n_nodes: int):
         yield from itertools.combinations(range(n_nodes), size)
 
 
-def _subset_info(args):
-    rs, J = args
+def _subset_info(rs: RootSystem, J: tuple[int, ...]):
     ext = extended_diagram(rs)
     sub = subsystem_closure(ext, J)
     base = tuple(ext.root_of[j] for j in J)
@@ -301,42 +300,28 @@ def _subset_info(args):
         lam_dom, _ = to_dominant(rs, lam)
     else:
         lam_dom = zero_cochar(rs)
-    return J, sub, types, dJ, lam_dom
+    return sub, types, dJ, lam_dom
 
 
-def _parallel_map(fn, items, jobs):
-    items = list(items)
-    if jobs <= 1 or len(items) < 4:
-        return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, len(items) // (4 * jobs))
-        return list(pool.map(fn, items, chunksize=chunk))
-
-
-@lru_cache(maxsize=None)
-def _enumerate_pseudolevis_cached(rs: RootSystem) -> tuple[PseudoLevi, ...]:
-    return _enumerate_pseudolevis_impl(rs, jobs=1)
-
-
-def enumerate_pseudolevis(rs: RootSystem, jobs: int = 1) -> tuple[PseudoLevi, ...]:
+def enumerate_pseudolevis(
+    rs: RootSystem, budget: int = DEFAULT_BUDGET
+) -> tuple[PseudoLevi, ...]:
     """All subsystem classes R_J for proper subsets J, one representative each.
 
     Representatives prefer subsets of the simple nodes, then the
     lexicographically smallest node tuple; output is sorted by (rank of
-    subsystem, factor types, d_J, J).
+    subsystem, factor types, d_J, J).  budget bounds each canonical-form
+    search (BudgetExceeded).
     """
-    if jobs <= 1:
-        return _enumerate_pseudolevis_cached(rs)
-    return _enumerate_pseudolevis_impl(rs, jobs=jobs)
+    return _enumerate_pseudolevis_cached(rs, budget)
 
 
-def _enumerate_pseudolevis_impl(rs: RootSystem, jobs: int) -> tuple[PseudoLevi, ...]:
+@lru_cache(maxsize=None)
+def _enumerate_pseudolevis_cached(rs: RootSystem, budget: int) -> tuple[PseudoLevi, ...]:
     ext = extended_diagram(rs)
-    infos = _parallel_map(
-        _subset_info, [(rs, J) for J in _proper_subsets(len(ext.root_of))], jobs
-    )
     buckets: dict[tuple, list] = {}
-    for J, sub, types, dJ, lam_dom in infos:
+    for J in _proper_subsets(len(ext.root_of)):
+        sub, types, dJ, lam_dom = _subset_info(rs, J)
         buckets.setdefault((types, len(sub), dJ, lam_dom), []).append((J, sub))
     classes: dict[tuple, list] = {}
     for bucket_key, members in sorted(buckets.items()):
@@ -345,7 +330,7 @@ def _enumerate_pseudolevis_impl(rs: RootSystem, jobs: int) -> tuple[PseudoLevi, 
             continue
         for J, sub in members:
             canon = canonical_labeled_set(
-                rs, tuple((ext.root_of[j], 2) for j in J)
+                rs, tuple((ext.root_of[j], 2) for j in J), budget=budget
             )
             classes.setdefault((bucket_key, canon[1]), []).append((J, sub))
     out = []

@@ -336,66 +336,37 @@ def affine_node(rs: RootSystem) -> int:
 _ALCOVE_CAP = 100_000
 
 
-def alcove_reduce_map(rs: RootSystem, point: Sequence):
-    """Reduce a rational point into the closed fundamental alcove.
+def _alcove_walk(rs: RootSystem, point: Sequence):
+    """The walk behind alcove_reduce, also returning the moves it made.
 
-    Returns (reduced, walls, (matrix, shift)) where walls is the set of node
-    ids (affine node included) whose pairing at the reduced point is integral
-    -- normalized to the simple nodes alone when every wall is integral -- and
-    point == matrix . reduced + shift certifies equivalence under the group
-    generated by the Weyl group and coweight-lattice translations.
+    Returns (reduced, walls, shift, steps): the point minus the integer vector
+    shift is carried to reduced by steps, a list of node ids applied in order
+    -- a simple node i is the reflection s_i, the affine node is the affine
+    reflection s_{theta,1}.
     """
     n = rs.rank
     x = list(as_cochar(point))
     if len(x) != n:
         raise InputError("dimension mismatch")
-    # Inverse bookkeeping: input = B . current + u throughout.
-    B = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    u = [Fraction(0)] * n
-
-    def absorb(mat, shift):
-        # current_old = mat . current_new + shift
-        nonlocal B, u
-        u = [sum(B[i][k] * shift[k] for k in range(n)) + u[i] for i in range(n)]
-        B = [
-            [sum(B[i][k] * mat[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-
-    ident = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    shift0 = [Fraction(math.floor(v)) for v in x]
-    if any(shift0):
-        x = [v - s for v, s in zip(x, shift0)]
-        absorb(ident, shift0)
-
+    shift = tuple(math.floor(v) for v in x)
+    x = [v - s for v, s in zip(x, shift)]
     theta_vee = highest_coroot(rs)
     marks = rs.marks
+    steps: list[int] = []
     for _ in range(_ALCOVE_CAP):
         i = next((k for k in range(n) if x[k] < 0), None)
         if i is not None:
             coef = x[i]
             row = rs.cartan[i]
             x = [v - coef * row[j] for j, v in enumerate(x)]
-            # matrix of s_i on coweight coordinates: m_j -> m_j - m_i C[i][j]
-            refl = [
-                [Fraction((1 if a == b else 0) - (row[a] if b == i else 0))
-                 for b in range(n)]
-                for a in range(n)
-            ]
-            absorb(refl, [Fraction(0)] * n)
-            continue
-        h = _dot(marks, x)
-        if h > 1:
+        else:
+            h = _dot(marks, x)
+            if h <= 1:
+                break
             # affine reflection s_{theta,1}: x -> x - (<theta,x> - 1) theta^vee
             x = [v - (h - 1) * theta_vee[j] for j, v in enumerate(x)]
-            mat = [
-                [Fraction((1 if a == b else 0) - theta_vee[a] * marks[b])
-                 for b in range(n)]
-                for a in range(n)
-            ]
-            absorb(mat, [Fraction(v) for v in theta_vee])
-            continue
-        break
+            i = n
+        steps.append(i)
     else:
         raise InvariantViolation("alcove reduction failed to terminate")
 
@@ -404,38 +375,54 @@ def alcove_reduce_map(rs: RootSystem, point: Sequence):
         walls.add(n)
     if len(walls) == n + 1:
         walls = set(range(n))  # lattice point: the subsystem is all of R
-    return tuple(x), frozenset(walls), (tuple(tuple(r) for r in B), tuple(u))
+    return tuple(x), frozenset(walls), shift, steps
+
+
+def alcove_reduce_map(rs: RootSystem, point: Sequence):
+    """alcove_reduce with a certificate of the reduction.
+
+    Returns (reduced, walls, (matrix, shift)) where point == matrix . reduced
+    + shift certifies equivalence under the group generated by the Weyl group
+    and coweight-lattice translations.
+    """
+    x, walls, shift0, steps = _alcove_walk(rs, point)
+    n = rs.rank
+    theta_vee = highest_coroot(rs)
+    marks = rs.marks
+    # Inverse bookkeeping: input = B . current + u after every step.
+    B = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    u = [Fraction(s) for s in shift0]
+    for i in steps:
+        if i < n:
+            # matrix of s_i on coweight coordinates: m_j -> m_j - m_i C[i][j]
+            row = rs.cartan[i]
+            mat = [
+                [(1 if a == b else 0) - (row[a] if b == i else 0) for b in range(n)]
+                for a in range(n)
+            ]
+        else:
+            # current_old = mat . current_new + theta^vee
+            mat = [
+                [(1 if a == b else 0) - theta_vee[a] * marks[b] for b in range(n)]
+                for a in range(n)
+            ]
+            u = [sum(B[a][k] * theta_vee[k] for k in range(n)) + u[a] for a in range(n)]
+        B = [
+            [sum(B[a][k] * mat[k][b] for k in range(n)) for b in range(n)]
+            for a in range(n)
+        ]
+    return x, walls, (tuple(tuple(r) for r in B), tuple(u))
 
 
 def alcove_reduce(rs: RootSystem, point: Sequence) -> tuple[CocharVec, frozenset[int]]:
-    """Alcove representative and its wall-integrality node set (see alcove_reduce_map)."""
-    n = rs.rank
-    x = list(as_cochar(point))
-    if len(x) != n:
-        raise InputError("dimension mismatch")
-    x = [v - math.floor(v) for v in x]
-    theta_vee = highest_coroot(rs)
-    marks = rs.marks
-    for _ in range(_ALCOVE_CAP):
-        i = next((k for k in range(n) if x[k] < 0), None)
-        if i is not None:
-            coef = x[i]
-            row = rs.cartan[i]
-            x = [v - coef * row[j] for j, v in enumerate(x)]
-            continue
-        h = _dot(marks, x)
-        if h > 1:
-            x = [v - (h - 1) * theta_vee[j] for j, v in enumerate(x)]
-            continue
-        break
-    else:
-        raise InvariantViolation("alcove reduction failed to terminate")
-    walls = {k for k in range(n) if x[k].denominator == 1}
-    if _dot(marks, x).denominator == 1:
-        walls.add(n)
-    if len(walls) == n + 1:
-        walls = set(range(n))
-    return tuple(x), frozenset(walls)
+    """Reduce a rational point into the closed fundamental alcove.
+
+    Returns (reduced, walls) where walls is the set of node ids (affine node
+    included) whose pairing at the reduced point is integral -- normalized to
+    the simple nodes alone when every wall is integral.
+    """
+    x, walls, _, _ = _alcove_walk(rs, point)
+    return x, walls
 
 
 def solve_cochar_for_base(

@@ -114,7 +114,7 @@ def test_verify_small_type(name, capsys):
 def test_verify_failure_exit_code(monkeypatch, capsys):
     import unipcent.cli as cli
 
-    monkeypatch.setattr(cli, "_verify", lambda ct, budget, jobs: ["forced failure"])
+    monkeypatch.setattr(cli, "_verify", lambda ct, budget: ["forced failure"])
     assert main(["component-groups", "A1", "--verify"]) == 2
     assert "forced failure" in capsys.readouterr().err
 
@@ -122,11 +122,12 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
 def test_budget_exit_code(capsys):
     from unipcent.rootsys import _CANON_CACHE
 
-    _CANON_CACHE.clear()
-    rc = main(["component-groups", "C6", "--budget", "1"])
-    _CANON_CACHE.clear()
-    assert rc == EXIT_BUDGET
-    assert "budget exceeded" in capsys.readouterr().err
+    for name in ("C6", "E6"):
+        _CANON_CACHE.clear()
+        rc = main(["component-groups", name, "--budget", "1"])
+        _CANON_CACHE.clear()
+        assert rc == EXIT_BUDGET, name
+        assert "budget exceeded" in capsys.readouterr().err
 
 
 def test_config_file_defaults(tmp_path, capsys):
