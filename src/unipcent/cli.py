@@ -189,7 +189,9 @@ def cache_load(ctype: str, cache_dir: str | Path) -> dict | None:
         return None
     try:
         doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError):  # ValueError covers bad JSON and bad UTF-8
+        doc = None
+    if not isinstance(doc, dict):
         print(f"warning: ignoring corrupt cache entry {path}", file=sys.stderr)
         return None
     if (
@@ -315,7 +317,11 @@ def cmd_component_groups(args) -> int:
     else:
         text = render_markdown(doc)
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            print(f"usage error: cannot write --out: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
     if args.verify:
@@ -329,8 +335,12 @@ def cmd_component_groups(args) -> int:
 
 
 def _load_config(path: str) -> dict:
+    try:
+        text = Path(path).read_text()
+    except (OSError, ValueError) as exc:  # ValueError: the file is not UTF-8
+        raise UsageError(f"bad --config: {exc}") from None
     out = {}
-    for line in Path(path).read_text().splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#") or "=" not in line:
             continue
@@ -385,7 +395,10 @@ def make_parser(defaults: dict | None = None) -> _Parser:
         for key, value in defaults.items():
             key = key.replace("-", "_")
             if key in known:
-                casted[key] = known[key](value)
+                try:
+                    casted[key] = known[key](value)
+                except ValueError:
+                    raise UsageError(f"bad --config value {key}={value!r}") from None
         parser.set_defaults(**casted)
         for p in (p_roots, p_pl, p_cg):
             p.set_defaults(**{k: v for k, v in casted.items()
@@ -395,16 +408,10 @@ def make_parser(defaults: dict | None = None) -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    defaults = None
-    if "--config" in argv:
-        idx = argv.index("--config")
-        try:
-            defaults = _load_config(argv[idx + 1])
-        except (IndexError, OSError) as exc:
-            print(f"usage error: bad --config: {exc}", file=sys.stderr)
-            return EXIT_USAGE
     try:
-        args = make_parser(defaults).parse_args(argv)
+        args = make_parser().parse_args(argv)
+        if args.config:  # a second parse applies the file's defaults
+            args = make_parser(_load_config(args.config)).parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -122,23 +122,20 @@ def pairs_conjugate(
     return c1 == c2
 
 
-def _record_drafts_for_class(
-    rs: RootSystem, J: tuple[int, ...], dJ: int, budget: int
+def _orbit_representatives(
+    rs: RootSystem, records: Iterable[TripleRecord], budget: int
 ) -> list[TripleRecord]:
-    ext = extended_diagram(rs)
-    base = tuple(ext.root_of[j] for j in J)
-    drafts = []
-    for labeling in distinguished_labelings_for_base(rs, base):
-        rec = build_triple_record(rs, J, labeling, order=dJ)
-        drafts.append((rec, _factor_label_invariant(rs, rec)))
-    # Dedup labelings of this class that a Weyl element identifies (this
-    # happens when the subsystem has isomorphic multi-class factors the
-    # ambient group can swap).
-    buckets: dict[tuple, list] = {}
-    for rec, inv in drafts:
-        buckets.setdefault((rec.induced, inv), []).append(rec)
+    """One record per Weyl orbit of labeled bases, the one with the smallest labels.
+
+    Records are bucketed by (induced diagram, order, factor labels); only a
+    bucket with several members is split by canonical form.
+    """
+    buckets: dict[tuple, list[TripleRecord]] = {}
+    for rec in records:
+        key = (rec.induced, rec.order, _factor_label_invariant(rs, rec))
+        buckets.setdefault(key, []).append(rec)
     kept = []
-    for key, members in sorted(buckets.items()):
+    for members in buckets.values():
         if len(members) == 1:
             kept.append(members[0])
             continue
@@ -151,6 +148,14 @@ def _record_drafts_for_class(
     return kept
 
 
+def _labeled_records(rs: RootSystem, J: tuple[int, ...], dJ: int):
+    """A record for every distinguished labeling of J's base."""
+    ext = extended_diagram(rs)
+    base = tuple(ext.root_of[j] for j in J)
+    for labeling in distinguished_labelings_for_base(rs, base):
+        yield build_triple_record(rs, J, labeling, order=dJ)
+
+
 def enumerate_triples(
     rs: RootSystem, budget: int = DEFAULT_BUDGET
 ) -> tuple[TripleRecord, ...]:
@@ -160,10 +165,14 @@ def enumerate_triples(
 
 @lru_cache(maxsize=None)
 def _enumerate_triples_cached(rs: RootSystem, budget: int) -> tuple[TripleRecord, ...]:
+    # Labelings of one class can still be Weyl-conjugate when the subsystem
+    # has isomorphic factors the ambient group can swap.
     records = [
         rec
         for pl in enumerate_pseudolevis(rs, budget)
-        for rec in _record_drafts_for_class(rs, pl.J, pl.dJ, budget)
+        for rec in _orbit_representatives(
+            rs, _labeled_records(rs, pl.J, pl.dJ), budget
+        )
     ]
     records.sort(key=lambda r: (r.induced, r.order, r.factor_types, r.labels, r.J))
     return tuple(records)
@@ -176,24 +185,12 @@ def count_pair_orbits(rs: RootSystem, budget: int = DEFAULT_BUDGET) -> int:
     subsystem-class grouping that enumerate_triples relies on.
     """
     ext = extended_diagram(rs)
-    buckets: dict[tuple, list[TripleRecord]] = {}
-    for J in _proper_subsets(len(ext.root_of)):
-        base = tuple(ext.root_of[j] for j in J)
-        dJ = torsion_order(ext, J)
-        for labeling in distinguished_labelings_for_base(rs, base):
-            rec = build_triple_record(rs, J, labeling, order=dJ)
-            key = (rec.induced, rec.order, _factor_label_invariant(rs, rec))
-            buckets.setdefault(key, []).append(rec)
-    total = 0
-    for key, members in buckets.items():
-        if len(members) == 1:
-            total += 1
-            continue
-        canons = {
-            canonical_labeled_set(rs, rec.labels, budget=budget) for rec in members
-        }
-        total += len(canons)
-    return total
+    records = (
+        rec
+        for J in _proper_subsets(len(ext.root_of))
+        for rec in _labeled_records(rs, J, torsion_order(ext, J))
+    )
+    return len(_orbit_representatives(rs, records, budget))
 
 
 def _euler_phi(n: int) -> int:

@@ -291,7 +291,6 @@ def _proper_subsets(n_nodes: int):
 
 def _subset_info(rs: RootSystem, J: tuple[int, ...]):
     ext = extended_diagram(rs)
-    sub = subsystem_closure(ext, J)
     base = tuple(ext.root_of[j] for j in J)
     types = tuple(sorted(ct for ct, _ in base_components(rs, base)))
     dJ = torsion_order(ext, J)
@@ -300,7 +299,7 @@ def _subset_info(rs: RootSystem, J: tuple[int, ...]):
         lam_dom, _ = to_dominant(rs, lam)
     else:
         lam_dom = zero_cochar(rs)
-    return sub, types, dJ, lam_dom
+    return types, dJ, lam_dom
 
 
 def enumerate_pseudolevis(
@@ -318,33 +317,28 @@ def enumerate_pseudolevis(
 
 @lru_cache(maxsize=None)
 def _enumerate_pseudolevis_cached(rs: RootSystem, budget: int) -> tuple[PseudoLevi, ...]:
+    # The bucket key needs no closure: the factor types already fix the
+    # subsystem's size.  Only each class's representative is closed.
     ext = extended_diagram(rs)
     buckets: dict[tuple, list] = {}
     for J in _proper_subsets(len(ext.root_of)):
-        sub, types, dJ, lam_dom = _subset_info(rs, J)
-        buckets.setdefault((types, len(sub), dJ, lam_dom), []).append((J, sub))
+        buckets.setdefault(_subset_info(rs, J), []).append(J)
     classes: dict[tuple, list] = {}
     for bucket_key, members in sorted(buckets.items()):
         if len(members) == 1:
             classes[(bucket_key, None)] = members
             continue
-        for J, sub in members:
+        for J in members:
             canon = canonical_labeled_set(
                 rs, tuple((ext.root_of[j], 2) for j in J), budget=budget
             )
-            classes.setdefault((bucket_key, canon[1]), []).append((J, sub))
+            classes.setdefault((bucket_key, canon[1]), []).append(J)
     out = []
     aff = affine_node(rs)
-    for (bucket_key, _), members in classes.items():
-        types, _, dJ, _ = bucket_key
-        for J, _sub in members:
-            if torsion_order(ext, J) != dJ:
-                raise InvariantViolation(
-                    f"torsion order not constant on the class of {members[0][0]}"
-                )
-        levi = [m for m in members if aff not in m[0]]
+    for ((types, dJ, _), _), members in classes.items():
+        levi = [J for J in members if aff not in J]
         rep = min(levi) if levi else min(members)
-        out.append(PseudoLevi(rep[0], rep[1], types, dJ))
+        out.append(PseudoLevi(rep, subsystem_closure(ext, rep), types, dJ))
     out.sort(key=lambda pl: (len(pl.J), pl.factor_types, pl.dJ, pl.J))
     return tuple(out)
 

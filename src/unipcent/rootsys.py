@@ -459,31 +459,28 @@ def _solve_linear(M: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction
 
 LabeledSet = tuple[tuple[RootVec, int], ...]
 
-_CANON_CACHE: dict[tuple[RootSystem, LabeledSet], tuple] = {}
-
 
 def canonical_labeled_set(
     rs: RootSystem, items: Iterable[tuple[RootVec, int]], budget: int | None = None
 ) -> tuple:
-    """Canonical form of a labeled base of a root subsystem under the Weyl group.
+    """Canonical form (lam_dom, best) of a labeled base under the Weyl group.
 
-    The solved cocharacter of the labels is moved to its dominant form; the
-    labeled base is transported along and then minimized over the orbit of the
-    dominant vector's stabilizer (the parabolic generated by the fixed simple
-    reflections).  Two labeled bases are Weyl-conjugate iff their canonical
-    forms coincide.
+    lam_dom is the dominant conjugate of the cocharacter solved from the
+    labels; best is the smallest sorted labeled base in the orbit of the
+    transported base under the stabilizer of lam_dom.  Two labeled bases are
+    Weyl-conjugate iff their canonical forms coincide.  budget (default
+    DEFAULT_BUDGET) bounds the states visited (BudgetExceeded).  Results are
+    memoized per (rs, sorted items, budget); a search that raised is never
+    stored, so the budget holds whatever ran earlier in the process.
     """
     items = tuple(sorted((tuple(r), int(l)) for r, l in items))
-    key = (rs, items)
-    cached = _CANON_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if budget is None:
-        budget = DEFAULT_BUDGET
+    return _canonical_search(rs, items, DEFAULT_BUDGET if budget is None else budget)
+
+
+@lru_cache(maxsize=None)
+def _canonical_search(rs: RootSystem, items: LabeledSet, budget: int) -> tuple:
     if not items:
-        result = (zero_cochar(rs), ())
-        _CANON_CACHE[key] = result
-        return result
+        return (zero_cochar(rs), ())
     base = [r for r, _ in items]
     targets = [l for _, l in items]
     lam = solve_cochar_for_base(rs, base, targets)
@@ -512,8 +509,4 @@ def canonical_labeled_set(
                     if image < best:
                         best = image
         frontier = nxt
-    result = (lam_dom, best)
-    _CANON_CACHE[key] = result
-    for state in seen:
-        _CANON_CACHE.setdefault((rs, state), result)
-    return result
+    return (lam_dom, best)

@@ -98,10 +98,13 @@ def test_cache_misses(tmp_path, capsys):
     assert cache_load("A2", tmp_path) is None
     err = capsys.readouterr().err
     assert "mismatched" in err
-    path.write_text("{ not json")
-    assert cache_load("A2", tmp_path) is None
-    err = capsys.readouterr().err
-    assert "corrupt" in err
+    for corrupt in (b"{ not json", b"\xff\xfe{}", b"[1, 2]"):
+        path.write_bytes(corrupt)
+        assert cache_load("A2", tmp_path) is None
+        err = capsys.readouterr().err
+        assert "corrupt" in err
+    assert main(["component-groups", "A2", "--cache-dir", str(tmp_path)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == doc
 
 
 @pytest.mark.parametrize("name", ["B2", "D3", "F4"])
@@ -120,14 +123,16 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
 
 
 def test_budget_exit_code(capsys):
-    from unipcent.rootsys import _CANON_CACHE
-
     for name in ("C6", "E6"):
-        _CANON_CACHE.clear()
         rc = main(["component-groups", name, "--budget", "1"])
-        _CANON_CACHE.clear()
         assert rc == EXIT_BUDGET, name
         assert "budget exceeded" in capsys.readouterr().err
+
+
+def test_budget_holds_after_an_unbudgeted_run(capsys):
+    assert main(["component-groups", "E6"]) == EXIT_OK
+    assert main(["component-groups", "E6", "--budget", "1"]) == EXIT_BUDGET
+    assert "budget exceeded" in capsys.readouterr().err
 
 
 def test_config_file_defaults(tmp_path, capsys):
@@ -136,6 +141,23 @@ def test_config_file_defaults(tmp_path, capsys):
     assert main(["--config", str(cfg), "component-groups", "G2"]) == EXIT_OK
     out = capsys.readouterr().out
     assert out.startswith("# Component groups for G2")
+    assert main([f"--config={cfg}", "component-groups", "G2"]) == EXIT_OK
+    assert capsys.readouterr().out == out
+
+
+def test_config_value_of_wrong_type(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("jobs=abc\n")
+    assert main(["--config", str(cfg), "component-groups", "G2"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "jobs" in err
+    assert err.count("\n") == 1
+
+
+def test_out_not_writable(tmp_path, capsys):
+    assert main(["component-groups", "G2", "--out", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
 
 
 def test_display_names_attached(capsys):

@@ -278,9 +278,5 @@ def test_budget_exhaustion_is_loud():
     g2 = rs_of("G2")
     ext = extended_diagram(g2)
     items = tuple((ext.root_of[j], 2) for j in (0, 2))
-    from unipcent.rootsys import _CANON_CACHE
-
-    _CANON_CACHE.clear()
     with pytest.raises(BudgetExceeded):
         canonical_labeled_set(g2, items, budget=1)
-    _CANON_CACHE.clear()
