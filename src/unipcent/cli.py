@@ -201,7 +201,35 @@ def cache_load(ctype: str, cache_dir: str | Path) -> dict | None:
     ):
         print(f"warning: ignoring mismatched cache entry {path}", file=sys.stderr)
         return None
+    if not _well_formed(doc):
+        print(f"warning: ignoring corrupt cache entry {path}", file=sys.stderr)
+        return None
     return doc
+
+
+# The fields the renderers read, with their types.
+_REPORT_FIELDS = {"diagram": list, "group_name": str, "display_name": str, "classes": list}
+_CLASS_FIELDS = {"order": int, "factor_types": list, "J": list}
+
+
+def _has_fields(obj, fields: dict) -> bool:
+    return isinstance(obj, dict) and all(isinstance(obj.get(k), t) for k, t in fields.items())
+
+
+def _well_formed(doc: dict) -> bool:
+    """Whether a cache entry carries a report body every renderer can read."""
+    reports = doc.get("reports")
+    if not isinstance(doc.get("good_primes_note"), str) or not isinstance(reports, list):
+        return False
+    return all(
+        _has_fields(rep, _REPORT_FIELDS)
+        and all(
+            _has_fields(rec, _CLASS_FIELDS)
+            and all(isinstance(t, str) for t in rec["factor_types"])
+            for rec in rep["classes"]
+        )
+        for rep in reports
+    )
 
 
 def cmd_roots(args) -> int:
@@ -251,19 +279,23 @@ def _verify(ct: CartanType, budget: int) -> list[str]:
     ext = extended_diagram(rs)
     for size in range(rs.rank + 1):
         for K in itertools.combinations(range(rs.rank), size):
-            levi_canons.add(canonical_subsystem(rs, subsystem_closure(ext, K)))
+            levi_canons.add(
+                canonical_subsystem(rs, subsystem_closure(ext, K), budget=budget)
+            )
     for rep in reports.values():
         ones = [rec for rec in rep.classes if rec.order == 1]
         if len(ones) != 1:
             failures.append(f"diagram {rep.diagram}: {len(ones)} order-1 classes")
             continue
         sub = subsystem_closure(ext, ones[0].J)
-        if canonical_subsystem(rs, sub) not in levi_canons:
+        if canonical_subsystem(rs, sub, budget=budget) not in levi_canons:
             failures.append(f"diagram {rep.diagram}: order-1 datum is not a Levi")
 
     if ct.rank <= 4:
         bound = default_denominator_bound(rs)
-        subset_side = {canonical_subsystem(rs, pl.subsystem) for pl in pls}
+        subset_side = {
+            canonical_subsystem(rs, pl.subsystem, budget=budget) for pl in pls
+        }
         point_side = alcove_pseudolevis(rs, bound)
         if subset_side != point_side:
             failures.append("alcove-point oracle disagrees with subset enumeration")
@@ -309,7 +341,11 @@ def cmd_component_groups(args) -> int:
     if doc is None:
         doc = build_report_document(ct, p=0, budget=args.budget)
         if args.cache_dir:
-            cache_store(doc, args.cache_dir)
+            try:
+                cache_store(doc, args.cache_dir)
+            except OSError as exc:
+                print(f"usage error: cannot write --cache-dir: {exc}", file=sys.stderr)
+                return EXIT_USAGE
     if args.format == "json":
         text = serialize_document(doc)
     elif args.format == "csv":

@@ -30,7 +30,9 @@ from .rootsys import (
     CocharVec,
     RootSystem,
     canonical_labeled_set,
+    dominant_transport,
     is_good_prime,
+    partition_orbits,
 )
 
 
@@ -128,7 +130,7 @@ def _orbit_representatives(
     """One record per Weyl orbit of labeled bases, the one with the smallest labels.
 
     Records are bucketed by (induced diagram, order, factor labels); only a
-    bucket with several members is split by canonical form.
+    bucket with several members is split into orbits.
     """
     buckets: dict[tuple, list[TripleRecord]] = {}
     for rec in records:
@@ -139,12 +141,9 @@ def _orbit_representatives(
         if len(members) == 1:
             kept.append(members[0])
             continue
-        by_canon: dict[tuple, TripleRecord] = {}
-        for rec in members:
-            canon = canonical_labeled_set(rs, rec.labels, budget=budget)
-            if canon not in by_canon or rec.labels < by_canon[canon].labels:
-                by_canon[canon] = rec
-        kept.extend(by_canon.values())
+        pairs = [dominant_transport(rs, rec.labels) for rec in members]
+        for orbit in partition_orbits(rs, pairs, budget):
+            kept.append(min((members[k] for k in orbit), key=lambda r: r.labels))
     return kept
 
 

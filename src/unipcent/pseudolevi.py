@@ -30,9 +30,9 @@ from .rootsys import (
     canonical_labeled_set,
     cartan_matrix,
     coroot,
+    dominant_transport,
     is_good_prime,
-    solve_cochar_for_base,
-    to_dominant,
+    partition_orbits,
     zero_cochar,
     _dot,
 )
@@ -290,16 +290,13 @@ def _proper_subsets(n_nodes: int):
 
 
 def _subset_info(rs: RootSystem, J: tuple[int, ...]):
+    """The bucket key (factor types, d_J, lam_dom) of J, and J's transported start."""
     ext = extended_diagram(rs)
     base = tuple(ext.root_of[j] for j in J)
     types = tuple(sorted(ct for ct, _ in base_components(rs, base)))
     dJ = torsion_order(ext, J)
-    if base:
-        lam = solve_cochar_for_base(rs, base, [2] * len(base))
-        lam_dom, _ = to_dominant(rs, lam)
-    else:
-        lam_dom = zero_cochar(rs)
-    return types, dJ, lam_dom
+    lam_dom, start = dominant_transport(rs, tuple((r, 2) for r in base))
+    return (types, dJ, lam_dom), start
 
 
 def enumerate_pseudolevis(
@@ -318,27 +315,23 @@ def enumerate_pseudolevis(
 @lru_cache(maxsize=None)
 def _enumerate_pseudolevis_cached(rs: RootSystem, budget: int) -> tuple[PseudoLevi, ...]:
     # The bucket key needs no closure: the factor types already fix the
-    # subsystem's size.  Only each class's representative is closed.
+    # subsystem's size.  Each bucket is split into Weyl orbits by one
+    # stabilizer-orbit walk per orbit; only each class's representative is
+    # closed.
     ext = extended_diagram(rs)
     buckets: dict[tuple, list] = {}
     for J in _proper_subsets(len(ext.root_of)):
-        buckets.setdefault(_subset_info(rs, J), []).append(J)
-    classes: dict[tuple, list] = {}
-    for bucket_key, members in sorted(buckets.items()):
-        if len(members) == 1:
-            classes[(bucket_key, None)] = members
-            continue
-        for J in members:
-            canon = canonical_labeled_set(
-                rs, tuple((ext.root_of[j], 2) for j in J), budget=budget
-            )
-            classes.setdefault((bucket_key, canon[1]), []).append(J)
+        key, start = _subset_info(rs, J)
+        buckets.setdefault(key, []).append((J, start))
     out = []
     aff = affine_node(rs)
-    for ((types, dJ, _), _), members in classes.items():
-        levi = [J for J in members if aff not in J]
-        rep = min(levi) if levi else min(members)
-        out.append(PseudoLevi(rep, subsystem_closure(ext, rep), types, dJ))
+    for (types, dJ, lam_dom), members in buckets.items():
+        pairs = [(lam_dom, start) for _, start in members]
+        for orbit in partition_orbits(rs, pairs, budget):
+            Js = [members[k][0] for k in orbit]
+            levi = [J for J in Js if aff not in J]
+            rep = min(levi) if levi else min(Js)
+            out.append(PseudoLevi(rep, subsystem_closure(ext, rep), types, dJ))
     out.sort(key=lambda pl: (len(pl.J), pl.factor_types, pl.dJ, pl.J))
     return tuple(out)
 

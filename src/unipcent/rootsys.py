@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded, InputError, InvariantViolation
@@ -104,8 +104,28 @@ class RootSystem:
     def rank(self) -> int:
         return self.ctype.rank
 
+    @cached_property
+    def root_index(self) -> "RootIndex":
+        """Roots as indices and simple reflections as permutations, built on first use."""
+        roots = tuple(sorted(all_roots(self)))
+        index = {g: k for k, g in enumerate(roots)}
+        reflections = tuple(
+            tuple(index[reflect_root(self, i, g)] for g in roots)
+            for i in range(self.rank)
+        )
+        return RootIndex(roots, index, reflections)
+
     def __str__(self) -> str:
         return str(self.ctype)
+
+
+@dataclass(frozen=True, eq=False)
+class RootIndex:
+    """All roots in sorted order, their positions, and each s_i as a permutation."""
+
+    roots: tuple[RootVec, ...]
+    index: dict[RootVec, int]
+    reflections: tuple[tuple[int, ...], ...]
 
 
 def _dot(a: Sequence, b: Sequence):
@@ -229,15 +249,6 @@ def reflect_root(rs: RootSystem, i: int, gamma: RootVec) -> RootVec:
     return tuple(image)
 
 
-@lru_cache(maxsize=None)
-def _reflection_tables(rs: RootSystem) -> tuple[dict, ...]:
-    """Per simple reflection, the image of every root (lookup, no arithmetic)."""
-    roots = all_roots(rs)
-    return tuple(
-        {g: reflect_root(rs, i, g) for g in roots} for i in range(rs.rank)
-    )
-
-
 def reflect_cochar(rs: RootSystem, i: int, lam: Sequence) -> CocharVec:
     coef = lam[i]
     row = rs.cartan[i]
@@ -252,29 +263,24 @@ def apply_word(rs: RootSystem, word: Sequence[int], lam: Sequence) -> CocharVec:
     return cur
 
 
-def apply_word_root(rs: RootSystem, word: Sequence[int], gamma: RootVec) -> RootVec:
-    cur = gamma
-    for i in word:
-        cur = reflect_root(rs, i, cur)
-    return cur
-
-
 def to_dominant(rs: RootSystem, lam: Sequence) -> tuple[CocharVec, WeylWord]:
     """The unique dominant Weyl conjugate, with a word mapping the input to it.
 
     Repeatedly reflects at the smallest-index negative coordinate; this takes
-    at most |R+| steps.
+    at most |R+| steps.  The walk runs on integers: the input is scaled once by
+    the lcm of its denominators.
     """
-    m = list(as_cochar(lam))
+    lam = as_cochar(lam)
+    den = math.lcm(*(c.denominator for c in lam))
+    m = [c.numerator * (den // c.denominator) for c in lam]
     word: list[int] = []
     cap = len(rs.positive_roots) + 1
     for _ in range(cap):
         i = next((k for k, v in enumerate(m) if v < 0), None)
         if i is None:
-            return tuple(m), tuple(word)
+            return tuple(Fraction(v, den) for v in m), tuple(word)
         coef = m[i]
-        row = rs.cartan[i]
-        m = [v - coef * row[j] for j, v in enumerate(m)]
+        m = [v - coef * c for v, c in zip(m, rs.cartan[i])]
         word.append(i)
     raise InvariantViolation("dominant reduction failed to terminate")
 
@@ -428,76 +434,99 @@ def alcove_reduce(rs: RootSystem, point: Sequence) -> tuple[CocharVec, frozenset
 def solve_cochar_for_base(
     rs: RootSystem, base: Sequence[RootVec], targets: Sequence
 ) -> CocharVec:
-    """The unique lam in the span of the base's coroots with <base[a], lam> = targets[a]."""
+    """The unique lam in the span of the base's coroots with <base[a], lam> = targets[a].
+
+    Solved on integers: the targets are scaled once by the lcm of their
+    denominators, elimination keeps integer rows, and each coordinate is
+    divided out at the end.
+    """
     k = len(base)
     cor = [coroot(rs, b) for b in base]
-    M = [[Fraction(_dot(base[a], cor[b])) for b in range(k)] for a in range(k)]
     rhs = [Fraction(t) for t in targets]
-    sol = _solve_linear(M, rhs)
-    n = rs.rank
-    return tuple(
-        sum((sol[b] * cor[b][j] for b in range(k)), Fraction(0)) for j in range(n)
-    )
-
-
-def _solve_linear(M: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    k = len(M)
-    A = [row[:] + [rhs[i]] for i, row in enumerate(M)]
+    scale = math.lcm(*(t.denominator for t in rhs))
+    A = [
+        [_dot(base[a], cor[b]) for b in range(k)]
+        + [rhs[a].numerator * (scale // rhs[a].denominator)]
+        for a in range(k)
+    ]
     for col in range(k):
         piv = next((r for r in range(col, k) if A[r][col] != 0), None)
         if piv is None:
             raise InvariantViolation("singular pairing matrix (input roots dependent)")
         A[col], A[piv] = A[piv], A[col]
-        inv = 1 / A[col][col]
-        A[col] = [v * inv for v in A[col]]
+        p = A[col]
         for r in range(k):
-            if r != col and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [v - f * w for v, w in zip(A[r], A[col])]
-    return [A[r][k] for r in range(k)]
+            f = A[r][col]
+            if r != col and f != 0:
+                row = [p[col] * v - f * w for v, w in zip(A[r], p)]
+                g = math.gcd(*row)
+                A[r] = [v // g for v in row] if g > 1 else row
+    # Now A[a][a] * x_a = A[a][k]; lam = sum_a x_a cor[a] over the denominator den.
+    den = math.lcm(*(A[a][a] for a in range(k)))
+    x = [A[a][k] * (den // A[a][a]) for a in range(k)]
+    return tuple(
+        Fraction(sum(x[a] * cor[a][j] for a in range(k)), den * scale)
+        for j in range(rs.rank)
+    )
 
 
 LabeledSet = tuple[tuple[RootVec, int], ...]
 
 
-def canonical_labeled_set(
-    rs: RootSystem, items: Iterable[tuple[RootVec, int]], budget: int | None = None
-) -> tuple:
-    """Canonical form (lam_dom, best) of a labeled base under the Weyl group.
+def dominant_transport(
+    rs: RootSystem, items: Iterable[tuple[RootVec, int]]
+) -> tuple[CocharVec, tuple[int, ...]]:
+    """(lam_dom, start): a labeled base carried along with its cocharacter.
 
     lam_dom is the dominant conjugate of the cocharacter solved from the
-    labels; best is the smallest sorted labeled base in the orbit of the
-    transported base under the stabilizer of lam_dom.  Two labeled bases are
-    Weyl-conjugate iff their canonical forms coincide.  budget (default
-    DEFAULT_BUDGET) bounds the states visited (BudgetExceeded).  Results are
-    memoized per (rs, sorted items, budget); a search that raised is never
-    stored, so the budget holds whatever ran earlier in the process.
+    labels, and start is the base moved by the same Weyl word, encoded for
+    _stabilizer_orbit: a labeled root (r, l) becomes rank(l) * |R| + index of
+    r, where rank(l) is the position of l among the base's distinct labels.
+    The transported labels are the pairings with lam_dom, so under equal
+    lam_dom equal starts mean equal labeled bases.
     """
-    items = tuple(sorted((tuple(r), int(l)) for r, l in items))
-    return _canonical_search(rs, items, DEFAULT_BUDGET if budget is None else budget)
-
-
-@lru_cache(maxsize=None)
-def _canonical_search(rs: RootSystem, items: LabeledSet, budget: int) -> tuple:
+    items = tuple(items)
     if not items:
-        return (zero_cochar(rs), ())
-    base = [r for r, _ in items]
-    targets = [l for _, l in items]
-    lam = solve_cochar_for_base(rs, base, targets)
+        return zero_cochar(rs), ()
+    lam = solve_cochar_for_base(rs, [r for r, _ in items], [l for _, l in items])
     lam_dom, word = to_dominant(rs, lam)
-    start = tuple(
-        sorted((apply_word_root(rs, word, r), l) for r, l in items)
-    )
-    tables = _reflection_tables(rs)
-    fixed = [tables[i] for i in range(rs.rank) if lam_dom[i] == 0]
-    best = start
+    table = rs.root_index
+    rank = {l: k for k, l in enumerate(sorted({l for _, l in items}))}
+    codes = []
+    for r, l in items:
+        i = table.index.get(tuple(r))
+        if i is None:
+            raise InputError(f"{r} is not a root of {rs.ctype}")
+        for s in word:
+            i = table.reflections[s][i]
+        codes.append(rank[l] * len(table.roots) + i)
+    return lam_dom, tuple(sorted(codes))
+
+
+def _stabilizer_orbit(
+    rs: RootSystem, lam_dom: CocharVec, start: tuple[int, ...], budget: int
+) -> set[tuple[int, ...]]:
+    """Every state of the orbit of start under the stabilizer of lam_dom.
+
+    The stabilizer of a dominant cocharacter is generated by the simple
+    reflections fixing it; each acts on the codes of dominant_transport as a
+    permutation.  budget bounds the states visited (BudgetExceeded).
+    """
+    table = rs.root_index
+    n_roots = len(table.roots)
+    n_labels = start[-1] // n_roots + 1 if start else 1
+    perms = [
+        tuple(k * n_roots + j for k in range(n_labels) for j in perm)
+        for perm, m in zip(table.reflections, lam_dom)
+        if m == 0
+    ]
     seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
         for state in frontier:
-            for table in fixed:
-                image = tuple(sorted((table[r], l) for r, l in state))
+            for perm in perms:
+                image = tuple(sorted([perm[c] for c in state]))
                 if image not in seen:
                     if len(seen) >= budget:
                         raise BudgetExceeded(
@@ -506,7 +535,61 @@ def _canonical_search(rs: RootSystem, items: LabeledSet, budget: int) -> tuple:
                         )
                     seen.add(image)
                     nxt.append(image)
-                    if image < best:
-                        best = image
         frontier = nxt
-    return (lam_dom, best)
+    return seen
+
+
+def partition_orbits(
+    rs: RootSystem,
+    pairs: Sequence[tuple[CocharVec, tuple[int, ...]]],
+    budget: int = DEFAULT_BUDGET,
+) -> list[list[int]]:
+    """Split (lam_dom, start) pairs of dominant_transport into Weyl orbits.
+
+    Returns the positions of each orbit's members.  One stabilizer orbit is
+    walked per orbit found: the orbit of the first unassigned start collects
+    every member whose start lies in it, and a member left alone under its
+    lam_dom needs no walk.  budget bounds the states of each walk.
+    """
+    pending: dict[CocharVec, dict[tuple[int, ...], list[int]]] = {}
+    for pos, (lam_dom, start) in enumerate(pairs):
+        pending.setdefault(lam_dom, {}).setdefault(start, []).append(pos)
+    classes = []
+    for lam_dom, by_start in pending.items():
+        while by_start:
+            start = next(iter(by_start))
+            members = by_start.pop(start)
+            if by_start:
+                orbit = _stabilizer_orbit(rs, lam_dom, start, budget)
+                for other in [s for s in by_start if s in orbit]:
+                    members += by_start.pop(other)
+            classes.append(sorted(members))
+    return classes
+
+
+def canonical_labeled_set(
+    rs: RootSystem, items: Iterable[tuple[RootVec, int]], budget: int | None = None
+) -> tuple:
+    """Canonical form (lam_dom, best) of a labeled base under the Weyl group.
+
+    lam_dom is the dominant conjugate of the cocharacter solved from the
+    labels; best is the decoded smallest state in the orbit of the transported
+    base under the stabilizer of lam_dom (see dominant_transport), as a sorted
+    labeled base.  Two labeled bases are Weyl-conjugate iff their canonical
+    forms coincide.  budget (default DEFAULT_BUDGET) bounds the states
+    visited (BudgetExceeded).  Results are memoized per (rs, sorted items,
+    budget); a search that raised is never stored, so the budget holds
+    whatever ran earlier in the process.
+    """
+    items = tuple(sorted((tuple(r), int(l)) for r, l in items))
+    return _canonical_search(rs, items, DEFAULT_BUDGET if budget is None else budget)
+
+
+@lru_cache(maxsize=None)
+def _canonical_search(rs: RootSystem, items: LabeledSet, budget: int) -> tuple:
+    lam_dom, start = dominant_transport(rs, items)
+    best = min(_stabilizer_orbit(rs, lam_dom, start, budget))
+    roots = rs.root_index.roots
+    labels = sorted({l for _, l in items})
+    decoded = ((roots[c % len(roots)], labels[c // len(roots)]) for c in best)
+    return (lam_dom, tuple(sorted(decoded)))

@@ -107,6 +107,65 @@ def test_cache_misses(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == doc
 
 
+def _stub_bodies(doc):
+    """Entries with the right versions and type but a body the renderers cannot read."""
+    head = {k: doc[k] for k in ("schema_version", "code_version", "cartan_type")}
+    rep = doc["reports"][0]
+    rec = rep["classes"][0]
+    no_j = {k: v for k, v in rec.items() if k != "J"}
+    return [
+        head,
+        dict(head, good_primes_note=doc["good_primes_note"], reports={}),
+        dict(doc, reports=[{k: v for k, v in rep.items() if k != "group_name"}]),
+        dict(doc, reports=[dict(rep, classes=[no_j])]),
+        dict(doc, reports=[dict(rep, classes=[dict(rec, factor_types=[1])])]),
+    ]
+
+
+@pytest.mark.parametrize("fmt", ["json", "md", "csv"])
+def test_cache_entry_without_a_readable_body(tmp_path, capsys, fmt):
+    assert main(["component-groups", "A2", "--format", fmt]) == EXIT_OK
+    uncached = capsys.readouterr().out
+    doc = build_report_document(CartanType.parse("A2"))
+    for stub in _stub_bodies(doc):
+        path = cache_store(doc, tmp_path)
+        path.write_text(json.dumps(stub))
+        argv = ["component-groups", "A2", "--format", fmt, "--cache-dir", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == uncached
+        assert "corrupt" in captured.err
+        assert cache_load("A2", tmp_path) == doc  # the recompute replaced the stub
+
+
+def test_cache_dir_not_a_directory(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    argv = ["component-groups", "A2", "--cache-dir", str(blocker)]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
+
+
+def test_verify_passes_the_budget_to_every_canonical_search(monkeypatch, capsys):
+    import unipcent.cli as cli
+
+    seen = []
+    original = cli.canonical_subsystem
+
+    def recording(rs, subsystem, budget=None):
+        seen.append(budget)
+        return original(rs, subsystem, budget=budget)
+
+    monkeypatch.setattr(cli, "canonical_subsystem", recording)
+    budget = 10**6 + 7
+    assert main(["component-groups", "B3", "--verify", "--budget", str(budget)]) == EXIT_OK
+    assert "all checks passed" in capsys.readouterr().err
+    assert len(seen) > 8  # the Levi canons, the order-1 lookups, the subset side
+    assert set(seen) == {budget}
+
+
 @pytest.mark.parametrize("name", ["B2", "D3", "F4"])
 def test_verify_small_type(name, capsys):
     assert main(["component-groups", name, "--verify"]) == EXIT_OK

@@ -19,8 +19,12 @@ from unipcent import (
     pairs_conjugate,
     recognize_group,
     recognize_group_from_torsion,
+    torsion_order,
 )
+from unipcent.compgroup import _factor_label_invariant, _labeled_records, _orbit_representatives
 from unipcent.oracle import act_labeled_set, brute_orbit, classical_nilpotent_classes
+from unipcent.pseudolevi import _proper_subsets
+from unipcent.rootsys import DEFAULT_BUDGET
 
 
 def rs_of(name):
@@ -214,6 +218,25 @@ def test_count_pair_orbits_matches_enumeration():
     for name in ("A2", "B2", "G2", "B3", "C3"):
         rs = rs_of(name)
         assert count_pair_orbits(rs) == len(enumerate_triples(rs))
+
+
+def test_record_orbits_agree_with_canonical_forms():
+    """E6: every labeled record, grouped by bucket key plus canonical form."""
+    rs = rs_of("E6")
+    ext = extended_diagram(rs)
+    records = [
+        rec
+        for J in _proper_subsets(len(ext.root_of))
+        for rec in _labeled_records(rs, J, torsion_order(ext, J))
+    ]
+    classes = {}
+    for rec in records:
+        key = (rec.induced, rec.order, _factor_label_invariant(rs, rec))
+        classes.setdefault((key, canonical_labeled_set(rs, rec.labels)), []).append(rec)
+    kept = _orbit_representatives(rs, records, DEFAULT_BUDGET)
+    expected = {min((r.labels, r.J) for r in cls) for cls in classes.values()}
+    assert len(kept) == len(classes)
+    assert {(r.labels, r.J) for r in kept} == expected
 
 
 def test_exactly_one_identity_class_per_report():

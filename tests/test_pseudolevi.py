@@ -23,8 +23,8 @@ from unipcent import (
     witness_element,
 )
 from unipcent.oracle import span_quotient_torsion
-from unipcent.pseudolevi import base_components
-from unipcent.rootsys import all_roots, pairing
+from unipcent.pseudolevi import _proper_subsets, _subset_info, base_components
+from unipcent.rootsys import all_roots, canonical_labeled_set, pairing, partition_orbits
 
 
 def rs_of(name):
@@ -337,3 +337,25 @@ def test_lattice_closure_is_weyl_stable():
             for i in word:
                 expect = frozenset(reflect_root(g2, i, g) for g in expect)
             assert image == expect
+
+
+@pytest.mark.parametrize("name", ["F4", "E6", "E7"])
+def test_orbit_partition_agrees_with_canonical_forms(name):
+    """Bucket key plus canonical form groups the subsets as the orbit walks do."""
+    rs = rs_of(name)
+    ext = extended_diagram(rs)
+    buckets = {}
+    by_canon = {}
+    for J in _proper_subsets(len(ext.root_of)):
+        key, start = _subset_info(rs, J)
+        buckets.setdefault(key, []).append((J, start))
+        canon = canonical_labeled_set(rs, [(ext.root_of[j], 2) for j in J])
+        by_canon.setdefault((key, canon), set()).add(J)
+    by_walk = set()
+    for key, members in buckets.items():
+        for orbit in partition_orbits(rs, [(key[2], start) for _, start in members]):
+            by_walk.add(frozenset(members[k][0] for k in orbit))
+    classes = {frozenset(v) for v in by_canon.values()}
+    assert by_walk == classes
+    reps = [pl.J for pl in enumerate_pseudolevis(rs)]
+    assert sorted(sum(J in cls for J in reps) for cls in classes) == [1] * len(classes)

@@ -2,6 +2,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unipcent import (
     CartanType,
@@ -12,13 +13,21 @@ from unipcent import (
     apply_word,
     bad_primes,
     build_root_system,
+    canonical_labeled_set,
     coroot,
+    extended_diagram,
     is_good_prime,
     pairing,
     to_dominant,
 )
-from unipcent.oracle import act_cochar, brute_orbit
-from unipcent.rootsys import reflect_root, as_cochar
+from unipcent.oracle import act_cochar, act_labeled_set, brute_orbit
+from unipcent.rootsys import (
+    as_cochar,
+    dominant_transport,
+    partition_orbits,
+    reflect_root,
+    solve_cochar_for_base,
+)
 
 ALL_TYPES = (
     [f"A{r}" for r in range(1, 9)]
@@ -227,3 +236,102 @@ def test_alcove_reduce_replay(name):
             if vec[i].denominator == 1:
                 assert i in walls
         assert alcove_reduce(rs, point) == (vec, walls)
+
+
+@st.composite
+def labeled_base_and_word(draw):
+    rs = rs_of(draw(st.sampled_from(["B4", "F4", "E6"])))
+    ext = extended_diagram(rs)
+    nodes = draw(
+        st.lists(st.sampled_from(list(ext.nodes)), unique=True, max_size=rs.rank)
+    )
+    items = [(ext.root_of[j], draw(st.sampled_from([0, 2]))) for j in nodes]
+    word = draw(st.lists(st.integers(0, rs.rank - 1), max_size=12))
+    return rs, items, word
+
+
+@settings(max_examples=60, deadline=None)
+@given(labeled_base_and_word())
+def test_weyl_word_keeps_canonical_form_and_orbit(case):
+    rs, items, word = case
+    moved = []
+    for r, l in items:
+        for i in word:
+            r = reflect_root(rs, i, r)
+        moved.append((r, l))
+    assert canonical_labeled_set(rs, moved) == canonical_labeled_set(rs, items)
+    pairs = [dominant_transport(rs, items), dominant_transport(rs, moved)]
+    assert partition_orbits(rs, pairs) == [[0, 1]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(labeled_base_and_word(), st.data())
+def test_solved_cochar_pairs_to_its_targets(case, data):
+    rs, items, word = case
+    base = [r for r, _ in items]
+    for i in word:
+        base = [reflect_root(rs, i, r) for r in base]
+    targets = data.draw(
+        st.lists(
+            st.fractions(min_value=-4, max_value=4, max_denominator=6),
+            min_size=len(base),
+            max_size=len(base),
+        )
+    )
+    lam = solve_cochar_for_base(rs, base, targets)
+    assert [pairing(r, lam) for r in base] == targets
+    # lam lies in the span of the coroots: it vanishes on their orthogonal roots
+    span_zero = [g for g in all_roots(rs) if all(pairing(g, coroot(rs, r)) == 0 for r in base)]
+    assert all(pairing(g, lam) == 0 for g in span_zero)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["G2", "B4", "F4", "E6"]).flatmap(
+        lambda name: st.tuples(
+            st.just(name),
+            st.lists(
+                st.fractions(min_value=-5, max_value=5, max_denominator=12),
+                min_size=rs_of(name).rank,
+                max_size=rs_of(name).rank,
+            ),
+        )
+    )
+)
+def test_to_dominant_on_rational_points(case):
+    name, lam = case
+    rs = rs_of(name)
+    dom, word = to_dominant(rs, lam)
+    assert all(isinstance(c, Fraction) and c >= 0 for c in dom)
+    assert apply_word(rs, word, lam) == dom
+
+
+@pytest.mark.parametrize("name", ["B2", "G2", "A3", "B3", "C3"])
+def test_partition_orbits_agrees_with_brute_orbit(name):
+    """Labels 0 leave all of W to the walk, so roots of one length split apart."""
+    rs = rs_of(name)
+    roots = sorted(all_roots(rs))
+    bases = [((r, l),) for r in roots for l in (0, 1, 2)]
+    bases += [
+        ((r, 0), (s, 0))
+        for k, r in enumerate(roots)
+        for s in roots[k + 1:]
+        if s != tuple(-c for c in r)
+    ]
+    pairs = [dominant_transport(rs, items) for items in bases]
+    found = {frozenset(orbit) for orbit in partition_orbits(rs, pairs)}
+    orbit_of = [brute_orbit(rs, tuple(sorted(items)), act_labeled_set) for items in bases]
+    expected = {
+        frozenset(k for k, other in enumerate(orbit_of) if other == orbit)
+        for orbit in orbit_of
+    }
+    assert found == expected
+    assert len(expected) > 3
+    canon = [canonical_labeled_set(rs, items) for items in bases]
+    assert {frozenset(k for k, c in enumerate(canon) if c == c0) for c0 in canon} == expected
+
+
+def test_labeled_base_outside_the_roots_is_rejected():
+    # (1, -1) has an integral "coroot" in A2, so only the root lookup catches it
+    with pytest.raises(InputError):
+        canonical_labeled_set(rs_of("A2"), [((1, -1), 2)])
