@@ -13,19 +13,44 @@ from typing import Iterable, Sequence
 
 from .errors import InputError
 from .pseudolevi import base_components
-from .rootsys import CartanType, RootSystem, RootVec, all_roots, build_root_system
+from .rootsys import CartanType, RootSystem, RootVec, build_root_system
 
 LabeledSubDiagram = tuple[tuple[RootVec, int], ...]
 
 
-def _grading_counts(rsf: RootSystem, labels: Sequence[int]) -> tuple[int, int]:
-    """The numbers of roots at pairing 0 and at pairing 2 with the labels."""
+RootMasks = tuple[tuple[int, int], ...]
+
+
+def _root_masks(rsf: RootSystem) -> RootMasks:
+    """(support, nodes of coefficient 1) of each positive root, as node bitmasks."""
+    return tuple(
+        (
+            sum(1 << i for i, c in enumerate(gamma) if c),
+            sum(1 << i for i, c in enumerate(gamma) if c == 1),
+        )
+        for gamma in rsf.positive_roots
+    )
+
+
+def _twos_mask(labels: Sequence[int]) -> int:
+    """The node bitmask of the 2s of a {0,2}-labeling."""
+    return sum(1 << i for i, v in enumerate(labels) if v == 2)
+
+
+def _grading_counts(masks: RootMasks, twos: int) -> tuple[int, int]:
+    """The numbers of roots at pairing 0 and at pairing 2 with a {0,2}-labeling.
+
+    masks come from _root_masks and twos from _twos_mask.  A positive root
+    gamma pairs to 2 * (sum of its coefficients on twos), so gamma and -gamma
+    pair to 0 iff the support misses twos, and gamma pairs to 2 iff the
+    support meets twos in one node, where gamma has coefficient 1.
+    """
     zero = two = 0
-    for gamma in all_roots(rsf):
-        val = sum(c * l for c, l in zip(gamma, labels))
-        if val == 0:
-            zero += 1
-        elif val == 2:
+    for supp, ones in masks:
+        hit = supp & twos
+        if not hit:
+            zero += 2
+        elif hit & ones and not hit & (hit - 1):
             two += 1
     return zero, two
 
@@ -36,19 +61,19 @@ def is_distinguished(rs_factor: RootSystem, labels: Sequence[int]) -> bool:
         raise InputError("label vector length must match the rank")
     if any(v not in (0, 2) for v in labels):
         raise InputError(f"labels must lie in {{0, 2}}, got {tuple(labels)}")
-    zero, two = _grading_counts(rs_factor, labels)
+    zero, two = _grading_counts(_root_masks(rs_factor), _twos_mask(labels))
     return zero + rs_factor.rank == two
 
 
 @lru_cache(maxsize=None)
 def distinguished_classes(ctype: CartanType) -> tuple[tuple[int, ...], ...]:
     """All distinguished {0,2}-labelings of an irreducible type, sorted."""
-    rsf = build_root_system(ctype)
-    out = [
-        labels
-        for labels in itertools.product((0, 2), repeat=ctype.rank)
-        if is_distinguished(rsf, labels)
-    ]
+    masks = _root_masks(build_root_system(ctype))
+    out = []
+    for labels in itertools.product((0, 2), repeat=ctype.rank):
+        zero, two = _grading_counts(masks, _twos_mask(labels))
+        if zero + ctype.rank == two:
+            out.append(labels)
     return tuple(sorted(out))
 
 
@@ -63,7 +88,7 @@ class DistinguishedClass:
 
 
 def _factor_dims(ctype: CartanType, labels: Sequence[int]) -> tuple[int, int]:
-    zero, two = _grading_counts(build_root_system(ctype), labels)
+    zero, two = _grading_counts(_root_masks(build_root_system(ctype)), _twos_mask(labels))
     return zero + ctype.rank, two
 
 

@@ -1,8 +1,8 @@
 """Command-line front end: summaries, tables, reports, verification, caching.
 
-Exit codes: 0 success, 1 usage error, 2 verification failure or unrecognized
-fingerprint, 3 resource budget exceeded.  Output bytes are deterministic for
-identical inputs.
+Exit codes: 0 success, 1 usage error, 2 verification failure, unrecognized
+fingerprint or violated internal invariant, 3 resource budget exceeded.
+Output bytes are deterministic for identical inputs.
 """
 from __future__ import annotations
 
@@ -296,10 +296,10 @@ def _verify(ct: CartanType, budget: int) -> list[str]:
         subset_side = {
             canonical_subsystem(rs, pl.subsystem, budget=budget) for pl in pls
         }
-        point_side = alcove_pseudolevis(rs, bound)
+        point_side = alcove_pseudolevis(rs, bound, budget)
         if subset_side != point_side:
             failures.append("alcove-point oracle disagrees with subset enumeration")
-        if alcove_pseudolevis(rs, bound + 1) != point_side:
+        if alcove_pseudolevis(rs, bound + 1, budget) != point_side:
             failures.append("alcove-point enumeration not stabilized at the bound")
         if ct.family in "ABCD":
             if (ct.family, ct.rank) == ("D", 3):
@@ -460,6 +460,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BUDGET
     except (FingerprintError, WitnessSearchExhausted) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
+    except InvariantViolation as exc:
+        print(f"invariant violated: {exc}", file=sys.stderr)
         return EXIT_VERIFY
 
 

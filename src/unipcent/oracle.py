@@ -59,8 +59,13 @@ def alcove_points(rs: RootSystem, max_denominator: int) -> list[tuple[Fraction, 
     return sorted(seen)
 
 
-def alcove_pseudolevis(rs: RootSystem, max_denominator: int) -> frozenset[tuple]:
-    """Canonical forms of every integrality subsystem of a bounded-denominator point."""
+def alcove_pseudolevis(
+    rs: RootSystem, max_denominator: int, budget: int | None = None
+) -> frozenset[tuple]:
+    """Canonical forms of every integrality subsystem of a bounded-denominator point.
+
+    budget bounds each canonical-form search (BudgetExceeded).
+    """
     canon_of: dict[frozenset, tuple] = {}
     out = set()
     roots = sorted(all_roots(rs))
@@ -69,7 +74,7 @@ def alcove_pseudolevis(rs: RootSystem, max_denominator: int) -> frozenset[tuple]
             sub = frozenset(g for g in roots if _dot(g, c) % q == 0)
             canon = canon_of.get(sub)
             if canon is None:
-                canon = canonical_subsystem(rs, sub)
+                canon = canonical_subsystem(rs, sub, budget=budget)
                 canon_of[sub] = canon
             out.add(canon)
     return frozenset(out)

@@ -222,32 +222,31 @@ def _match_cartan(M: list[list[int]], std: tuple[tuple[int, ...], ...]) -> list[
 
 
 @lru_cache(maxsize=None)
-def _base_components_cached(
-    rs: RootSystem, base: tuple[RootVec, ...]
-) -> tuple[tuple[CartanType, tuple[RootVec, ...]], ...]:
-    if not base:
-        return ()
-    cor = [coroot(rs, b) for b in base]
-    # Same convention as cartan_matrix: M[a][b] = <base[b], base[a]^vee>.
-    M = [[_dot(base[b], cor[a]) for b in range(len(base))] for a in range(len(base))]
-    out = []
-    for comp in _component_split(rs, base):
-        sub = [[M[a][b] for b in comp] for a in comp]
-        for ct in _candidate_types(len(comp)):
-            order = _match_cartan(sub, cartan_matrix(ct))
-            if order is not None:
-                out.append((ct, tuple(base[comp[i]] for i in order)))
-                break
-        else:
-            raise InvariantViolation("base is not of finite Cartan type")
-    return tuple(sorted(out))
+def _match_component(
+    rs: RootSystem, roots: tuple[RootVec, ...]
+) -> tuple[CartanType, tuple[RootVec, ...]]:
+    """The type of one irreducible component, with its roots in standard node order."""
+    cor = [coroot(rs, b) for b in roots]
+    # Same convention as cartan_matrix: M[a][b] = <roots[b], roots[a]^vee>.
+    M = [[_dot(roots[b], cor[a]) for b in range(len(roots))] for a in range(len(roots))]
+    for ct in _candidate_types(len(roots)):
+        order = _match_cartan(M, cartan_matrix(ct))
+        if order is not None:
+            return ct, tuple(roots[i] for i in order)
+    raise InvariantViolation("base is not of finite Cartan type")
 
 
 def base_components(
     rs: RootSystem, base: Sequence[RootVec]
 ) -> tuple[tuple[CartanType, tuple[RootVec, ...]], ...]:
     """Irreducible components of a base, each with roots in standard node order."""
-    return _base_components_cached(rs, tuple(base))
+    base = tuple(base)
+    return tuple(
+        sorted(
+            _match_component(rs, tuple(base[a] for a in comp))
+            for comp in _component_split(rs, base)
+        )
+    )
 
 
 def classify_factors(rs: RootSystem, subsystem: Iterable[RootVec]) -> tuple[CartanType, ...]:

@@ -115,6 +115,11 @@ class RootSystem:
         )
         return RootIndex(roots, index, reflections)
 
+    def __hash__(self) -> int:
+        # Equal systems have equal types, so this agrees with the field-wise
+        # __eq__, and a cache keyed on a system does not hash all its roots.
+        return hash(self.ctype)
+
     def __str__(self) -> str:
         return str(self.ctype)
 
@@ -348,14 +353,16 @@ def _alcove_walk(rs: RootSystem, point: Sequence):
     Returns (reduced, walls, shift, steps): the point minus the integer vector
     shift is carried to reduced by steps, a list of node ids applied in order
     -- a simple node i is the reflection s_i, the affine node is the affine
-    reflection s_{theta,1}.
+    reflection s_{theta,1}.  The walk runs on integers: the point is scaled
+    once by the lcm of its denominators.
     """
     n = rs.rank
-    x = list(as_cochar(point))
-    if len(x) != n:
+    point = as_cochar(point)
+    if len(point) != n:
         raise InputError("dimension mismatch")
-    shift = tuple(math.floor(v) for v in x)
-    x = [v - s for v, s in zip(x, shift)]
+    shift = tuple(math.floor(v) for v in point)
+    den = math.lcm(*(v.denominator for v in point))
+    x = [(v - s).numerator * (den // v.denominator) for v, s in zip(point, shift)]
     theta_vee = highest_coroot(rs)
     marks = rs.marks
     steps: list[int] = []
@@ -363,25 +370,24 @@ def _alcove_walk(rs: RootSystem, point: Sequence):
         i = next((k for k in range(n) if x[k] < 0), None)
         if i is not None:
             coef = x[i]
-            row = rs.cartan[i]
-            x = [v - coef * row[j] for j, v in enumerate(x)]
+            x = [v - coef * c for v, c in zip(x, rs.cartan[i])]
         else:
             h = _dot(marks, x)
-            if h <= 1:
+            if h <= den:
                 break
             # affine reflection s_{theta,1}: x -> x - (<theta,x> - 1) theta^vee
-            x = [v - (h - 1) * theta_vee[j] for j, v in enumerate(x)]
+            x = [v - (h - den) * t for v, t in zip(x, theta_vee)]
             i = n
         steps.append(i)
     else:
         raise InvariantViolation("alcove reduction failed to terminate")
 
-    walls = {k for k in range(n) if x[k].denominator == 1}
-    if _dot(marks, x).denominator == 1:
+    walls = {k for k in range(n) if x[k] % den == 0}
+    if h % den == 0:
         walls.add(n)
     if len(walls) == n + 1:
         walls = set(range(n))  # lattice point: the subsystem is all of R
-    return tuple(x), frozenset(walls), shift, steps
+    return tuple(Fraction(v, den) for v in x), frozenset(walls), shift, steps
 
 
 def alcove_reduce_map(rs: RootSystem, point: Sequence):
@@ -395,29 +401,27 @@ def alcove_reduce_map(rs: RootSystem, point: Sequence):
     n = rs.rank
     theta_vee = highest_coroot(rs)
     marks = rs.marks
-    # Inverse bookkeeping: input = B . current + u after every step.
-    B = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    u = [Fraction(s) for s in shift0]
+    # Inverse bookkeeping: input = B . current + u after every step.  Each
+    # step is a reflection, so B and u stay integral.
+    B = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    u = list(shift0)
     for i in steps:
         if i < n:
-            # matrix of s_i on coweight coordinates: m_j -> m_j - m_i C[i][j]
+            # s_i on coweight coordinates is m_j -> m_j - m_i C[i][j]; it is
+            # its own inverse, and B . s_i changes only column i of B.
             row = rs.cartan[i]
-            mat = [
-                [(1 if a == b else 0) - (row[a] if b == i else 0) for b in range(n)]
-                for a in range(n)
-            ]
+            for Ba in B:
+                Ba[i] -= _dot(Ba, row)
         else:
-            # current_old = mat . current_new + theta^vee
-            mat = [
-                [(1 if a == b else 0) - theta_vee[a] * marks[b] for b in range(n)]
-                for a in range(n)
-            ]
-            u = [sum(B[a][k] * theta_vee[k] for k in range(n)) + u[a] for a in range(n)]
-        B = [
-            [sum(B[a][k] * mat[k][b] for k in range(n)) for b in range(n)]
-            for a in range(n)
-        ]
-    return x, walls, (tuple(tuple(r) for r in B), tuple(u))
+            # current_old = (1 - theta^vee marks^T) . current_new + theta^vee
+            for a, Ba in enumerate(B):
+                t = _dot(Ba, theta_vee)
+                u[a] += t
+                B[a] = [v - t * m for v, m in zip(Ba, marks)]
+    return x, walls, (
+        tuple(tuple(Fraction(v) for v in Ba) for Ba in B),
+        tuple(Fraction(v) for v in u),
+    )
 
 
 def alcove_reduce(rs: RootSystem, point: Sequence) -> tuple[CocharVec, frozenset[int]]:

@@ -1,15 +1,30 @@
 """Distinguished labelings: dimension criterion, sweeps, partition cross-checks."""
+import itertools
+import random
+
 import pytest
 
 from unipcent import (
     CartanType,
+    InputError,
     build_root_system,
     distinguished_classes,
     distinguished_classes_product,
     distinguished_labelings_for_base,
     is_distinguished,
 )
+from unipcent.balacarter import _grading_counts, _root_masks, _twos_mask
 from unipcent.oracle import distinguished_partitions, partition_diagrams
+from unipcent.rootsys import all_roots
+
+TYPES_UP_TO_RANK_6 = (
+    [f"A{r}" for r in range(1, 7)]
+    + [f"B{r}" for r in range(2, 7)]
+    + [f"C{r}" for r in range(2, 7)]
+    + [f"D{r}" for r in range(3, 7)]
+    + ["E6", "F4", "G2"]
+)
+TYPES_OF_RANK_7_AND_8 = ["A7", "A8", "B7", "B8", "C7", "C8", "D7", "D8", "E7", "E8"]
 
 
 def ct(name):
@@ -45,6 +60,45 @@ def test_classical_sweep_matches_partition_oracle(family, rank):
         for diag in partition_diagrams(family, rank, part):
             from_partitions.add(diag)
     assert swept == from_partitions
+
+
+@pytest.mark.parametrize("family", ["B", "C", "D"])
+def test_sweep_matches_partition_oracle_up_to_rank_8(family):
+    for rank in range(5, 9):
+        swept = set(distinguished_classes(ct(f"{family}{rank}")))
+        from_partitions = {
+            diag
+            for part in distinguished_partitions(family, rank, rank_bound=8)
+            for diag in partition_diagrams(family, rank, part)
+        }
+        assert swept == from_partitions, f"{family}{rank}"
+
+
+def reference_grading_counts(rsf, labels):
+    """The roots at pairing 0 and at pairing 2, by one dot product per root."""
+    pairings = [sum(c * l for c, l in zip(gamma, labels)) for gamma in all_roots(rsf)]
+    return pairings.count(0), pairings.count(2)
+
+
+def test_grading_counts_match_dot_products():
+    rng = random.Random(5)
+    for name in TYPES_UP_TO_RANK_6 + TYPES_OF_RANK_7_AND_8:
+        rsf = build_root_system(ct(name))
+        masks = _root_masks(rsf)
+        if rsf.rank <= 6:
+            labelings = list(itertools.product((0, 2), repeat=rsf.rank))
+        else:
+            labelings = [tuple(rng.choice((0, 2)) for _ in range(rsf.rank)) for _ in range(40)]
+        for labels in labelings:
+            expected = reference_grading_counts(rsf, labels)
+            assert _grading_counts(masks, _twos_mask(labels)) == expected, (name, labels)
+
+
+def test_labels_outside_0_2_rejected():
+    b3 = build_root_system(ct("B3"))
+    for labels in [(2, 2), (2, 1, 2), (2, 2, 4)]:
+        with pytest.raises(InputError):
+            is_distinguished(b3, labels)
 
 
 def test_exceptional_counts():

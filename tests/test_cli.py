@@ -7,6 +7,7 @@ from unipcent.cli import (
     EXIT_BUDGET,
     EXIT_OK,
     EXIT_USAGE,
+    EXIT_VERIFY,
     SCHEMA_VERSION,
     build_report_document,
     cache_load,
@@ -14,6 +15,7 @@ from unipcent.cli import (
     main,
     serialize_document,
 )
+from unipcent.errors import InvariantViolation
 from unipcent.rootsys import CartanType
 
 
@@ -166,6 +168,24 @@ def test_verify_passes_the_budget_to_every_canonical_search(monkeypatch, capsys)
     assert set(seen) == {budget}
 
 
+def test_verify_passes_the_budget_to_the_alcove_oracle(monkeypatch, capsys):
+    import unipcent.oracle as oracle
+
+    seen = []
+    original = oracle.canonical_subsystem
+
+    def recording(rs, subsystem, budget=None):
+        seen.append(budget)
+        return original(rs, subsystem, budget=budget)
+
+    monkeypatch.setattr(oracle, "canonical_subsystem", recording)
+    budget = 10**6 + 7
+    assert main(["component-groups", "B3", "--verify", "--budget", str(budget)]) == EXIT_OK
+    assert "all checks passed" in capsys.readouterr().err
+    assert seen  # the alcove-point side of the rank <= 4 oracle
+    assert set(seen) == {budget}
+
+
 @pytest.mark.parametrize("name", ["B2", "D3", "F4"])
 def test_verify_small_type(name, capsys):
     assert main(["component-groups", name, "--verify"]) == EXIT_OK
@@ -179,6 +199,19 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_verify", lambda ct, budget: ["forced failure"])
     assert main(["component-groups", "A1", "--verify"]) == 2
     assert "forced failure" in capsys.readouterr().err
+
+
+def test_invariant_violation_exit_code(monkeypatch, capsys):
+    import unipcent.cli as cli
+
+    def broken(rs, p=0, budget=None):
+        raise InvariantViolation("dominant reduction failed to terminate")
+
+    monkeypatch.setattr(cli, "component_group_report", broken)
+    assert main(["component-groups", "G2"]) == EXIT_VERIFY
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invariant violated: dominant reduction failed to terminate\n"
 
 
 def test_budget_exit_code(capsys):

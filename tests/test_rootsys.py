@@ -1,6 +1,8 @@
 """Root construction, good primes, dominance, and alcove reduction."""
 from fractions import Fraction
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,6 +26,7 @@ from unipcent.oracle import act_cochar, act_labeled_set, brute_orbit
 from unipcent.rootsys import (
     as_cochar,
     dominant_transport,
+    highest_coroot,
     partition_orbits,
     reflect_root,
     solve_cochar_for_base,
@@ -236,6 +239,66 @@ def test_alcove_reduce_replay(name):
             if vec[i].denominator == 1:
                 assert i in walls
         assert alcove_reduce(rs, point) == (vec, walls)
+
+
+def reference_alcove_reduce(rs, point):
+    """The alcove walk on Fractions: reduce, then read the walls off the point."""
+    n = rs.rank
+    x = [c - math.floor(c) for c in as_cochar(point)]
+    theta_vee = highest_coroot(rs)
+    while True:
+        i = next((k for k in range(n) if x[k] < 0), None)
+        if i is not None:
+            coef = x[i]
+            x = [v - coef * c for v, c in zip(x, rs.cartan[i])]
+            continue
+        h = sum(m * v for m, v in zip(rs.marks, x))
+        if h <= 1:
+            break
+        x = [v - (h - 1) * t for v, t in zip(x, theta_vee)]
+    walls = {k for k in range(n) if x[k].denominator == 1}
+    if h.denominator == 1:
+        walls.add(n)
+    if len(walls) == n + 1:
+        walls = set(range(n))
+    return tuple(x), frozenset(walls)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["B4", "F4", "E7"]).flatmap(
+        lambda name: st.tuples(
+            st.just(name),
+            st.lists(
+                st.fractions(min_value=-5, max_value=5, max_denominator=30),
+                min_size=rs_of(name).rank,
+                max_size=rs_of(name).rank,
+            ),
+        )
+    )
+)
+def test_alcove_reduce_matches_a_fraction_walk(case):
+    name, point = case
+    rs = rs_of(name)
+    reduced, walls = alcove_reduce(rs, point)
+    assert (reduced, walls) == reference_alcove_reduce(rs, point)
+    assert all(isinstance(c, Fraction) for c in reduced)
+    vec, walls2, (mat, shift) = alcove_reduce_map(rs, point)
+    assert (vec, walls2) == (reduced, walls)
+    replay = tuple(
+        sum(mat[i][j] * vec[j] for j in range(rs.rank)) + shift[i]
+        for i in range(rs.rank)
+    )
+    assert replay == as_cochar(point)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "E8", "G2"])
+def test_root_system_hash_follows_its_type(name):
+    rs = rs_of(name)
+    fresh = build_root_system.__wrapped__(rs.ctype)
+    assert fresh is not rs and fresh == rs
+    assert hash(rs) == hash(fresh) == hash(build_root_system(rs.ctype))
+    assert hash(rs) == hash(rs.ctype)
 
 
 @st.composite
