@@ -8,10 +8,8 @@ conjugacy-class and group-structure tables, all over rational arithmetic.
 __version__ = "0.1.0"
 
 from .balacarter import (
-    DistinguishedClass,
     LabeledSubDiagram,
     distinguished_classes,
-    distinguished_classes_product,
     distinguished_labelings_for_base,
     is_distinguished,
 )
@@ -22,8 +20,6 @@ from .compgroup import (
     component_group_report,
     count_pair_orbits,
     enumerate_triples,
-    pairs_conjugate,
-    recognize_group,
     recognize_group_from_torsion,
 )
 from .errors import (
@@ -33,15 +29,13 @@ from .errors import (
     InvariantViolation,
     WitnessSearchExhausted,
 )
-from .induce import LabeledDiagram, cochar_for_labeled_base, cochar_from_labels, induced_diagram
+from .induce import LabeledDiagram, cochar_for_labeled_base, induced_diagram
 from .pseudolevi import (
     ExtendedDiagram,
     PseudoLevi,
     canonical_subsystem,
-    classify_factors,
     enumerate_pseudolevis,
     extended_diagram,
-    good_inheritance_check,
     lattice_root_closure,
     point_order,
     subsystem_base,

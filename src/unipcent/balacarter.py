@@ -7,9 +7,8 @@ the labeling is kept iff the centralizer dimension count balances:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InputError
 from .pseudolevi import base_components
@@ -75,38 +74,6 @@ def distinguished_classes(ctype: CartanType) -> tuple[tuple[int, ...], ...]:
         if zero + ctype.rank == two:
             out.append(labels)
     return tuple(sorted(out))
-
-
-@dataclass(frozen=True)
-class DistinguishedClass:
-    """A distinguished class of a product, one labeling per factor (audit dims kept)."""
-
-    factors: tuple[CartanType, ...]
-    per_factor: tuple[tuple[int, ...], ...]
-    dim_g0: int
-    dim_g2: int
-
-
-def _factor_dims(ctype: CartanType, labels: Sequence[int]) -> tuple[int, int]:
-    zero, two = _grading_counts(_root_masks(build_root_system(ctype)), _twos_mask(labels))
-    return zero + ctype.rank, two
-
-
-def distinguished_classes_product(
-    factors: Iterable[CartanType],
-) -> tuple[DistinguishedClass, ...]:
-    """Cartesian product of per-factor classes; no factors gives the trivial class."""
-    factors = tuple(factors)
-    per = [distinguished_classes(ct) for ct in factors]
-    out = []
-    for combo in itertools.product(*per):
-        g0 = g2 = 0
-        for ct, labels in zip(factors, combo):
-            a, b = _factor_dims(ct, labels)
-            g0 += a
-            g2 += b
-        out.append(DistinguishedClass(factors, tuple(combo), g0, g2))
-    return tuple(out)
 
 
 def distinguished_labelings_for_base(

@@ -62,6 +62,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    """The type of --budget and --max-rank: an integer >= 1."""
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+
+
 def _parse_type(text: str, max_rank: int) -> CartanType:
     try:
         ct = CartanType.parse(text)
@@ -248,8 +259,12 @@ def cmd_pseudolevis(args) -> int:
     ct = _parse_type(args.type, args.max_rank)
     rs = build_root_system(ct)
     pls = enumerate_pseudolevis(rs, args.budget)
-    print(f"{len(pls)} subsystem classes for {ct}  (node {rs.rank} is the affine node)")
-    print("J | factors | d_J" + (" | witness order" if args.witness is not None else ""))
+    # Every row is built before the first is printed: a bad --witness prime
+    # leaves stdout empty.
+    rows = [
+        f"{len(pls)} subsystem classes for {ct}  (node {rs.rank} is the affine node)",
+        "J | factors | d_J" + (" | witness order" if args.witness is not None else ""),
+    ]
     for pl in pls:
         factors = "+".join(str(t) for t in pl.factor_types) if pl.factor_types else "T"
         row = f"{list(pl.J)} | {factors} | {pl.dJ}"
@@ -259,7 +274,8 @@ def cmd_pseudolevis(args) -> int:
             if walls != frozenset(pl.J):
                 raise InvariantViolation(f"witness for {pl.J} failed its round trip")
             row += f" | {point_order(vec)}"
-        print(row)
+        rows.append(row)
+    print("\n".join(rows))
     return EXIT_OK
 
 
@@ -398,8 +414,8 @@ def make_parser(defaults: dict | None = None) -> _Parser:
             default=1,
             help="accepted for compatibility; has no effect",
         )
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-        p.add_argument("--max-rank", type=int, default=DEFAULT_MAX_RANK)
+        p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
+        p.add_argument("--max-rank", type=_positive_int, default=DEFAULT_MAX_RANK)
 
     p_roots = sub.add_parser("roots", help="root counts, marks, bad primes")
     common(p_roots)
@@ -425,17 +441,29 @@ def make_parser(defaults: dict | None = None) -> _Parser:
     p_cg.set_defaults(func=cmd_component_groups)
 
     if defaults:
-        known = {"jobs": int, "budget": int, "max_rank": int, "format": str,
-                 "out": str, "cache_dir": str}
+        # A config key is the dest of an option that takes a value; its value
+        # is cast and checked as that option's command-line value would be.
+        options = {
+            a.dest: a
+            for p in (p_roots, p_pl, p_cg)
+            for a in p._actions
+            if a.option_strings and a.nargs != 0
+        }
         casted = {}
         for key, value in defaults.items():
             key = key.replace("-", "_")
-            if key in known:
-                try:
-                    casted[key] = known[key](value)
-                except ValueError:
-                    raise UsageError(f"bad --config value {key}={value!r}") from None
-        parser.set_defaults(**casted)
+            if key not in options:
+                raise UsageError(f"unknown --config key {key!r}")
+            action = options[key]
+            try:
+                casted[key] = action.type(value) if action.type else value
+            except (ValueError, argparse.ArgumentTypeError):
+                raise UsageError(f"bad --config value {key}={value!r}") from None
+            if action.choices is not None and casted[key] not in action.choices:
+                raise UsageError(
+                    f"bad --config value {key}={value!r}"
+                    f" (choose from {', '.join(action.choices)})"
+                )
         for p in (p_roots, p_pl, p_cg):
             p.set_defaults(**{k: v for k, v in casted.items()
                               if any(a.dest == k for a in p._actions)})

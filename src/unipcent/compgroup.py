@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .balacarter import LabeledSubDiagram, distinguished_labelings_for_base
-from .errors import BudgetExceeded, FingerprintError, InputError, InvariantViolation
+from .errors import FingerprintError, InputError, InvariantViolation
 from .induce import LabeledDiagram, cochar_for_labeled_base, induced_diagram
 from .pseudolevi import (
     _check_subset,
@@ -29,7 +29,6 @@ from .rootsys import (
     CartanType,
     CocharVec,
     RootSystem,
-    canonical_labeled_set,
     dominant_transport,
     is_good_prime,
     partition_orbits,
@@ -96,32 +95,6 @@ def _factor_label_invariant(
     for ct, roots in base_components(rs, base):
         out.append((ct, tuple(sorted(label_map[r] for r in roots))))
     return tuple(sorted(out))
-
-
-def pairs_conjugate(
-    rs: RootSystem,
-    t1: TripleRecord,
-    t2: TripleRecord,
-    budget: int = DEFAULT_BUDGET,
-) -> bool:
-    """Whether some Weyl element maps one labeled base exactly onto the other."""
-    if t1.J == t2.J and t1.labels == t2.labels:
-        return True
-    if (
-        t1.order != t2.order
-        or t1.induced != t2.induced
-        or _factor_label_invariant(rs, t1) != _factor_label_invariant(rs, t2)
-    ):
-        return False
-    try:
-        c1 = canonical_labeled_set(rs, t1.labels, budget=budget)
-        c2 = canonical_labeled_set(rs, t2.labels, budget=budget)
-    except BudgetExceeded as exc:
-        raise BudgetExceeded(
-            f"conjugacy of {t1.J}/{dict(t1.labels)} vs {t2.J}/{dict(t2.labels)}"
-            f" in {rs.ctype}: {exc}"
-        ) from exc
-    return c1 == c2
 
 
 def _orbit_representatives(
@@ -205,14 +178,6 @@ def _euler_phi(n: int) -> int:
     if m > 1:
         out -= out // m
     return out
-
-
-def _cyclic_fingerprint(d: int) -> tuple[int, ...]:
-    orders = []
-    for e in range(1, d + 1):
-        if d % e == 0:
-            orders.extend([e] * _euler_phi(e))
-    return tuple(sorted(orders))
 
 
 _SYM_FINGERPRINTS = {
@@ -308,39 +273,6 @@ def recognize_group_from_torsion(torsions: Iterable[int]) -> tuple[str, tuple[in
         raise FingerprintError(
             f"coset orders {torsions} matched"
             f" {[m[0] for m in matches] or 'no candidate'}"
-        )
-    return matches[0]
-
-
-def recognize_group(orders: Iterable[int]) -> str:
-    """Match a class-order multiset against the candidate groups.
-
-    Candidates: trivial, Cyc(d) for d >= 3, ElemAb2(k), Sym(3), Sym(4),
-    Sym(5).  The order-two group is reported as ElemAb2(1).  Anything else,
-    or an ambiguous match, is an error carrying the multiset.
-    """
-    orders = tuple(sorted(int(o) for o in orders))
-    if not orders:
-        raise InputError("empty order multiset")
-    if any(o < 1 for o in orders):
-        raise InputError(f"orders must be positive: {orders}")
-    if orders.count(1) != 1:
-        raise InputError(f"exactly one identity class expected: {orders}")
-    matches = []
-    n = len(orders)
-    if orders == (1,):
-        matches.append("trivial")
-    d = orders[-1]
-    if n == d >= 3 and orders == _cyclic_fingerprint(d):
-        matches.append(f"Cyc({d})")
-    if n >= 2 and n & (n - 1) == 0 and orders == (1,) + (2,) * (n - 1):
-        matches.append(f"ElemAb2({n.bit_length() - 1})")
-    for name, fp in _SYM_FINGERPRINTS.items():
-        if orders == fp:
-            matches.append(name)
-    if len(matches) != 1:
-        raise FingerprintError(
-            f"order multiset {orders} matched {matches or 'no candidate'}"
         )
     return matches[0]
 

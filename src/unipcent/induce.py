@@ -6,11 +6,9 @@ simple roots is the labeled (weighted) diagram of the induced unipotent class.
 """
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .balacarter import LabeledSubDiagram
 from .errors import InputError, InvariantViolation
-from .pseudolevi import _check_subset, extended_diagram
 from .rootsys import (
     CocharVec,
     RootSystem,
@@ -39,23 +37,6 @@ def cochar_for_labeled_base(
             f"cocharacter of labeled base {items} is not integral: {lam}"
         )
     return lam
-
-
-def cochar_from_labels(
-    rs: RootSystem,
-    J: Iterable[int],
-    labels: Mapping[RootVec, int] | LabeledSubDiagram,
-) -> CocharVec:
-    """Cocharacter of a {0,2}-labeling of the node subset J."""
-    ext = extended_diagram(rs)
-    J = _check_subset(ext, J)
-    label_map = dict(labels if not isinstance(labels, Mapping) else labels.items())
-    base = [ext.root_of[j] for j in J]
-    if set(label_map) != set(base):
-        raise InputError("labels must be given exactly on the roots of J")
-    if any(v not in (0, 2) for v in label_map.values()):
-        raise InputError("labels must lie in {0, 2}")
-    return cochar_for_labeled_base(rs, tuple((b, label_map[b]) for b in base))
 
 
 def induced_diagram(rs: RootSystem, lam: Sequence) -> LabeledDiagram:

@@ -26,7 +26,6 @@ from .rootsys import (
     all_roots,
     alcove_reduce,
     as_cochar,
-    build_root_system,
     canonical_labeled_set,
     cartan_matrix,
     coroot,
@@ -249,12 +248,6 @@ def base_components(
     )
 
 
-def classify_factors(rs: RootSystem, subsystem: Iterable[RootVec]) -> tuple[CartanType, ...]:
-    """The multiset of irreducible Cartan types of a closed subsystem."""
-    base = subsystem_base(rs, subsystem)
-    return tuple(sorted(ct for ct, _ in base_components(rs, base)))
-
-
 def torsion_order(ext: ExtendedDiagram, J: Iterable[int]) -> int:
     """gcd of the marks over the complement of J in the extended node set."""
     J = _check_subset(ext, J)
@@ -419,10 +412,3 @@ def _affine_witness_candidates(rs: RootSystem, removed: list[int]):
         for i in rest:
             vec[i] = Fraction(1, ell)
         yield tuple(vec)
-
-
-def good_inheritance_check(rs: RootSystem, pl: PseudoLevi, p: int) -> bool:
-    """Whether p is good for every factor type of the pseudo-Levi."""
-    if not is_good_prime(rs, p):
-        raise InputError(f"p={p} is not good for {rs.ctype}")
-    return all(is_good_prime(build_root_system(ct), p) for ct in pl.factor_types)

@@ -290,7 +290,6 @@ def to_dominant(rs: RootSystem, lam: Sequence) -> tuple[CocharVec, WeylWord]:
     raise InvariantViolation("dominant reduction failed to terminate")
 
 
-@lru_cache(maxsize=None)
 def symmetrizer(rs: RootSystem) -> tuple[int, ...]:
     """Positive integers d with d_i*C[i][j] = d_j*C[j][i], normalized to min 1."""
     C = rs.cartan
@@ -334,7 +333,6 @@ def coroot(rs: RootSystem, gamma: RootVec) -> RootVec:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def highest_coroot(rs: RootSystem) -> RootVec:
     return coroot(rs, rs.highest_root)
 

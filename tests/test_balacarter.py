@@ -8,13 +8,17 @@ from unipcent import (
     CartanType,
     InputError,
     build_root_system,
+    cochar_for_labeled_base,
     distinguished_classes,
-    distinguished_classes_product,
     distinguished_labelings_for_base,
+    extended_diagram,
     is_distinguished,
+    pairing,
+    subsystem_closure,
 )
 from unipcent.balacarter import _grading_counts, _root_masks, _twos_mask
 from unipcent.oracle import distinguished_partitions, partition_diagrams
+from unipcent.pseudolevi import base_components
 from unipcent.rootsys import all_roots
 
 TYPES_UP_TO_RANK_6 = (
@@ -115,18 +119,34 @@ def test_all_labelings_even_valued():
 
 
 def test_product_classes():
-    assert len(distinguished_classes_product(())) == 1
-    empty = distinguished_classes_product(())[0]
-    assert empty.per_factor == () and empty.dim_g0 == 0 and empty.dim_g2 == 0
+    """Labelings of product bases: one distinguished choice per factor.
 
-    two_a1 = distinguished_classes_product((ct("A1"), ct("A1")))
-    assert len(two_a1) == 1
-    assert two_a1[0].per_factor == ((2,), (2,))
-
-    assert len(distinguished_classes_product((ct("A2"), ct("A1")))) == 1
-    assert len(distinguished_classes_product((ct("C3"), ct("C3")))) == 4
-    for cls in distinguished_classes_product((ct("C3"), ct("C3"))):
-        assert cls.dim_g0 == cls.dim_g2
+    Each labeling must balance on the whole pseudo-Levi: |J| plus the roots
+    of R_J at pairing 0 equals the roots of R_J at pairing 2.
+    """
+    cases = [
+        ("G2", (), (), 1),
+        ("G2", (0, 2), ("A1", "A1"), 1),
+        ("A4", (0, 1, 3), ("A1", "A2"), 1),
+        ("C6", (0, 1, 3, 4, 5, 6), ("C3", "C3"), 4),
+    ]
+    for name, J, factors, count in cases:
+        rs = build_root_system(ct(name))
+        ext = extended_diagram(rs)
+        base = tuple(ext.root_of[j] for j in J)
+        assert tuple(str(t) for t, _ in base_components(rs, base)) == factors
+        labelings = distinguished_labelings_for_base(rs, base)
+        assert len(labelings) == count, name
+        closure = subsystem_closure(ext, J)
+        for items in labelings:
+            lam = cochar_for_labeled_base(rs, items)
+            pairings = [pairing(g, lam) for g in closure]
+            assert len(J) + pairings.count(0) == pairings.count(2), (name, items)
+    # the product of regular classes is the all-2 labeling
+    g2 = build_root_system(ct("G2"))
+    ext = extended_diagram(g2)
+    base = (ext.root_of[0], ext.root_of[2])
+    assert distinguished_labelings_for_base(g2, base) == (tuple(sorted((r, 2) for r in base)),)
 
 
 def test_labelings_for_base_pullback():

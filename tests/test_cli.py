@@ -37,6 +37,33 @@ def test_usage_errors(capsys):
     assert main(["component-groups", "G2", "--format", "yaml"]) == EXIT_USAGE
 
 
+def _one_usage_line(capsys):
+    captured = capsys.readouterr()
+    return (
+        captured.out == ""
+        and captured.err.startswith("usage error:")
+        and captured.err.count("\n") == 1
+    )
+
+
+def test_budget_and_max_rank_below_one(capsys):
+    for argv in (
+        ["component-groups", "G2", "--budget", "0"],
+        ["component-groups", "E6", "--budget", "-3"],
+        ["component-groups", "G2", "--max-rank", "0"],
+        ["pseudolevis", "G2", "--budget", "0"],
+        ["roots", "G2", "--max-rank", "-1"],
+    ):
+        assert main(argv) == EXIT_USAGE, argv
+        assert _one_usage_line(capsys), argv
+
+
+def test_witness_prime_checked_before_any_output(capsys):
+    for p in ("3", "2", "4"):
+        assert main(["pseudolevis", "G2", "--witness", p]) == EXIT_USAGE, p
+        assert _one_usage_line(capsys), p
+
+
 def test_pseudolevis_command(capsys):
     assert main(["pseudolevis", "A1"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -244,6 +271,21 @@ def test_config_value_of_wrong_type(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and "jobs" in err
     assert err.count("\n") == 1
+
+
+def test_config_keys_and_choices_follow_the_options(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    for text in ("format=xml\n", "bogus_key=1\n", "budget=0\n", "max_rank=-2\n",
+                 "verify=1\n", "config=other\n"):
+        cfg.write_text(text)
+        assert main(["--config", str(cfg), "component-groups", "G2"]) == EXIT_USAGE, text
+        assert _one_usage_line(capsys), text
+    cfg.write_text("jobs=2\nformat=csv\nbudget=1000\n")
+    assert main(["--config", str(cfg), "component-groups", "G2"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("cartan_type,diagram")
+    # a key another subcommand takes is accepted and left to that subcommand
+    assert main(["--config", str(cfg), "roots", "G2"]) == EXIT_OK
+    assert "positive roots: 6" in capsys.readouterr().out
 
 
 def test_out_not_writable(tmp_path, capsys):

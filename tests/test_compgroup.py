@@ -16,12 +16,15 @@ from unipcent import (
     count_pair_orbits,
     enumerate_triples,
     extended_diagram,
-    pairs_conjugate,
-    recognize_group,
     recognize_group_from_torsion,
     torsion_order,
 )
-from unipcent.compgroup import _factor_label_invariant, _labeled_records, _orbit_representatives
+from unipcent.compgroup import (
+    _candidate_class_data,
+    _factor_label_invariant,
+    _labeled_records,
+    _orbit_representatives,
+)
 from unipcent.oracle import act_labeled_set, brute_orbit, classical_nilpotent_classes
 from unipcent.pseudolevi import _proper_subsets
 from unipcent.rootsys import DEFAULT_BUDGET
@@ -61,45 +64,10 @@ def test_symmetric_group_fingerprints_against_brute_force():
     assert sym_class_orders(5) == (1, 2, 2, 3, 4, 5, 6)
 
 
-def test_recognize_group_table():
-    assert recognize_group((1,)) == "trivial"
-    assert recognize_group((1, 2)) == "ElemAb2(1)"
-    assert recognize_group((1, 2, 2, 2)) == "ElemAb2(2)"
-    assert recognize_group((2, 1, 3)) == "Sym(3)"
-    assert recognize_group((1, 2, 2, 3, 4)) == "Sym(4)"
-    assert recognize_group((1, 2, 2, 3, 4, 5, 6)) == "Sym(5)"
-    assert recognize_group((1, 3, 3)) == "Cyc(3)"
-    assert recognize_group((1, 2, 3, 3, 6, 6)) == "Cyc(6)"
-
-
-def test_recognize_group_rejects():
-    with pytest.raises(InputError):
-        recognize_group(())
-    with pytest.raises(InputError):
-        recognize_group((2, 2))
-    with pytest.raises(InputError):
-        recognize_group((1, 1, 2))
-    with pytest.raises(FingerprintError):
-        recognize_group((1, 5))
-    with pytest.raises(FingerprintError):
-        recognize_group((1, 4))
-
-
 def test_candidate_fingerprints_pairwise_distinct():
-    from unipcent.compgroup import _cyclic_fingerprint
-
-    fps = {
-        "trivial": (1,),
-        "Sym(3)": (1, 2, 3),
-        "Sym(4)": (1, 2, 2, 3, 4),
-        "Sym(5)": (1, 2, 2, 3, 4, 5, 6),
-    }
-    for d in (3, 4, 5, 6):
-        fps[f"Cyc({d})"] = _cyclic_fingerprint(d)
-    for k in (1, 2, 3):
-        fps[f"ElemAb2({k})"] = (1,) + (2,) * (2**k - 1)
-    values = list(fps.values())
-    assert len(set(values)) == len(values)
+    for n in range(1, 9):
+        fingerprints = [tuple(sorted(classes)) for _, classes in _candidate_class_data(n)]
+        assert len(set(fingerprints)) == len(fingerprints), n
 
 
 def test_recognize_from_torsion():
@@ -120,6 +88,13 @@ def test_recognize_from_torsion():
         recognize_group_from_torsion((1, 3, 3))
     with pytest.raises(FingerprintError):
         recognize_group_from_torsion((1, 2, 4))
+    # no two-class candidate has a class whose order divides 5
+    with pytest.raises(FingerprintError):
+        recognize_group_from_torsion((1, 5))
+    # no cosets, no trivial coset, or two of them
+    for torsions in ((), (2, 2), (1, 1, 2)):
+        with pytest.raises(InputError):
+            recognize_group_from_torsion(torsions)
 
 
 def test_a1_records_and_reports():
@@ -184,9 +159,9 @@ def test_pairs_conjugate_reflexive_and_full_a2():
     for J in [(0, 1), (0, 2), (1, 2)]:
         labels = tuple((ext.root_of[j], 2) for j in J)
         recs.append(build_triple_record(a2, J, labels))
-    assert pairs_conjugate(a2, recs[0], recs[0])
-    assert pairs_conjugate(a2, recs[0], recs[1])
-    assert pairs_conjugate(a2, recs[1], recs[2])
+    canons = [canonical_labeled_set(a2, rec.labels) for rec in recs]
+    assert canons[0] == canonical_labeled_set(a2, tuple(reversed(recs[0].labels)))
+    assert canons[0] == canons[1] == canons[2]
 
 
 def test_pairs_conjugate_g2_distinct_factors_same_diagram():
@@ -199,8 +174,7 @@ def test_pairs_conjugate_g2_distinct_factors_same_diagram():
         g2, (0, 2), tuple((ext.root_of[j], 2) for j in (0, 2))
     )
     assert long_a2.induced == a1a1.induced
-    assert not pairs_conjugate(g2, long_a2, a1a1)
-    assert not pairs_conjugate(g2, a1a1, long_a2)
+    assert canonical_labeled_set(g2, long_a2.labels) != canonical_labeled_set(g2, a1a1.labels)
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "C3", "A4", "B4", "C4", "D4", "F4"])
@@ -208,10 +182,13 @@ def test_pairs_conjugate_agrees_with_brute_orbit(name):
     rs = rs_of(name)
     recs = enumerate_triples(rs)
     orbits = {rec.labels: brute_orbit(rs, rec.labels, act_labeled_set) for rec in recs}
+    canons = {rec.labels: canonical_labeled_set(rs, rec.labels) for rec in recs}
     for t1, t2 in itertools.combinations_with_replacement(recs, 2):
         expected = t2.labels in orbits[t1.labels]
-        assert pairs_conjugate(rs, t1, t2) == expected
-        assert pairs_conjugate(rs, t2, t1) == expected
+        assert (canons[t1.labels] == canons[t2.labels]) == expected
+        assert (t1.labels in orbits[t2.labels]) == expected
+    for rec in recs:  # another member of the orbit has the same canonical form
+        assert canonical_labeled_set(rs, max(orbits[rec.labels])) == canons[rec.labels]
 
 
 def test_count_pair_orbits_matches_enumeration():

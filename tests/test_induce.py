@@ -8,7 +8,6 @@ from unipcent import (
     InvariantViolation,
     apply_word,
     build_root_system,
-    cochar_from_labels,
     cochar_for_labeled_base,
     extended_diagram,
     induced_diagram,
@@ -21,14 +20,19 @@ def rs_of(name):
     return build_root_system(CartanType.parse(name))
 
 
+def labeled(ext, labels):
+    """(root, label) items of a {node: label} map on the extended diagram."""
+    return tuple((ext.root_of[j], label) for j, label in labels.items())
+
+
 def test_empty_base_gives_zero():
     a2 = rs_of("A2")
-    assert cochar_from_labels(a2, (), {}) == (Fraction(0), Fraction(0))
+    assert cochar_for_labeled_base(a2, ()) == (Fraction(0), Fraction(0))
 
 
 def test_a1_single_label():
     a1 = rs_of("A1")
-    lam = cochar_from_labels(a1, (0,), {(1,): 2})
+    lam = cochar_for_labeled_base(a1, labeled(extended_diagram(a1), {0: 2}))
     assert lam == (Fraction(2),)  # alpha^vee
     assert induced_diagram(a1, lam) == (2,)
 
@@ -37,17 +41,13 @@ def test_g2_long_a2_integral_and_subregular():
     g2 = rs_of("G2")
     ext = extended_diagram(g2)
     # long-root A2 subsystem: affine node plus the long simple root
-    J = (1, 2)
-    labels = {ext.root_of[1]: 2, ext.root_of[2]: 2}
-    lam = cochar_from_labels(g2, J, labels)
+    lam = cochar_for_labeled_base(g2, labeled(ext, {1: 2, 2: 2}))
     for gamma in all_roots(g2):
         assert pairing(gamma, lam).denominator == 1
     diagram = induced_diagram(g2, lam)
 
     # the short A1 x long A1 pair with regular labels induces the same diagram
-    J2 = (0, 2)
-    labels2 = {ext.root_of[0]: 2, ext.root_of[2]: 2}
-    lam2 = cochar_from_labels(g2, J2, labels2)
+    lam2 = cochar_for_labeled_base(g2, labeled(ext, {0: 2, 2: 2}))
     assert induced_diagram(g2, lam2) == diagram
     assert diagram == (0, 2)
     assert lam != lam2
@@ -58,17 +58,15 @@ def test_regular_and_trivial_cases():
         rs = rs_of(name)
         zero = tuple(Fraction(0) for _ in range(rs.rank))
         assert induced_diagram(rs, zero) == (0,) * rs.rank
-        J = tuple(range(rs.rank))
         ext = extended_diagram(rs)
-        labels = {ext.root_of[j]: 2 for j in J}
-        lam = cochar_from_labels(rs, J, labels)
+        lam = cochar_for_labeled_base(rs, labeled(ext, {j: 2 for j in range(rs.rank)}))
         assert induced_diagram(rs, lam) == (2,) * rs.rank
 
 
 def test_weyl_invariance_of_induced_diagram():
     g2 = rs_of("G2")
     ext = extended_diagram(g2)
-    lam = cochar_from_labels(g2, (0, 2), {ext.root_of[0]: 2, ext.root_of[2]: 2})
+    lam = cochar_for_labeled_base(g2, labeled(ext, {0: 2, 2: 2}))
     base = induced_diagram(g2, lam)
     for word in [(0,), (1,), (0, 1), (1, 0), (0, 1, 0, 1)]:
         assert induced_diagram(g2, apply_word(g2, word, lam)) == base

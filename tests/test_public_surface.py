@@ -1,0 +1,48 @@
+"""Every exported name has a use outside its own definition and the test suite."""
+import ast
+import types
+from pathlib import Path
+
+import unipcent
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "unipcent").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+
+# Reference implementations that tests compare pipeline output against.
+REFERENCE_ONLY = {"is_distinguished", "pairing", "apply_word", "alcove_reduce_map"}
+
+
+def _loaded_names(tree: ast.Module) -> set[str]:
+    """Names read in a module, skipping the body of each top-level definition of that name."""
+    out = set()
+
+    def visit(node, owner):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id != owner:
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr != owner:
+            out.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for stmt in tree.body:
+        owner = getattr(stmt, "name", None)
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            owner = next((t.id for t in targets if isinstance(t, ast.Name)), None)
+        visit(stmt, owner)
+    return out
+
+
+def test_every_exported_name_is_used():
+    used = set()
+    for path in SOURCES:
+        if path.name != "__init__.py":
+            used |= _loaded_names(ast.parse(path.read_text(), str(path)))
+    exported = {
+        name
+        for name in unipcent.__all__
+        if not isinstance(getattr(unipcent, name), types.ModuleType)
+    }
+    assert REFERENCE_ONLY <= exported
+    assert sorted(REFERENCE_ONLY & used) == []  # a used name leaves the list
+    assert sorted(exported - used - REFERENCE_ONLY) == []
