@@ -64,6 +64,33 @@ def test_symmetric_group_fingerprints_against_brute_force():
     assert sym_class_orders(5) == (1, 2, 2, 3, 4, 5, 6)
 
 
+def test_recognize_group_table():
+    def name(torsions):
+        return recognize_group_from_torsion(torsions)[0]
+
+    assert name((1,)) == "trivial"
+    assert name((1, 2)) == "ElemAb2(1)"
+    assert name((1, 2, 2, 2)) == "ElemAb2(2)"
+    assert name((2, 1, 3)) == "Sym(3)"
+    assert name((1, 2, 2, 3, 4)) == "Sym(4)"
+    assert name((1, 2, 2, 3, 4, 5, 6)) == "Sym(5)"
+    # the class orders of Cyc(3) and Cyc(6) are no coset data: the normalizer
+    # fuses the coprime powers of a generator
+    for torsions in ((1, 3, 3), (1, 2, 3, 3, 6, 6)):
+        with pytest.raises(FingerprintError):
+            recognize_group_from_torsion(torsions)
+
+
+def test_recognize_group_rejects():
+    # no cosets, no trivial coset, or two of them
+    for torsions in ((), (2, 2), (1, 1, 2)):
+        with pytest.raises(InputError):
+            recognize_group_from_torsion(torsions)
+    # no two-class candidate has a class whose order divides 5
+    with pytest.raises(FingerprintError):
+        recognize_group_from_torsion((1, 5))
+
+
 def test_candidate_fingerprints_pairwise_distinct():
     for n in range(1, 9):
         fingerprints = [tuple(sorted(classes)) for _, classes in _candidate_class_data(n)]
@@ -88,13 +115,6 @@ def test_recognize_from_torsion():
         recognize_group_from_torsion((1, 3, 3))
     with pytest.raises(FingerprintError):
         recognize_group_from_torsion((1, 2, 4))
-    # no two-class candidate has a class whose order divides 5
-    with pytest.raises(FingerprintError):
-        recognize_group_from_torsion((1, 5))
-    # no cosets, no trivial coset, or two of them
-    for torsions in ((), (2, 2), (1, 1, 2)):
-        with pytest.raises(InputError):
-            recognize_group_from_torsion(torsions)
 
 
 def test_a1_records_and_reports():
