@@ -30,13 +30,13 @@ from .errors import (
     WitnessSearchExhausted,
 )
 from .induce import LabeledDiagram, cochar_for_labeled_base, induced_diagram
+from .oracle import lattice_root_closure
 from .pseudolevi import (
     ExtendedDiagram,
     PseudoLevi,
     canonical_subsystem,
     enumerate_pseudolevis,
     extended_diagram,
-    lattice_root_closure,
     point_order,
     subsystem_base,
     subsystem_closure,

@@ -77,16 +77,19 @@ def distinguished_classes(ctype: CartanType) -> tuple[tuple[int, ...], ...]:
 
 
 def distinguished_labelings_for_base(
-    rs: RootSystem, base: Sequence[RootVec]
+    rs: RootSystem,
+    base: Sequence[RootVec],
+    components: Sequence[tuple[CartanType, tuple[RootVec, ...]]] | None = None,
 ) -> tuple[LabeledSubDiagram, ...]:
     """Distinguished labelings of an ambient base, as (root, label) item tuples.
 
     The base is split into irreducible components, each matched to its
     standard type; the per-type labelings are pulled back along the match.
     The resulting set is independent of the matching chosen, since diagram
-    automorphisms permute the distinguished labelings of a type.
+    automorphisms permute the distinguished labelings of a type.  A caller
+    that already holds base_components(rs, base) passes it as components.
     """
-    comps = base_components(rs, tuple(base))
+    comps = base_components(rs, tuple(base)) if components is None else components
     per = [distinguished_classes(ct) for ct, _ in comps]
     out = []
     for combo in itertools.product(*per):

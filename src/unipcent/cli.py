@@ -10,12 +10,17 @@ import argparse
 import hashlib
 import itertools
 import json
+import os
 import sys
 from importlib import resources
 from pathlib import Path
 
 from . import __version__
-from .compgroup import component_group_report, count_pair_orbits
+from .compgroup import (
+    component_group_report,
+    count_pair_orbits,
+    recognize_group_from_torsion,
+)
 from .errors import (
     BudgetExceeded,
     FingerprintError,
@@ -186,11 +191,32 @@ def _cache_key(ctype: str) -> str:
     return hashlib.sha256(blob).hexdigest()[:24]
 
 
+def _write_atomic(path: str | Path, text: str) -> None:
+    """Write text to path so that a reader sees the old file or the new, never a part.
+
+    The text goes to a sibling .<name>.<pid>.tmp file that then replaces
+    path; a failed write removes it and leaves path as it was.  A symlink is
+    followed, so its target is replaced and the link kept.  A path that
+    exists but is not a regular file (a device, a pipe) is written in place.
+    """
+    path = Path(path).resolve()
+    if path.exists() and not path.is_file():
+        path.write_text(text)
+        return
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def cache_store(doc: dict, cache_dir: str | Path) -> Path:
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     path = cache_dir / f"{_cache_key(doc['cartan_type'])}.json"
-    path.write_text(serialize_document(doc))
+    _write_atomic(path, serialize_document(doc))
     return path
 
 
@@ -212,7 +238,7 @@ def cache_load(ctype: str, cache_dir: str | Path) -> dict | None:
     ):
         print(f"warning: ignoring mismatched cache entry {path}", file=sys.stderr)
         return None
-    if not _well_formed(doc):
+    if not (_well_formed(doc) and _groups_recognized(doc)):
         print(f"warning: ignoring corrupt cache entry {path}", file=sys.stderr)
         return None
     return doc
@@ -241,6 +267,18 @@ def _well_formed(doc: dict) -> bool:
         )
         for rep in reports
     )
+
+
+def _groups_recognized(doc: dict) -> bool:
+    """Whether each report's group_name is the group its class orders are recognized as."""
+    for rep in doc["reports"]:
+        try:
+            name, _ = recognize_group_from_torsion(rec["order"] for rec in rep["classes"])
+        except (FingerprintError, InputError):
+            return False
+        if name != rep["group_name"]:
+            return False
+    return True
 
 
 def cmd_roots(args) -> int:
@@ -370,7 +408,7 @@ def cmd_component_groups(args) -> int:
         text = render_markdown(doc)
     if args.out:
         try:
-            Path(args.out).write_text(text)
+            _write_atomic(args.out, text)
         except OSError as exc:
             print(f"usage error: cannot write --out: {exc}", file=sys.stderr)
             return EXIT_USAGE

@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .balacarter import LabeledSubDiagram, distinguished_labelings_for_base
 from .errors import FingerprintError, InputError, InvariantViolation
-from .induce import LabeledDiagram, cochar_for_labeled_base, induced_diagram
+from .induce import LabeledDiagram, cochar_for_labeled_base, diagram_of_dominant
 from .pseudolevi import (
     _check_subset,
     _proper_subsets,
@@ -29,15 +29,21 @@ from .rootsys import (
     CartanType,
     CocharVec,
     RootSystem,
-    dominant_transport,
+    WeylWord,
     is_good_prime,
     partition_orbits,
+    to_dominant,
+    transport_start,
 )
 
 
 @dataclass(frozen=True)
 class TripleRecord:
-    """One conjugacy class in some A(u): a labeled pseudo-Levi datum."""
+    """One conjugacy class in some A(u): a labeled pseudo-Levi datum.
+
+    word carries lam to its dominant form, whose coordinates are the induced
+    diagram; it moves the labeled base along for the conjugacy walks.
+    """
 
     J: tuple[int, ...]
     labels: LabeledSubDiagram
@@ -45,6 +51,7 @@ class TripleRecord:
     induced: LabeledDiagram
     order: int
     factor_types: tuple[CartanType, ...]
+    word: WeylWord
 
 
 @dataclass(frozen=True)
@@ -73,59 +80,80 @@ def build_triple_record(
     ext = extended_diagram(rs)
     J = _check_subset(ext, J)
     items = tuple(sorted((tuple(r), int(l)) for r, l in labels))
-    if {r for r, _ in items} != {ext.root_of[j] for j in J}:
+    if len(items) != len(J) or {r for r, _ in items} != {ext.root_of[j] for j in J}:
         raise InputError("labels must cover exactly the roots of J")
-    lam = cochar_for_labeled_base(rs, items)
-    diagram = induced_diagram(rs, lam)
     if order is None:
         order = torsion_order(ext, J)
-    base = tuple(ext.root_of[j] for j in J)
-    types = tuple(sorted(ct for ct, _ in base_components(rs, base)))
-    return TripleRecord(J, items, lam, diagram, order, types)
+    ((rec, _),) = _labeled_records(rs, J, order, [items])
+    return rec
+
+
+def _labeled_records(
+    rs: RootSystem,
+    J: tuple[int, ...],
+    dJ: int,
+    labelings: Iterable[LabeledSubDiagram] | None = None,
+):
+    """(record, factor-label invariant) for each labeling of J's base.
+
+    labelings defaults to every distinguished labeling.  J's base is split
+    into components once, and each record takes one cocharacter solve and one
+    dominant reduction, whose word the record keeps.
+    """
+    ext = extended_diagram(rs)
+    nodes = sorted(J, key=ext.root_of.__getitem__)  # the order of sorted items
+    base = tuple(ext.root_of[j] for j in nodes)
+    pairings = ext.pairings(nodes)
+    comps = base_components(rs, base, pairings)
+    types = tuple(sorted(ct for ct, _ in comps))
+    if labelings is None:
+        labelings = distinguished_labelings_for_base(rs, base, comps)
+    for items in labelings:
+        lam = cochar_for_labeled_base(rs, items, pairings)
+        lam_dom, word = to_dominant(rs, lam)
+        rec = TripleRecord(J, items, lam, diagram_of_dominant(lam_dom), dJ, types, word)
+        yield rec, _factor_label_invariant(comps, items)
 
 
 def _factor_label_invariant(
-    rs: RootSystem, record: TripleRecord
+    comps: Iterable[tuple[CartanType, tuple]], labels: LabeledSubDiagram
 ) -> tuple[tuple[CartanType, tuple[int, ...]], ...]:
     """Multiset of (factor type, sorted labels on that factor): a conjugacy invariant."""
-    label_map = dict(record.labels)
-    ext = extended_diagram(rs)
-    base = tuple(ext.root_of[j] for j in record.J)
-    out = []
-    for ct, roots in base_components(rs, base):
-        out.append((ct, tuple(sorted(label_map[r] for r in roots))))
-    return tuple(sorted(out))
+    label_map = dict(labels)
+    return tuple(
+        sorted((ct, tuple(sorted(label_map[r] for r in roots))) for ct, roots in comps)
+    )
+
+
+def _transport(rs: RootSystem, rec: TripleRecord) -> tuple[CocharVec, tuple[int, ...]]:
+    """dominant_transport of the record's labels, from the reduction it stored.
+
+    The dominant cocharacter's coordinates are the induced diagram.
+    """
+    return rec.induced, transport_start(rs, rec.labels, rec.word)
 
 
 def _orbit_representatives(
-    rs: RootSystem, records: Iterable[TripleRecord], budget: int
+    rs: RootSystem, records: Iterable[tuple[TripleRecord, tuple]], budget: int
 ) -> list[TripleRecord]:
     """One record per Weyl orbit of labeled bases, the one with the smallest labels.
 
-    Records are bucketed by (induced diagram, order, factor labels); only a
-    bucket with several members is split into orbits.
+    records yields (record, factor-label invariant) pairs.  Records are
+    bucketed by (induced diagram, order, factor labels); only a bucket with
+    several members is split into orbits.
     """
     buckets: dict[tuple, list[TripleRecord]] = {}
-    for rec in records:
-        key = (rec.induced, rec.order, _factor_label_invariant(rs, rec))
-        buckets.setdefault(key, []).append(rec)
+    for rec, invariant in records:
+        buckets.setdefault((rec.induced, rec.order, invariant), []).append(rec)
     kept = []
     for members in buckets.values():
         if len(members) == 1:
             kept.append(members[0])
             continue
-        pairs = [dominant_transport(rs, rec.labels) for rec in members]
+        pairs = [_transport(rs, rec) for rec in members]
         for orbit in partition_orbits(rs, pairs, budget):
             kept.append(min((members[k] for k in orbit), key=lambda r: r.labels))
     return kept
-
-
-def _labeled_records(rs: RootSystem, J: tuple[int, ...], dJ: int):
-    """A record for every distinguished labeling of J's base."""
-    ext = extended_diagram(rs)
-    base = tuple(ext.root_of[j] for j in J)
-    for labeling in distinguished_labelings_for_base(rs, base):
-        yield build_triple_record(rs, J, labeling, order=dJ)
 
 
 def enumerate_triples(

@@ -11,6 +11,7 @@ from typing import Iterable, Sequence
 from .errors import InputError, InvariantViolation
 from .rootsys import (
     CocharVec,
+    Pairings,
     RootSystem,
     RootVec,
     as_cochar,
@@ -23,15 +24,20 @@ LabeledDiagram = tuple[int, ...]
 
 
 def cochar_for_labeled_base(
-    rs: RootSystem, items: Iterable[tuple[RootVec, int]]
+    rs: RootSystem,
+    items: Iterable[tuple[RootVec, int]],
+    pairings: Pairings | None = None,
 ) -> CocharVec:
-    """Solve for the cocharacter of a labeled base; must come out integral."""
+    """Solve for the cocharacter of a labeled base; must come out integral.
+
+    pairings, in the order of items, is passed on to solve_cochar_for_base.
+    """
     items = tuple(items)
     if not items:
         return zero_cochar(rs)
     base = [r for r, _ in items]
     targets = [l for _, l in items]
-    lam = solve_cochar_for_base(rs, base, targets)
+    lam = solve_cochar_for_base(rs, base, targets, pairings)
     if any(c.denominator != 1 for c in lam):
         raise InvariantViolation(
             f"cocharacter of labeled base {items} is not integral: {lam}"
@@ -45,7 +51,12 @@ def induced_diagram(rs: RootSystem, lam: Sequence) -> LabeledDiagram:
     if any(c.denominator != 1 for c in lam):
         raise InputError(f"cocharacter {lam} is not integral on the roots")
     dom, _ = to_dominant(rs, lam)
-    labels = tuple(int(c) for c in dom)
+    return diagram_of_dominant(dom)
+
+
+def diagram_of_dominant(lam_dom: Sequence) -> LabeledDiagram:
+    """The labels of a dominant integral cocharacter; must land in {0, 1, 2}."""
+    labels = tuple(int(c) for c in lam_dom)
     if any(v not in (0, 1, 2) for v in labels):
         raise InvariantViolation(
             f"induced labels {labels} leave {{0,1,2}}; upstream data is corrupt"

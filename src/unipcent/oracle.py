@@ -1,9 +1,10 @@
 """Independent small-scale ground truth for tests and verification.
 
-Three separate routes that never feed the main pipeline: rational alcove
-points (subsystems found from points, not subsets), classical partition
-combinatorics for types A-D, and brute-force Weyl orbits.  A Smith-form
-utility exposes the torsion of the span quotient for the residue checks.
+Four separate routes that never feed the main pipeline: rational alcove
+points (subsystems found from points, not subsets), the integer-span closure
+of a set of roots (Hermite normal form), classical partition combinatorics
+for types A-D, and brute-force Weyl orbits.  A Smith-form utility exposes the
+torsion of the span quotient for the residue checks.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import BudgetExceeded, InputError
+from .errors import BudgetExceeded, InputError, InvariantViolation
 from .induce import LabeledDiagram
 from .pseudolevi import canonical_subsystem
 from .rootsys import RootSystem, RootVec, all_roots, _dot
@@ -78,6 +79,58 @@ def alcove_pseudolevis(
                 canon_of[sub] = canon
             out.add(canon)
     return frozenset(out)
+
+
+def _hnf_pivots(cols: Sequence[RootVec]) -> list[tuple[int, list[int]]]:
+    """Column staircase form of an integer lattice basis (full column rank)."""
+    work = [list(c) for c in cols]
+    rows = len(cols[0])
+    pivots: list[tuple[int, list[int]]] = []
+    remaining = work
+    for p in range(rows):
+        live = [c for c in remaining if c[p] != 0]
+        rest = [c for c in remaining if c[p] == 0]
+        while len(live) > 1:
+            live.sort(key=lambda c: abs(c[p]))
+            a, b = live[-1], live[0]
+            q = a[p] // b[p]
+            for j in range(rows):
+                a[j] -= q * b[j]
+            if a[p] == 0:
+                rest.append(a)
+                live.pop()
+        if live:
+            col = live[0]
+            if col[p] < 0:
+                col = [-v for v in col]
+            pivots.append((p, col))
+        remaining = rest
+        if not remaining:
+            break
+    if len(pivots) != len(cols):
+        raise InvariantViolation("lattice basis was not linearly independent")
+    return pivots
+
+
+def _in_lattice(pivots: list[tuple[int, list[int]]], v: RootVec) -> bool:
+    x = list(v)
+    for p, col in pivots:
+        if x[p] % col[p] != 0:
+            return False
+        q = x[p] // col[p]
+        if q:
+            for j in range(len(x)):
+                x[j] -= q * col[j]
+    return not any(x)
+
+
+def lattice_root_closure(rs: RootSystem, vectors: Sequence[RootVec]) -> frozenset[RootVec]:
+    """The roots of rs lying in the integer span of the given root vectors."""
+    vecs = [tuple(v) for v in vectors]
+    if not vecs:
+        return frozenset()
+    pivots = _hnf_pivots(vecs)
+    return frozenset(g for g in all_roots(rs) if _in_lattice(pivots, g))
 
 
 @dataclass(frozen=True)

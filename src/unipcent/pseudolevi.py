@@ -20,12 +20,13 @@ from .rootsys import (
     DEFAULT_BUDGET,
     CartanType,
     CocharVec,
+    Pairings,
     RootSystem,
     RootVec,
     affine_node,
-    all_roots,
     alcove_reduce,
     as_cochar,
+    base_pairings,
     canonical_labeled_set,
     cartan_matrix,
     coroot,
@@ -39,15 +40,26 @@ from .rootsys import (
 
 @dataclass(frozen=True)
 class ExtendedDiagram:
-    """The extended node set with each node's root vector and mark."""
+    """The extended node set with each node's root vector, mark and coroot pairings.
+
+    cartan is the extended Cartan matrix, cartan[a][b] = <root_of[b],
+    root_of[a]^vee> (the convention of cartan_matrix); the first rank entries
+    of row a are the coweight coordinates of node a's coroot.
+    """
 
     rs: RootSystem
     root_of: tuple[RootVec, ...]
     mark_of: tuple[int, ...]
+    cartan: tuple[tuple[int, ...], ...]
 
     @property
     def nodes(self) -> range:
         return range(len(self.root_of))
+
+    def pairings(self, J: Sequence[int]) -> Pairings:
+        """base_pairings of J's node roots, in J's order, read from cartan."""
+        C, n = self.cartan, self.rs.rank
+        return [[C[a][b] for b in J] for a in J], [C[a][:n] for a in J]
 
 
 @lru_cache(maxsize=None)
@@ -62,7 +74,9 @@ def extended_diagram(rs: RootSystem) -> ExtendedDiagram:
             total[j] += m * r[j]
     if any(total):
         raise InvariantViolation("affine relation violated")
-    return ExtendedDiagram(rs, root_of, mark_of)
+    coroots = [coroot(rs, r) for r in root_of]
+    cartan = tuple(tuple(_dot(r, cor) for r in root_of) for cor in coroots)
+    return ExtendedDiagram(rs, root_of, mark_of, cartan)
 
 
 def _check_subset(ext: ExtendedDiagram, J: Iterable[int]) -> tuple[int, ...]:
@@ -75,62 +89,32 @@ def _check_subset(ext: ExtendedDiagram, J: Iterable[int]) -> tuple[int, ...]:
     return J
 
 
-def _hnf_pivots(cols: Sequence[RootVec]) -> list[tuple[int, list[int]]]:
-    """Column staircase form of an integer lattice basis (full column rank)."""
-    work = [list(c) for c in cols]
-    rows = len(cols[0])
-    pivots: list[tuple[int, list[int]]] = []
-    remaining = work
-    for p in range(rows):
-        live = [c for c in remaining if c[p] != 0]
-        rest = [c for c in remaining if c[p] == 0]
-        while len(live) > 1:
-            live.sort(key=lambda c: abs(c[p]))
-            a, b = live[-1], live[0]
-            q = a[p] // b[p]
-            for j in range(rows):
-                a[j] -= q * b[j]
-            if a[p] == 0:
-                rest.append(a)
-                live.pop()
-        if live:
-            col = live[0]
-            if col[p] < 0:
-                col = [-v for v in col]
-            pivots.append((p, col))
-        remaining = rest
-        if not remaining:
-            break
-    if len(pivots) != len(cols):
-        raise InvariantViolation("lattice basis was not linearly independent")
-    return pivots
-
-
-def _in_lattice(pivots: list[tuple[int, list[int]]], v: RootVec) -> bool:
-    x = list(v)
-    for p, col in pivots:
-        if x[p] % col[p] != 0:
-            return False
-        q = x[p] // col[p]
-        if q:
-            for j in range(len(x)):
-                x[j] -= q * col[j]
-    return not any(x)
-
-
-def lattice_root_closure(rs: RootSystem, vectors: Sequence[RootVec]) -> frozenset[RootVec]:
-    """The roots of rs lying in the integer span of the given root vectors."""
-    vecs = [tuple(v) for v in vectors]
-    if not vecs:
-        return frozenset()
-    pivots = _hnf_pivots(vecs)
-    return frozenset(g for g in all_roots(rs) if _in_lattice(pivots, g))
-
-
 def subsystem_closure(ext: ExtendedDiagram, J: Iterable[int]) -> frozenset[RootVec]:
-    """R_J: the roots in the integer span of the node roots of J (J proper)."""
+    """R_J: the roots in the integer span of the node roots of J (J proper).
+
+    Computed as the orbit of J's node roots under J's own reflections, run on
+    the permutations of rs.root_index.  The two agree: the roots pairing
+    integrally with a point of the closed alcove whose walls are exactly J
+    form a root system with base J, so they are the orbit; and they contain
+    every root in the span of J, which contains the orbit.
+    oracle.lattice_root_closure computes the span's roots directly.
+    """
     J = _check_subset(ext, J)
-    return lattice_root_closure(ext.rs, [ext.root_of[j] for j in J])
+    table = ext.rs.root_index
+    aff = affine_node(ext.rs)
+    perms = [table.affine_reflection if j == aff else table.reflections[j] for j in J]
+    seen = {table.index[ext.root_of[j]] for j in J}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for perm in perms:
+                k = perm[i]
+                if k not in seen:
+                    seen.add(k)
+                    nxt.append(k)
+        frontier = nxt
+    return frozenset(table.roots[i] for i in seen)
 
 
 def subsystem_base(rs: RootSystem, subsystem: Iterable[RootVec]) -> tuple[RootVec, ...]:
@@ -147,10 +131,9 @@ def subsystem_base(rs: RootSystem, subsystem: Iterable[RootVec]) -> tuple[RootVe
     return tuple(base)
 
 
-def _component_split(rs: RootSystem, base: Sequence[RootVec]) -> list[list[int]]:
-    k = len(base)
-    cor = [coroot(rs, b) for b in base]
-    adj = [[b for b in range(k) if b != a and _dot(base[a], cor[b]) != 0] for a in range(k)]
+def _component_split(cartan: Sequence[Sequence[int]]) -> list[list[int]]:
+    k = len(cartan)
+    adj = [[b for b in range(k) if b != a and cartan[b][a] != 0] for a in range(k)]
     seen = [False] * k
     comps = []
     for start in range(k):
@@ -225,9 +208,7 @@ def _match_component(
     rs: RootSystem, roots: tuple[RootVec, ...]
 ) -> tuple[CartanType, tuple[RootVec, ...]]:
     """The type of one irreducible component, with its roots in standard node order."""
-    cor = [coroot(rs, b) for b in roots]
-    # Same convention as cartan_matrix: M[a][b] = <roots[b], roots[a]^vee>.
-    M = [[_dot(roots[b], cor[a]) for b in range(len(roots))] for a in range(len(roots))]
+    M, _ = base_pairings(rs, roots)  # the convention of cartan_matrix
     for ct in _candidate_types(len(roots)):
         order = _match_cartan(M, cartan_matrix(ct))
         if order is not None:
@@ -236,14 +217,21 @@ def _match_component(
 
 
 def base_components(
-    rs: RootSystem, base: Sequence[RootVec]
+    rs: RootSystem,
+    base: Sequence[RootVec],
+    pairings: Pairings | None = None,
 ) -> tuple[tuple[CartanType, tuple[RootVec, ...]], ...]:
-    """Irreducible components of a base, each with roots in standard node order."""
+    """Irreducible components of a base, each with roots in standard node order.
+
+    pairings is base_pairings(rs, base), passed by a caller that already
+    holds it (ExtendedDiagram.pairings).
+    """
     base = tuple(base)
+    cartan, _ = base_pairings(rs, base) if pairings is None else pairings
     return tuple(
         sorted(
             _match_component(rs, tuple(base[a] for a in comp))
-            for comp in _component_split(rs, base)
+            for comp in _component_split(cartan)
         )
     )
 
@@ -285,9 +273,10 @@ def _subset_info(rs: RootSystem, J: tuple[int, ...]):
     """The bucket key (factor types, d_J, lam_dom) of J, and J's transported start."""
     ext = extended_diagram(rs)
     base = tuple(ext.root_of[j] for j in J)
-    types = tuple(sorted(ct for ct, _ in base_components(rs, base)))
+    pairings = ext.pairings(J)
+    types = tuple(sorted(ct for ct, _ in base_components(rs, base, pairings)))
     dJ = torsion_order(ext, J)
-    lam_dom, start = dominant_transport(rs, tuple((r, 2) for r in base))
+    lam_dom, start = dominant_transport(rs, [(r, 2) for r in base], pairings)
     return (types, dJ, lam_dom), start
 
 

@@ -106,14 +106,19 @@ class RootSystem:
 
     @cached_property
     def root_index(self) -> "RootIndex":
-        """Roots as indices and simple reflections as permutations, built on first use."""
+        """Roots as indices and reflections as permutations, built on first use."""
         roots = tuple(sorted(all_roots(self)))
         index = {g: k for k, g in enumerate(roots)}
         reflections = tuple(
             tuple(index[reflect_root(self, i, g)] for g in roots)
             for i in range(self.rank)
         )
-        return RootIndex(roots, index, reflections)
+        theta, theta_vee = self.highest_root, highest_coroot(self)
+        affine = []
+        for g in roots:
+            p = _dot(g, theta_vee)
+            affine.append(index[tuple(c - p * t for c, t in zip(g, theta))])
+        return RootIndex(roots, index, reflections, tuple(affine))
 
     def __hash__(self) -> int:
         # Equal systems have equal types, so this agrees with the field-wise
@@ -126,11 +131,17 @@ class RootSystem:
 
 @dataclass(frozen=True, eq=False)
 class RootIndex:
-    """All roots in sorted order, their positions, and each s_i as a permutation."""
+    """All roots in sorted order, their positions, and reflections as permutations.
+
+    reflections holds the simple reflections s_i; affine_reflection is s_theta,
+    the reflection in the affine node's root -theta, kept apart so that
+    reflections stays indexed by the simple nodes.
+    """
 
     roots: tuple[RootVec, ...]
     index: dict[RootVec, int]
     reflections: tuple[tuple[int, ...], ...]
+    affine_reflection: tuple[int, ...]
 
 
 def _dot(a: Sequence, b: Sequence):
@@ -433,21 +444,36 @@ def alcove_reduce(rs: RootSystem, point: Sequence) -> tuple[CocharVec, frozenset
     return x, walls
 
 
+Pairings = tuple[Sequence[Sequence[int]], Sequence[RootVec]]
+
+
+def base_pairings(rs: RootSystem, base: Sequence[RootVec]) -> Pairings:
+    """(cartan, coroots) of a base: cartan[a][b] = <base[b], base[a]^vee>, and
+    coroots[a] = coroot(rs, base[a])."""
+    cor = [coroot(rs, b) for b in base]
+    return [[_dot(b, c) for b in base] for c in cor], cor
+
+
 def solve_cochar_for_base(
-    rs: RootSystem, base: Sequence[RootVec], targets: Sequence
+    rs: RootSystem,
+    base: Sequence[RootVec],
+    targets: Sequence,
+    pairings: Pairings | None = None,
 ) -> CocharVec:
     """The unique lam in the span of the base's coroots with <base[a], lam> = targets[a].
 
-    Solved on integers: the targets are scaled once by the lcm of their
-    denominators, elimination keeps integer rows, and each coordinate is
-    divided out at the end.
+    pairings is base_pairings(rs, base), passed by a caller that already
+    holds it, as the extended diagram does for node subsets.  Solved on
+    integers: the targets are scaled once by the lcm of their denominators,
+    elimination keeps integer rows, and each coordinate is divided out at the
+    end.
     """
     k = len(base)
-    cor = [coroot(rs, b) for b in base]
+    cartan, cor = base_pairings(rs, base) if pairings is None else pairings
     rhs = [Fraction(t) for t in targets]
     scale = math.lcm(*(t.denominator for t in rhs))
     A = [
-        [_dot(base[a], cor[b]) for b in range(k)]
+        [cartan[b][a] for b in range(k)]
         + [rhs[a].numerator * (scale // rhs[a].denominator)]
         for a in range(k)
     ]
@@ -476,7 +502,9 @@ LabeledSet = tuple[tuple[RootVec, int], ...]
 
 
 def dominant_transport(
-    rs: RootSystem, items: Iterable[tuple[RootVec, int]]
+    rs: RootSystem,
+    items: Iterable[tuple[RootVec, int]],
+    pairings: Pairings | None = None,
 ) -> tuple[CocharVec, tuple[int, ...]]:
     """(lam_dom, start): a labeled base carried along with its cocharacter.
 
@@ -485,14 +513,29 @@ def dominant_transport(
     _stabilizer_orbit: a labeled root (r, l) becomes rank(l) * |R| + index of
     r, where rank(l) is the position of l among the base's distinct labels.
     The transported labels are the pairings with lam_dom, so under equal
-    lam_dom equal starts mean equal labeled bases.
+    lam_dom equal starts mean equal labeled bases.  pairings, in the order
+    of items, is passed on to solve_cochar_for_base.
     """
     items = tuple(items)
     if not items:
         return zero_cochar(rs), ()
-    lam = solve_cochar_for_base(rs, [r for r, _ in items], [l for _, l in items])
+    base = [r for r, _ in items]
+    lam = solve_cochar_for_base(rs, base, [l for _, l in items], pairings)
     lam_dom, word = to_dominant(rs, lam)
+    return lam_dom, transport_start(rs, items, word)
+
+
+def transport_start(
+    rs: RootSystem, items: Iterable[tuple[RootVec, int]], word: WeylWord
+) -> tuple[int, ...]:
+    """The labeled base moved by a Weyl word, encoded as dominant_transport's start.
+
+    word is the word to_dominant returned for the cocharacter solved from the
+    labels; a caller that already ran that reduction passes its word here
+    instead of solving and reducing again.
+    """
     table = rs.root_index
+    items = tuple(items)
     rank = {l: k for k, l in enumerate(sorted({l for _, l in items}))}
     codes = []
     for r, l in items:
@@ -502,7 +545,7 @@ def dominant_transport(
         for s in word:
             i = table.reflections[s][i]
         codes.append(rank[l] * len(table.roots) + i)
-    return lam_dom, tuple(sorted(codes))
+    return tuple(sorted(codes))
 
 
 def _stabilizer_orbit(

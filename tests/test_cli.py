@@ -1,5 +1,8 @@
 """Command-line behavior: exit codes, formats, determinism, cache, verify."""
 import json
+import os
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -167,6 +170,52 @@ def test_cache_entry_without_a_readable_body(tmp_path, capsys, fmt):
         assert cache_load("A2", tmp_path) == doc  # the recompute replaced the stub
 
 
+def test_cache_entry_whose_groups_do_not_match_its_orders(tmp_path, capsys):
+    assert main(["component-groups", "G2", "--format", "md"]) == EXIT_OK
+    uncached = capsys.readouterr().out
+    doc = build_report_document(CartanType.parse("G2"))
+    trivial = next(k for k, rep in enumerate(doc["reports"]) if rep["diagram"] == [0, 0])
+    assert doc["reports"][trivial]["group_name"] == "trivial"
+    renamed = json.loads(serialize_document(doc))
+    renamed["reports"][trivial]["group_name"] = "Sym(5)"
+    no_identity = json.loads(serialize_document(doc))
+    no_identity["reports"][trivial]["classes"][0]["order"] = 2  # InputError
+    for tampered in (renamed, no_identity):
+        path = cache_store(doc, tmp_path)
+        path.write_text(serialize_document(tampered))
+        argv = ["component-groups", "G2", "--format", "md", "--cache-dir", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == uncached and "Sym(5)" not in captured.out
+        assert "corrupt" in captured.err
+        assert cache_load("G2", tmp_path) == doc  # the recompute replaced the entry
+
+
+@pytest.mark.parametrize("target", ["--out", "--cache-dir"])
+def test_failed_write_leaves_the_old_file(tmp_path, monkeypatch, capsys, target):
+    if target == "--out":
+        old = tmp_path / "g2.json"
+        argv = ["component-groups", "G2", "--out", str(old)]
+    else:
+        old = cache_store(build_report_document(CartanType.parse("G2")), tmp_path)
+        argv = ["component-groups", "G2", "--cache-dir", str(tmp_path)]
+    old.write_text("{ an entry the run will replace\n")
+    before = old.read_bytes()
+    write_text = Path.write_text
+
+    def half_then_fail(self, data, *args, **kwargs):
+        write_text(self, data[: len(data) // 2], *args, **kwargs)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", half_then_fail)
+    assert main(argv) == EXIT_USAGE
+    monkeypatch.undo()
+    assert old.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [old.name]  # no .tmp file
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("usage error: cannot write")
+
+
 def test_cache_dir_not_a_directory(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("not a directory\n")
@@ -292,6 +341,33 @@ def test_out_not_writable(tmp_path, capsys):
     assert main(["component-groups", "G2", "--out", str(tmp_path)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+def test_out_through_a_symlink_replaces_its_target(tmp_path, capsys):
+    assert main(["component-groups", "A2"]) == EXIT_OK
+    expected = capsys.readouterr().out
+    target = tmp_path / "target.json"
+    target.write_text("old\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert main(["component-groups", "A2", "--out", str(link)]) == EXIT_OK
+    assert link.is_symlink()
+    assert target.read_text() == expected
+
+
+def test_out_to_a_pipe_is_written_in_place(tmp_path, capsys):
+    assert main(["component-groups", "A2"]) == EXIT_OK
+    expected = capsys.readouterr().out
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(pipe.read_text()), daemon=True)
+    reader.start()
+    assert main(["component-groups", "A2", "--out", str(pipe)]) == EXIT_OK
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert got == [expected]
+    assert pipe.is_fifo()  # not replaced by a regular file
 
 
 def test_display_names_attached(capsys):

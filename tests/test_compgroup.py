@@ -12,22 +12,24 @@ from unipcent import (
     build_root_system,
     build_triple_record,
     canonical_labeled_set,
+    cochar_for_labeled_base,
     component_group_report,
     count_pair_orbits,
     enumerate_triples,
     extended_diagram,
+    induced_diagram,
     recognize_group_from_torsion,
     torsion_order,
 )
 from unipcent.compgroup import (
     _candidate_class_data,
-    _factor_label_invariant,
     _labeled_records,
     _orbit_representatives,
+    _transport,
 )
 from unipcent.oracle import act_labeled_set, brute_orbit, classical_nilpotent_classes
 from unipcent.pseudolevi import _proper_subsets
-from unipcent.rootsys import DEFAULT_BUDGET
+from unipcent.rootsys import DEFAULT_BUDGET, dominant_transport
 
 
 def rs_of(name):
@@ -222,18 +224,32 @@ def test_record_orbits_agree_with_canonical_forms():
     rs = rs_of("E6")
     ext = extended_diagram(rs)
     records = [
-        rec
+        pair
         for J in _proper_subsets(len(ext.root_of))
-        for rec in _labeled_records(rs, J, torsion_order(ext, J))
+        for pair in _labeled_records(rs, J, torsion_order(ext, J))
     ]
     classes = {}
-    for rec in records:
-        key = (rec.induced, rec.order, _factor_label_invariant(rs, rec))
+    for rec, invariant in records:
+        key = (rec.induced, rec.order, invariant)
         classes.setdefault((key, canonical_labeled_set(rs, rec.labels)), []).append(rec)
     kept = _orbit_representatives(rs, records, DEFAULT_BUDGET)
     expected = {min((r.labels, r.J) for r in cls) for cls in classes.values()}
     assert len(kept) == len(classes)
     assert {(r.labels, r.J) for r in kept} == expected
+
+
+@pytest.mark.parametrize("name", ["G2", "B4", "F4", "E6"])
+def test_one_solve_records_match_the_two_solve_path(name):
+    """Each record's stored reduction gives what solving its labels again gives."""
+    rs = rs_of(name)
+    ext = extended_diagram(rs)
+    count = 0
+    for J in _proper_subsets(len(ext.root_of)):
+        for rec, _ in _labeled_records(rs, J, torsion_order(ext, J)):
+            assert _transport(rs, rec) == dominant_transport(rs, rec.labels)
+            assert rec.induced == induced_diagram(rs, cochar_for_labeled_base(rs, rec.labels))
+            count += 1
+    assert count >= 2 ** (rs.rank + 1) - 1  # every proper subset has a record
 
 
 def test_exactly_one_identity_class_per_report():

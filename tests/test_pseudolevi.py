@@ -14,14 +14,13 @@ from unipcent import (
     enumerate_pseudolevis,
     extended_diagram,
     is_good_prime,
-    lattice_root_closure,
     point_order,
     subsystem_base,
     subsystem_closure,
     torsion_order,
     witness_element,
 )
-from unipcent.oracle import span_quotient_torsion
+from unipcent.oracle import lattice_root_closure, span_quotient_torsion
 from unipcent.pseudolevi import _proper_subsets, _subset_info, base_components
 from unipcent.rootsys import all_roots, canonical_labeled_set, pairing, partition_orbits
 
@@ -100,6 +99,28 @@ def test_span_closure_equals_reflection_closure(name):
         for J in itertools.combinations(range(rs.rank + 1), size):
             seeds = [ext.root_of[j] for j in J]
             assert subsystem_closure(ext, J) == reflection_closure(rs, seeds)
+
+
+ALL_TYPES = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(2, 9)]
+    + [f"D{n}" for n in range(3, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+def test_orbit_closure_matches_lattice_closure():
+    """The orbit closure equals the Hermite-normal-form closure on every proper subset."""
+    checked = 0
+    for name in ALL_TYPES:
+        rs = rs_of(name)
+        ext = extended_diagram(rs)
+        for J in _proper_subsets(len(ext.root_of)):
+            expect = lattice_root_closure(rs, [ext.root_of[j] for j in J])
+            assert subsystem_closure(ext, J) == expect, (name, J)
+            checked += 1
+    assert len(ALL_TYPES) == 33 and checked == 4963
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "G2", "F4"])

@@ -9,7 +9,13 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "unipcent").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
 
 # Reference implementations that tests compare pipeline output against.
-REFERENCE_ONLY = {"is_distinguished", "pairing", "apply_word", "alcove_reduce_map"}
+REFERENCE_ONLY = {
+    "is_distinguished",
+    "pairing",
+    "apply_word",
+    "alcove_reduce_map",
+    "lattice_root_closure",
+}
 
 
 def _loaded_names(tree: ast.Module) -> set[str]:
