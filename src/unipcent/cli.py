@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import json
 import os
 import sys
@@ -29,7 +28,7 @@ from .errors import (
     WitnessSearchExhausted,
 )
 from .oracle import (
-    alcove_pseudolevis,
+    alcove_pseudolevis_by_denominator,
     classical_nilpotent_classes,
     default_denominator_bound,
 )
@@ -37,9 +36,7 @@ from .pseudolevi import (
     alcove_reduce,
     canonical_subsystem,
     enumerate_pseudolevis,
-    extended_diagram,
     point_order,
-    subsystem_closure,
     witness_element,
 )
 from .rootsys import (
@@ -329,20 +326,12 @@ def _verify(ct: CartanType, budget: int) -> list[str]:
     if n_records != recount:
         failures.append(f"pair-orbit recount {recount} != report classes {n_records}")
 
-    levi_canons = set()
-    ext = extended_diagram(rs)
-    for size in range(rs.rank + 1):
-        for K in itertools.combinations(range(rs.rank), size):
-            levi_canons.add(
-                canonical_subsystem(rs, subsystem_closure(ext, K), budget=budget)
-            )
+    # A J of simple nodes alone spans a standard Levi subsystem.
     for rep in reports.values():
         ones = [rec for rec in rep.classes if rec.order == 1]
         if len(ones) != 1:
             failures.append(f"diagram {rep.diagram}: {len(ones)} order-1 classes")
-            continue
-        sub = subsystem_closure(ext, ones[0].J)
-        if canonical_subsystem(rs, sub, budget=budget) not in levi_canons:
+        elif any(j >= rs.rank for j in ones[0].J):
             failures.append(f"diagram {rep.diagram}: order-1 datum is not a Levi")
 
     if ct.rank <= 4:
@@ -350,10 +339,11 @@ def _verify(ct: CartanType, budget: int) -> list[str]:
         subset_side = {
             canonical_subsystem(rs, pl.subsystem, budget=budget) for pl in pls
         }
-        point_side = alcove_pseudolevis(rs, bound, budget)
+        *levels, beyond = alcove_pseudolevis_by_denominator(rs, bound + 1, budget)
+        point_side = frozenset().union(*levels)
         if subset_side != point_side:
             failures.append("alcove-point oracle disagrees with subset enumeration")
-        if alcove_pseudolevis(rs, bound + 1, budget) != point_side:
+        if not beyond <= point_side:
             failures.append("alcove-point enumeration not stabilized at the bound")
         if ct.family in "ABCD":
             if (ct.family, ct.rank) == ("D", 3):

@@ -67,18 +67,33 @@ def alcove_pseudolevis(
 
     budget bounds each canonical-form search (BudgetExceeded).
     """
+    return frozenset().union(
+        *alcove_pseudolevis_by_denominator(rs, max_denominator, budget)
+    )
+
+
+def alcove_pseudolevis_by_denominator(
+    rs: RootSystem, max_denominator: int, budget: int | None = None
+) -> list[frozenset[tuple]]:
+    """alcove_pseudolevis split by denominator, in one pass.
+
+    Entry q - 1 holds the canonical forms of the integrality subsystems of the
+    alcove points c / q, c an integer vector; each subsystem is searched once.
+    """
     canon_of: dict[frozenset, tuple] = {}
-    out = set()
+    levels = []
     roots = sorted(all_roots(rs))
     for q in range(1, max_denominator + 1):
+        level = set()
         for c in _alcove_grid(rs, q):
             sub = frozenset(g for g in roots if _dot(g, c) % q == 0)
             canon = canon_of.get(sub)
             if canon is None:
                 canon = canonical_subsystem(rs, sub, budget=budget)
                 canon_of[sub] = canon
-            out.add(canon)
-    return frozenset(out)
+            level.add(canon)
+        levels.append(frozenset(level))
+    return levels
 
 
 def _hnf_pivots(cols: Sequence[RootVec]) -> list[tuple[int, list[int]]]:

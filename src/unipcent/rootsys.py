@@ -118,7 +118,19 @@ class RootSystem:
         for g in roots:
             p = _dot(g, theta_vee)
             affine.append(index[tuple(c - p * t for c, t in zip(g, theta))])
-        return RootIndex(roots, index, reflections, tuple(affine))
+        d = symmetrizer(self)
+        coroots = tuple(_coroot_coords(self, d, g) for g in roots)
+        return RootIndex(roots, index, reflections, tuple(affine), coroots)
+
+    @cached_property
+    def cartan_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Row i of the Cartan matrix as its (j, C[i][j]) pairs with C[i][j] != 0.
+
+        A simple reflection changes exactly these coordinates of a cocharacter.
+        """
+        return tuple(
+            tuple((j, c) for j, c in enumerate(row) if c) for row in self.cartan
+        )
 
     def __hash__(self) -> int:
         # Equal systems have equal types, so this agrees with the field-wise
@@ -135,13 +147,15 @@ class RootIndex:
 
     reflections holds the simple reflections s_i; affine_reflection is s_theta,
     the reflection in the affine node's root -theta, kept apart so that
-    reflections stays indexed by the simple nodes.
+    reflections stays indexed by the simple nodes.  coroots[k] is the coroot
+    of roots[k] in coweight coordinates (see coroot).
     """
 
     roots: tuple[RootVec, ...]
     index: dict[RootVec, int]
     reflections: tuple[tuple[int, ...], ...]
     affine_reflection: tuple[int, ...]
+    coroots: tuple[RootVec, ...]
 
 
 def _dot(a: Sequence, b: Sequence):
@@ -279,26 +293,54 @@ def apply_word(rs: RootSystem, word: Sequence[int], lam: Sequence) -> CocharVec:
     return cur
 
 
+def _reflect_to_dominant(
+    rs: RootSystem, m: list[int], nodes: Sequence[int]
+) -> list[int]:
+    """Reflect the integer coweight m in place until it is dominant on nodes.
+
+    Each step reflects at the first node, in the order of nodes, whose
+    coordinate is negative, then rescans from the first node; a reflection
+    changes only the coordinates of its nonzero Cartan row entries.  Returns
+    the word.  The parabolic subgroup on nodes has no element longer than
+    |R+|, so no walk takes more steps.
+    """
+    rows = rs.cartan_rows
+    cap = len(rs.positive_roots)
+    word: list[int] = []
+    while True:
+        for i in nodes:
+            if m[i] < 0:
+                break
+        else:
+            return word
+        if len(word) == cap:
+            raise InvariantViolation("dominant reduction failed to terminate")
+        coef = m[i]
+        for j, c in rows[i]:
+            m[j] -= coef * c
+        word.append(i)
+
+
 def to_dominant(rs: RootSystem, lam: Sequence) -> tuple[CocharVec, WeylWord]:
     """The unique dominant Weyl conjugate, with a word mapping the input to it.
 
-    Repeatedly reflects at the smallest-index negative coordinate; this takes
-    at most |R+| steps.  The walk runs on integers: the input is scaled once by
-    the lcm of its denominators.
+    Repeatedly reflects at the smallest-index negative coordinate, rescanning
+    from index 0 after every reflection; this takes at most |R+| steps.  The
+    walk runs in place on a list of integers: the input is scaled once by the
+    lcm of its denominators.
     """
-    lam = as_cochar(lam)
+    lam = tuple(lam)
+    if len(lam) != rs.rank:
+        raise InputError(f"dimension mismatch: {len(lam)} vs {rs.rank}")
+    for c in lam:
+        if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+            raise InputError(f"exact rational expected, got {c!r}")
     den = math.lcm(*(c.denominator for c in lam))
     m = [c.numerator * (den // c.denominator) for c in lam]
-    word: list[int] = []
-    cap = len(rs.positive_roots) + 1
-    for _ in range(cap):
-        i = next((k for k, v in enumerate(m) if v < 0), None)
-        if i is None:
-            return tuple(Fraction(v, den) for v in m), tuple(word)
-        coef = m[i]
-        m = [v - coef * c for v, c in zip(m, rs.cartan[i])]
-        word.append(i)
-    raise InvariantViolation("dominant reduction failed to terminate")
+    word = tuple(_reflect_to_dominant(rs, m, range(rs.rank)))
+    if den == 1:
+        return tuple(map(Fraction, m)), word
+    return tuple(Fraction(v, den) for v in m), word
 
 
 def symmetrizer(rs: RootSystem) -> tuple[int, ...]:
@@ -329,8 +371,12 @@ def symmetrizer(rs: RootSystem) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def coroot(rs: RootSystem, gamma: RootVec) -> RootVec:
     """Coweight-basis coordinates of gamma^vee, i.e. (<alpha_k, gamma^vee>)_k."""
+    return _coroot_coords(rs, symmetrizer(rs), gamma)
+
+
+def _coroot_coords(rs: RootSystem, d: Sequence[int], gamma: RootVec) -> RootVec:
+    """coroot of gamma, given the symmetrizer d of rs."""
     C = rs.cartan
-    d = symmetrizer(rs)
     Cg = [_dot(C[k], gamma) for k in range(rs.rank)]
     norm = sum(c * dk * v for c, dk, v in zip(gamma, d, Cg))
     if norm <= 0:
@@ -549,21 +595,22 @@ def transport_start(
 
 
 def _stabilizer_orbit(
-    rs: RootSystem, lam_dom: CocharVec, start: tuple[int, ...], budget: int
+    rs: RootSystem, nodes: Sequence[int], start: tuple[int, ...], budget: int
 ) -> set[tuple[int, ...]]:
-    """Every state of the orbit of start under the stabilizer of lam_dom.
+    """Every state of the orbit of start under the parabolic subgroup W_nodes.
 
-    The stabilizer of a dominant cocharacter is generated by the simple
-    reflections fixing it; each acts on the codes of dominant_transport as a
-    permutation.  budget bounds the states visited (BudgetExceeded).
+    W_nodes is generated by the simple reflections s_i, i in nodes; each acts
+    on the codes of dominant_transport as a permutation.  The stabilizer of a
+    dominant vector is the W_nodes of its zero coordinates (Humphreys,
+    Reflection Groups and Coxeter Groups, 1.12).  budget bounds the states
+    visited (BudgetExceeded).
     """
     table = rs.root_index
     n_roots = len(table.roots)
     n_labels = start[-1] // n_roots + 1 if start else 1
     perms = [
-        tuple(k * n_roots + j for k in range(n_labels) for j in perm)
-        for perm, m in zip(table.reflections, lam_dom)
-        if m == 0
+        tuple(k * n_roots + j for k in range(n_labels) for j in table.reflections[i])
+        for i in nodes
     ]
     seen = {start}
     frontier = [start]
@@ -584,6 +631,41 @@ def _stabilizer_orbit(
     return seen
 
 
+def _zero_nodes(vec: Sequence, nodes: Iterable[int]) -> list[int]:
+    return [i for i in nodes if vec[i] == 0]
+
+
+def _refine_start(
+    rs: RootSystem, nodes: Sequence[int], start: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(v_dom, moved): a start carried to the W_nodes-dominant form of its coweight.
+
+    The coweight v of a start sums (label rank + 1) * coroot of its root over
+    its codes.  It is W-equivariant, so starts in one W_nodes-orbit have
+    equal v_dom, and two moved starts with equal v_dom are in one orbit iff
+    they are in one orbit of v_dom's stabilizer in W_nodes, the parabolic
+    subgroup of the nodes where v_dom vanishes.  v is reduced by
+    to_dominant's rule restricted to nodes, and the start moved by the same
+    word.
+    """
+    table = rs.root_index
+    n_roots = len(table.roots)
+    v = [0] * rs.rank
+    for code in start:
+        weight = code // n_roots + 1
+        v = [a + weight * c for a, c in zip(v, table.coroots[code % n_roots])]
+    word = _reflect_to_dominant(rs, v, nodes)
+    if word:
+        moved = []
+        for code in start:
+            label, r = divmod(code, n_roots)
+            for s in word:
+                r = table.reflections[s][r]
+            moved.append(label * n_roots + r)
+        start = tuple(sorted(moved))
+    return tuple(v), start
+
+
 def partition_orbits(
     rs: RootSystem,
     pairs: Sequence[tuple[CocharVec, tuple[int, ...]]],
@@ -591,24 +673,38 @@ def partition_orbits(
 ) -> list[list[int]]:
     """Split (lam_dom, start) pairs of dominant_transport into Weyl orbits.
 
-    Returns the positions of each orbit's members.  One stabilizer orbit is
-    walked per orbit found: the orbit of the first unassigned start collects
-    every member whose start lies in it, and a member left alone under its
-    lam_dom needs no walk.  budget bounds the states of each walk.
+    Returns the positions of each orbit's members.  Starts under one lam_dom
+    are conjugate iff they are under its stabilizer W_I, I the zero
+    coordinates of lam_dom.  Several distinct starts under one lam_dom are
+    first refined (_refine_start): they are bucketed by v_dom, and each
+    bucket is split under the smaller stabilizer of v_dom in W_I.  One walk is
+    made per orbit found: the orbit of the first unassigned start collects
+    every member whose start lies in it, and a start left alone needs no
+    walk.  budget bounds the states of each walk.
     """
     pending: dict[CocharVec, dict[tuple[int, ...], list[int]]] = {}
     for pos, (lam_dom, start) in enumerate(pairs):
         pending.setdefault(lam_dom, {}).setdefault(start, []).append(pos)
     classes = []
     for lam_dom, by_start in pending.items():
-        while by_start:
-            start = next(iter(by_start))
-            members = by_start.pop(start)
-            if by_start:
-                orbit = _stabilizer_orbit(rs, lam_dom, start, budget)
-                for other in [s for s in by_start if s in orbit]:
-                    members += by_start.pop(other)
-            classes.append(sorted(members))
+        if len(by_start) == 1:
+            classes.extend(by_start.values())
+            continue
+        stab = _zero_nodes(lam_dom, range(rs.rank))
+        refined: dict[tuple[int, ...], dict[tuple[int, ...], list[int]]] = {}
+        for start, members in by_start.items():
+            v_dom, moved = _refine_start(rs, stab, start)
+            refined.setdefault(v_dom, {}).setdefault(moved, []).extend(members)
+        for v_dom, group in refined.items():
+            nodes = _zero_nodes(v_dom, stab)
+            while group:
+                start = next(iter(group))
+                members = group.pop(start)
+                if group:
+                    orbit = _stabilizer_orbit(rs, nodes, start, budget)
+                    for other in [s for s in group if s in orbit]:
+                        members += group.pop(other)
+                classes.append(sorted(members))
     return classes
 
 
@@ -633,7 +729,8 @@ def canonical_labeled_set(
 @lru_cache(maxsize=None)
 def _canonical_search(rs: RootSystem, items: LabeledSet, budget: int) -> tuple:
     lam_dom, start = dominant_transport(rs, items)
-    best = min(_stabilizer_orbit(rs, lam_dom, start, budget))
+    nodes = _zero_nodes(lam_dom, range(rs.rank))
+    best = min(_stabilizer_orbit(rs, nodes, start, budget))
     roots = rs.root_index.roots
     labels = sorted({l for _, l in items})
     decoded = ((roots[c % len(roots)], labels[c // len(roots)]) for c in best)

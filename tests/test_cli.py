@@ -262,6 +262,32 @@ def test_verify_passes_the_budget_to_the_alcove_oracle(monkeypatch, capsys):
     assert set(seen) == {budget}
 
 
+def test_verify_rejects_an_order_one_datum_on_the_affine_node(monkeypatch, capsys):
+    """J = (affine node,) spans a Levi up to conjugacy in B3, but is not standard."""
+    import dataclasses
+
+    import unipcent.cli as cli
+
+    original = cli.component_group_report
+
+    def doctored(rs, p=0, budget=None):
+        reports = original(rs, p=p, budget=budget)
+        for diagram, rep in reports.items():
+            if any(rec.order == 1 and rec.J == (0,) for rec in rep.classes):
+                classes = tuple(
+                    dataclasses.replace(rec, J=(rs.rank,)) if rec.order == 1 else rec
+                    for rec in rep.classes
+                )
+                return {**reports, diagram: dataclasses.replace(rep, classes=classes)}
+        raise AssertionError("no order-1 record with J = (0,)")
+
+    monkeypatch.setattr(cli, "component_group_report", doctored)
+    assert main(["component-groups", "B3", "--verify"]) == EXIT_VERIFY
+    err = capsys.readouterr().err
+    assert "order-1 datum is not a Levi" in err
+    assert "order-1 classes" not in err
+
+
 @pytest.mark.parametrize("name", ["B2", "D3", "F4"])
 def test_verify_small_type(name, capsys):
     assert main(["component-groups", name, "--verify"]) == EXIT_OK

@@ -15,6 +15,7 @@ from unipcent.oracle import (
     act_cochar,
     alcove_points,
     alcove_pseudolevis,
+    alcove_pseudolevis_by_denominator,
     brute_orbit,
     classical_nilpotent_classes,
     classical_partitions,
@@ -109,6 +110,17 @@ def test_alcove_oracle_monotone_and_stable():
     sizes = [len(alcove_pseudolevis(g2, q)) for q in range(1, bound + 2)]
     assert all(a <= b for a, b in zip(sizes, sizes[1:]))
     assert sizes[bound - 1] == sizes[bound]  # stabilized at the bound
+
+
+@pytest.mark.parametrize("name", ["G2", "B3"])
+def test_alcove_levels_add_up_to_the_bounded_oracle(name):
+    rs = rs_of(name)
+    bound = default_denominator_bound(rs)
+    levels = alcove_pseudolevis_by_denominator(rs, bound + 1)
+    assert len(levels) == bound + 1
+    for q in (1, 2, bound, bound + 1):
+        assert frozenset().union(*levels[:q]) == alcove_pseudolevis(rs, q)
+    assert levels[bound] <= frozenset().union(*levels[:bound])  # stabilized
 
 
 def test_integrality_subsystem_direct():

@@ -24,6 +24,7 @@ from unipcent import (
 )
 from unipcent.oracle import act_cochar, act_labeled_set, brute_orbit
 from unipcent.rootsys import (
+    _refine_start,
     as_cochar,
     dominant_transport,
     highest_coroot,
@@ -327,6 +328,38 @@ def test_weyl_word_keeps_canonical_form_and_orbit(case):
     assert partition_orbits(rs, pairs) == [[0, 1]]
 
 
+@st.composite
+def labeled_base_and_long_word(draw):
+    rs = rs_of(draw(st.sampled_from(["B4", "F4", "E6", "E7"])))
+    ext = extended_diagram(rs)
+    nodes = draw(
+        st.lists(st.sampled_from(list(ext.nodes)), unique=True, max_size=rs.rank)
+    )
+    items = [(ext.root_of[j], draw(st.sampled_from([0, 1, 2]))) for j in nodes]
+    word = draw(st.lists(st.integers(0, rs.rank - 1), max_size=30))
+    return rs, items, word
+
+
+@settings(max_examples=80, deadline=None)
+@given(labeled_base_and_long_word())
+def test_weyl_word_keeps_the_refined_key(case):
+    """(lam_dom, v_dom) is a Weyl-orbit invariant, and the refined walk still joins."""
+    rs, items, word = case
+    moved = []
+    for r, l in items:
+        for i in word:
+            r = reflect_root(rs, i, r)
+        moved.append((r, l))
+    pairs = [dominant_transport(rs, items), dominant_transport(rs, moved)]
+    (lam_dom, start), (lam_moved, start_moved) = pairs
+    assert lam_moved == lam_dom
+    stab = [i for i in range(rs.rank) if lam_dom[i] == 0]
+    v_dom, _ = _refine_start(rs, stab, start)
+    assert _refine_start(rs, stab, start_moved)[0] == v_dom
+    assert all(v_dom[i] >= 0 for i in stab)
+    assert partition_orbits(rs, pairs) == [[0, 1]]
+
+
 @settings(max_examples=60, deadline=None)
 @given(labeled_base_and_word(), st.data())
 def test_solved_cochar_pairs_to_its_targets(case, data):
@@ -367,6 +400,52 @@ def test_to_dominant_on_rational_points(case):
     dom, word = to_dominant(rs, lam)
     assert all(isinstance(c, Fraction) and c >= 0 for c in dom)
     assert apply_word(rs, word, lam) == dom
+
+
+def _smallest_index_reduction(rs, lam):
+    """to_dominant's rule on Fractions: reflect at the first negative coordinate."""
+    lam = [Fraction(c) for c in lam]
+    word = []
+    while True:
+        i = next((k for k, v in enumerate(lam) if v < 0), None)
+        if i is None:
+            return tuple(lam), tuple(word)
+        coef = lam[i]
+        lam = [v - coef * c for v, c in zip(lam, rs.cartan[i])]
+        word.append(i)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(ALL_TYPES).flatmap(
+        lambda name: st.tuples(
+            st.just(name),
+            st.lists(
+                st.one_of(
+                    st.integers(-6, 6),
+                    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+                ),
+                min_size=rs_of(name).rank,
+                max_size=rs_of(name).rank,
+            ),
+        )
+    )
+)
+def test_to_dominant_word_is_the_smallest_index_rule(case):
+    name, lam = case
+    rs = rs_of(name)
+    dom, word = to_dominant(rs, lam)
+    assert (dom, word) == _smallest_index_reduction(rs, lam)
+    assert all(type(c) is Fraction for c in dom)
+
+
+def test_to_dominant_rejects_inexact_or_misshapen_input():
+    a2 = rs_of("A2")
+    for bad in [(0.5, 1), (True, 1)]:
+        with pytest.raises(InputError):
+            to_dominant(a2, bad)
+    with pytest.raises(InputError):
+        to_dominant(a2, (1, 2, 3))
 
 
 @pytest.mark.parametrize("name", ["B2", "G2", "A3", "B3", "C3"])
