@@ -20,6 +20,7 @@ from .rootsys import (
     DEFAULT_BUDGET,
     CartanType,
     CocharVec,
+    ExtendedDiagram,
     Pairings,
     RootSystem,
     RootVec,
@@ -29,54 +30,15 @@ from .rootsys import (
     base_pairings,
     canonical_labeled_set,
     cartan_matrix,
-    coroot,
     dominant_transport,
     is_good_prime,
     partition_orbits,
     zero_cochar,
-    _dot,
 )
 
 
-@dataclass(frozen=True)
-class ExtendedDiagram:
-    """The extended node set with each node's root vector, mark and coroot pairings.
-
-    cartan is the extended Cartan matrix, cartan[a][b] = <root_of[b],
-    root_of[a]^vee> (the convention of cartan_matrix); the first rank entries
-    of row a are the coweight coordinates of node a's coroot.
-    """
-
-    rs: RootSystem
-    root_of: tuple[RootVec, ...]
-    mark_of: tuple[int, ...]
-    cartan: tuple[tuple[int, ...], ...]
-
-    @property
-    def nodes(self) -> range:
-        return range(len(self.root_of))
-
-    def pairings(self, J: Sequence[int]) -> Pairings:
-        """base_pairings of J's node roots, in J's order, read from cartan."""
-        C, n = self.cartan, self.rs.rank
-        return [[C[a][b] for b in J] for a in J], [C[a][:n] for a in J]
-
-
-@lru_cache(maxsize=None)
 def extended_diagram(rs: RootSystem) -> ExtendedDiagram:
-    n = rs.rank
-    simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    root_of = tuple(simples) + (tuple(-c for c in rs.highest_root),)
-    mark_of = rs.marks + (1,)
-    total = [0] * n
-    for r, m in zip(root_of, mark_of):
-        for j in range(n):
-            total[j] += m * r[j]
-    if any(total):
-        raise InvariantViolation("affine relation violated")
-    coroots = [coroot(rs, r) for r in root_of]
-    cartan = tuple(tuple(_dot(r, cor) for r in root_of) for cor in coroots)
-    return ExtendedDiagram(rs, root_of, mark_of, cartan)
+    return rs.extended_diagram
 
 
 def _check_subset(ext: ExtendedDiagram, J: Iterable[int]) -> tuple[int, ...]:
@@ -204,15 +166,12 @@ def _match_cartan(M: list[list[int]], std: tuple[tuple[int, ...], ...]) -> list[
 
 
 @lru_cache(maxsize=None)
-def _match_component(
-    rs: RootSystem, roots: tuple[RootVec, ...]
-) -> tuple[CartanType, tuple[RootVec, ...]]:
-    """The type of one irreducible component, with its roots in standard node order."""
-    M, _ = base_pairings(rs, roots)  # the convention of cartan_matrix
-    for ct in _candidate_types(len(roots)):
+def _component_type(M: tuple[tuple[int, ...], ...]) -> tuple[CartanType, tuple[int, ...]]:
+    """The type of an irreducible Cartan matrix, with a node order matching it."""
+    for ct in _candidate_types(len(M)):
         order = _match_cartan(M, cartan_matrix(ct))
         if order is not None:
-            return ct, tuple(roots[i] for i in order)
+            return ct, tuple(order)
     raise InvariantViolation("base is not of finite Cartan type")
 
 
@@ -224,16 +183,17 @@ def base_components(
     """Irreducible components of a base, each with roots in standard node order.
 
     pairings is base_pairings(rs, base), passed by a caller that already
-    holds it (ExtendedDiagram.pairings).
+    holds it (ExtendedDiagram.pairings).  A component's type is read off its
+    Cartan submatrix alone.
     """
     base = tuple(base)
     cartan, _ = base_pairings(rs, base) if pairings is None else pairings
-    return tuple(
-        sorted(
-            _match_component(rs, tuple(base[a] for a in comp))
-            for comp in _component_split(cartan)
-        )
-    )
+    out = []
+    for comp in _component_split(cartan):
+        M = tuple(tuple(cartan[a][b] for b in comp) for a in comp)
+        ct, order = _component_type(M)
+        out.append((ct, tuple(base[comp[i]] for i in order)))
+    return tuple(sorted(out))
 
 
 def torsion_order(ext: ExtendedDiagram, J: Iterable[int]) -> int:

@@ -106,21 +106,39 @@ class RootSystem:
 
     @cached_property
     def root_index(self) -> "RootIndex":
-        """Roots as indices and reflections as permutations, built on first use."""
-        roots = tuple(sorted(all_roots(self)))
+        """Roots as indices, reflections as permutations, and coroots; built lazily."""
+        pos = self.positive_roots
+        roots = tuple(sorted(pos + tuple(tuple(-c for c in g) for g in pos)))
         index = {g: k for k, g in enumerate(roots)}
         reflections = tuple(
             tuple(index[reflect_root(self, i, g)] for g in roots)
             for i in range(self.rank)
         )
-        theta, theta_vee = self.highest_root, highest_coroot(self)
+        d = symmetrizer(self)
+        coroots = tuple(_coroot_coords(self, d, g) for g in roots)
+        theta, theta_vee = self.highest_root, coroots[index[self.highest_root]]
         affine = []
         for g in roots:
             p = _dot(g, theta_vee)
             affine.append(index[tuple(c - p * t for c, t in zip(g, theta))])
-        d = symmetrizer(self)
-        coroots = tuple(_coroot_coords(self, d, g) for g in roots)
         return RootIndex(roots, index, reflections, tuple(affine), coroots)
+
+    @cached_property
+    def extended_diagram(self) -> "ExtendedDiagram":
+        """The extended Dynkin diagram: the simple nodes and the affine node -theta."""
+        n = self.rank
+        simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+        root_of = tuple(simples) + (tuple(-c for c in self.highest_root),)
+        mark_of = self.marks + (1,)
+        total = [0] * n
+        for r, m in zip(root_of, mark_of):
+            for j in range(n):
+                total[j] += m * r[j]
+        if any(total):
+            raise InvariantViolation("affine relation violated")
+        coroots = [coroot(self, r) for r in root_of]
+        cartan = tuple(tuple(_dot(r, cor) for r in root_of) for cor in coroots)
+        return ExtendedDiagram(self, root_of, mark_of, cartan)
 
     @cached_property
     def cartan_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -156,6 +174,30 @@ class RootIndex:
     reflections: tuple[tuple[int, ...], ...]
     affine_reflection: tuple[int, ...]
     coroots: tuple[RootVec, ...]
+
+
+@dataclass(frozen=True)
+class ExtendedDiagram:
+    """The extended node set with each node's root vector, mark and coroot pairings.
+
+    cartan is the extended Cartan matrix, cartan[a][b] = <root_of[b],
+    root_of[a]^vee> (the convention of cartan_matrix); the first rank entries
+    of row a are the coweight coordinates of node a's coroot.
+    """
+
+    rs: RootSystem
+    root_of: tuple[RootVec, ...]
+    mark_of: tuple[int, ...]
+    cartan: tuple[tuple[int, ...], ...]
+
+    @property
+    def nodes(self) -> range:
+        return range(len(self.root_of))
+
+    def pairings(self, J: Sequence[int]) -> "Pairings":
+        """base_pairings of J's node roots, in J's order, read from cartan."""
+        C, n = self.cartan, self.rs.rank
+        return [[C[a][b] for b in J] for a in J], [C[a][:n] for a in J]
 
 
 def _dot(a: Sequence, b: Sequence):
@@ -202,10 +244,8 @@ def build_root_system(ctype: CartanType) -> RootSystem:
     return RootSystem(ctype, C, tuple(positive), highest, marks)
 
 
-@lru_cache(maxsize=None)
 def all_roots(rs: RootSystem) -> frozenset[RootVec]:
-    neg = [tuple(-c for c in g) for g in rs.positive_roots]
-    return frozenset(rs.positive_roots) | frozenset(neg)
+    return frozenset(rs.root_index.index)
 
 
 def _is_prime(p: int) -> bool:
@@ -368,19 +408,24 @@ def symmetrizer(rs: RootSystem) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def coroot(rs: RootSystem, gamma: RootVec) -> RootVec:
-    """Coweight-basis coordinates of gamma^vee, i.e. (<alpha_k, gamma^vee>)_k."""
-    return _coroot_coords(rs, symmetrizer(rs), gamma)
+    """Coweight-basis coordinates of gamma^vee, i.e. (<alpha_k, gamma^vee>)_k.
+
+    Read from rs.root_index.coroots; a vector that is not a root is an
+    InputError.
+    """
+    table = rs.root_index
+    k = table.index.get(tuple(gamma))
+    if k is None:
+        raise InputError(f"{gamma} is not a root of {rs.ctype}")
+    return table.coroots[k]
 
 
 def _coroot_coords(rs: RootSystem, d: Sequence[int], gamma: RootVec) -> RootVec:
-    """coroot of gamma, given the symmetrizer d of rs."""
+    """coroot of the root gamma, given the symmetrizer d of rs."""
     C = rs.cartan
     Cg = [_dot(C[k], gamma) for k in range(rs.rank)]
     norm = sum(c * dk * v for c, dk, v in zip(gamma, d, Cg))
-    if norm <= 0:
-        raise InputError(f"{gamma} is not a root of {rs.ctype}")
     out = []
     for k in range(rs.rank):
         num = 2 * d[k] * Cg[k]
@@ -422,18 +467,14 @@ def _alcove_walk(rs: RootSystem, point: Sequence):
     marks = rs.marks
     steps: list[int] = []
     for _ in range(_ALCOVE_CAP):
-        i = next((k for k in range(n) if x[k] < 0), None)
-        if i is not None:
-            coef = x[i]
-            x = [v - coef * c for v, c in zip(x, rs.cartan[i])]
-        else:
-            h = _dot(marks, x)
-            if h <= den:
-                break
-            # affine reflection s_{theta,1}: x -> x - (<theta,x> - 1) theta^vee
-            x = [v - (h - den) * t for v, t in zip(x, theta_vee)]
-            i = n
-        steps.append(i)
+        steps += _reflect_to_dominant(rs, x, range(n))
+        h = _dot(marks, x)
+        if h <= den:
+            break
+        # affine reflection s_{theta,1}: x -> x - (<theta,x> - 1) theta^vee
+        for j, t in enumerate(theta_vee):
+            x[j] -= (h - den) * t
+        steps.append(n)
     else:
         raise InvariantViolation("alcove reduction failed to terminate")
 
@@ -542,9 +583,6 @@ def solve_cochar_for_base(
         Fraction(sum(x[a] * cor[a][j] for a in range(k)), den * scale)
         for j in range(rs.rank)
     )
-
-
-LabeledSet = tuple[tuple[RootVec, int], ...]
 
 
 def dominant_transport(
@@ -718,18 +756,13 @@ def canonical_labeled_set(
     base under the stabilizer of lam_dom (see dominant_transport), as a sorted
     labeled base.  Two labeled bases are Weyl-conjugate iff their canonical
     forms coincide.  budget (default DEFAULT_BUDGET) bounds the states
-    visited (BudgetExceeded).  Results are memoized per (rs, sorted items,
-    budget); a search that raised is never stored, so the budget holds
-    whatever ran earlier in the process.
+    visited (BudgetExceeded).  Nothing is memoized: every call walks the
+    orbit.
     """
     items = tuple(sorted((tuple(r), int(l)) for r, l in items))
-    return _canonical_search(rs, items, DEFAULT_BUDGET if budget is None else budget)
-
-
-@lru_cache(maxsize=None)
-def _canonical_search(rs: RootSystem, items: LabeledSet, budget: int) -> tuple:
     lam_dom, start = dominant_transport(rs, items)
     nodes = _zero_nodes(lam_dom, range(rs.rank))
+    budget = DEFAULT_BUDGET if budget is None else budget
     best = min(_stabilizer_orbit(rs, nodes, start, budget))
     roots = rs.root_index.roots
     labels = sorted({l for _, l in items})

@@ -52,3 +52,31 @@ def test_every_exported_name_is_used():
     assert REFERENCE_ONLY <= exported
     assert sorted(REFERENCE_ONLY & used) == []  # a used name leaves the list
     assert sorted(exported - used - REFERENCE_ONLY) == []
+
+
+# Caches of whole results per (root system, budget); per-type tables belong
+# to the RootSystem itself.
+RESULT_CACHES = {"_enumerate_pseudolevis_cached", "_enumerate_triples_cached"}
+
+
+def _is_lru_cache(decorator: ast.expr) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return ast.unparse(target).split(".")[-1] == "lru_cache"
+
+
+def _first_parameter_type(node: ast.FunctionDef) -> str:
+    args = node.args.args
+    return ast.unparse(args[0].annotation) if args and args[0].annotation else ""
+
+
+def test_no_lru_cache_is_keyed_on_a_root_system():
+    keyed = set()
+    for path in (ROOT / "src" / "unipcent").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.FunctionDef)
+                and any(_is_lru_cache(d) for d in node.decorator_list)
+                and "RootSystem" in _first_parameter_type(node)
+            ):
+                keyed.add(node.name)
+    assert keyed == RESULT_CACHES

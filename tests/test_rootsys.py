@@ -16,6 +16,7 @@ from unipcent import (
     bad_primes,
     build_root_system,
     canonical_labeled_set,
+    cochar_for_labeled_base,
     coroot,
     extended_diagram,
     is_good_prime,
@@ -29,6 +30,7 @@ from unipcent.rootsys import (
     dominant_transport,
     highest_coroot,
     partition_orbits,
+    reflect_cochar,
     reflect_root,
     solve_cochar_for_base,
 )
@@ -160,6 +162,26 @@ def test_coroot_values():
     assert coroot(b2, b2.highest_root) == (0, 1)
     g2 = rs_of("G2")
     assert coroot(g2, g2.highest_root) == (0, 1)
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_coroot_table_pairs_to_two_and_is_w_equivariant(name):
+    rs = rs_of(name)
+    for gamma in all_roots(rs):
+        assert pairing(gamma, coroot(rs, gamma)) == 2
+        for i in range(rs.rank):
+            image = reflect_root(rs, i, gamma)
+            assert coroot(rs, image) == reflect_cochar(rs, i, coroot(rs, gamma))
+
+
+def test_coroot_of_a_non_root_is_an_input_error():
+    a2 = rs_of("A2")
+    # (1, 2) has an integral "coroot" and (2, 0) a non-integral one
+    for bad in [(1, 2), (2, 0), (0, 0)]:
+        with pytest.raises(InputError):
+            coroot(a2, bad)
+    with pytest.raises(InputError):
+        cochar_for_labeled_base(a2, [((1, 2), 2)])
 
 
 def test_to_dominant_trivial_cases():
