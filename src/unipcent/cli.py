@@ -7,7 +7,6 @@ Output bytes are deterministic for identical inputs.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -184,8 +183,7 @@ def render_markdown(doc: dict) -> str:
 
 
 def _cache_key(ctype: str) -> str:
-    blob = f"{SCHEMA_VERSION}|{__version__}|{ctype}".encode()
-    return hashlib.sha256(blob).hexdigest()[:24]
+    return f"{ctype}-s{SCHEMA_VERSION}-v{__version__}"
 
 
 def _write_atomic(path: str | Path, text: str) -> None:

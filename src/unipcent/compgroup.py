@@ -9,9 +9,8 @@ the component group than the coset itself has in Z/Z°).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .balacarter import LabeledSubDiagram, distinguished_labelings_for_base
 from .errors import FingerprintError, InputError, InvariantViolation
@@ -37,8 +36,7 @@ from .rootsys import (
 )
 
 
-@dataclass(frozen=True)
-class TripleRecord:
+class TripleRecord(NamedTuple):
     """One conjugacy class in some A(u): a labeled pseudo-Levi datum.
 
     word carries lam to its dominant form, whose coordinates are the induced
@@ -54,8 +52,7 @@ class TripleRecord:
     word: WeylWord
 
 
-@dataclass(frozen=True)
-class AuReport:
+class AuReport(NamedTuple):
     """All A(u)-classes of one unipotent class, with the recognized group.
 
     torsion_orders lists the coset orders d_J of the records; orders lists the

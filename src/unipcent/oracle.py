@@ -8,9 +8,8 @@ torsion of the span quotient for the residue checks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, InputError, InvariantViolation
 from .induce import LabeledDiagram
@@ -148,17 +147,25 @@ def lattice_root_closure(rs: RootSystem, vectors: Sequence[RootVec]) -> frozense
     return frozenset(g for g in all_roots(rs) if _in_lattice(pivots, g))
 
 
-@dataclass(frozen=True)
-class Partition:
-    """A weakly decreasing tuple of positive parts."""
-
+class _PartitionFields(NamedTuple):
     parts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if any(p < 1 for p in self.parts):
-            raise InputError(f"parts must be positive: {self.parts}")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
-            raise InputError(f"parts must be weakly decreasing: {self.parts}")
+
+class Partition(_PartitionFields):
+    """A weakly decreasing tuple of positive parts."""
+
+    __slots__ = ()
+
+    def __new__(cls, parts: tuple[int, ...]) -> "Partition":
+        if any(p < 1 for p in parts):
+            raise InputError(f"parts must be positive: {parts}")
+        if any(a < b for a, b in zip(parts, parts[1:])):
+            raise InputError(f"parts must be weakly decreasing: {parts}")
+        return super().__new__(cls, parts)
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "Partition":
+        return cls(*fields)  # so that _replace validates too
 
     @property
     def total(self) -> int:

@@ -9,11 +9,10 @@ torsion order d_J = gcd of the marks outside J.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError, InvariantViolation, WitnessSearchExhausted
 from .rootsys import (
@@ -24,15 +23,16 @@ from .rootsys import (
     Pairings,
     RootSystem,
     RootVec,
+    _reflect_to_dominant,
     affine_node,
     alcove_reduce,
     as_cochar,
     base_pairings,
     canonical_labeled_set,
     cartan_matrix,
-    dominant_transport,
     is_good_prime,
     partition_orbits,
+    transport_start,
     zero_cochar,
 )
 
@@ -165,14 +165,47 @@ def _match_cartan(M: list[list[int]], std: tuple[tuple[int, ...], ...]) -> list[
     return assign[:] if extend(0) else None
 
 
+def _two_rho_coefficients(M: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """The integer c with sum_a c[a] * M[a][b] = 2 for every b.
+
+    With M[a][b] = <beta_b, beta_a^vee> for a base beta of finite type,
+    sum_a c[a] beta_a^vee is the cocharacter 2 rho^vee, which pairs to 2 with
+    every beta_b; it is the sum of the positive coroots, so c is integral.
+    """
+    k = len(M)
+    A = [[Fraction(M[a][b]) for a in range(k)] + [Fraction(2)] for b in range(k)]
+    for col in range(k):
+        piv = next(r for r in range(col, k) if A[r][col])
+        A[col], A[piv] = A[piv], A[col]
+        A[col] = p = [v / A[col][col] for v in A[col]]
+        for r in range(k):
+            f = A[r][col]
+            if r != col and f:
+                A[r] = [v - f * w for v, w in zip(A[r], p)]
+    c = [row[k] for row in A]
+    if any(v.denominator != 1 for v in c):
+        raise InvariantViolation(f"non-integral 2 rho^vee coefficients {c}")
+    return tuple(int(v) for v in c)
+
+
 @lru_cache(maxsize=None)
-def _component_type(M: tuple[tuple[int, ...], ...]) -> tuple[CartanType, tuple[int, ...]]:
-    """The type of an irreducible Cartan matrix, with a node order matching it."""
+def _component_type(
+    M: tuple[tuple[int, ...], ...]
+) -> tuple[CartanType, tuple[int, ...], tuple[int, ...]]:
+    """The type of an irreducible Cartan matrix, a node order matching it, and
+    the coefficients of 2 rho^vee on its nodes (_two_rho_coefficients)."""
     for ct in _candidate_types(len(M)):
         order = _match_cartan(M, cartan_matrix(ct))
         if order is not None:
-            return ct, tuple(order)
+            return ct, tuple(order), _two_rho_coefficients(M)
     raise InvariantViolation("base is not of finite Cartan type")
+
+
+def _typed_components(cartan: Sequence[Sequence[int]]):
+    """Each irreducible component of a base, as node positions, with its _component_type."""
+    for comp in _component_split(cartan):
+        M = tuple(tuple(cartan[a][b] for b in comp) for a in comp)
+        yield comp, _component_type(M)
 
 
 def base_components(
@@ -188,11 +221,10 @@ def base_components(
     """
     base = tuple(base)
     cartan, _ = base_pairings(rs, base) if pairings is None else pairings
-    out = []
-    for comp in _component_split(cartan):
-        M = tuple(tuple(cartan[a][b] for b in comp) for a in comp)
-        ct, order = _component_type(M)
-        out.append((ct, tuple(base[comp[i]] for i in order)))
+    out = [
+        (ct, tuple(base[comp[i]] for i in order))
+        for comp, (ct, order, _) in _typed_components(cartan)
+    ]
     return tuple(sorted(out))
 
 
@@ -206,8 +238,7 @@ def torsion_order(ext: ExtendedDiagram, J: Iterable[int]) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class PseudoLevi:
+class PseudoLevi(NamedTuple):
     """One Weyl-conjugacy class of subsystems, with a canonical subset representative."""
 
     J: tuple[int, ...]
@@ -230,14 +261,24 @@ def _proper_subsets(n_nodes: int):
 
 
 def _subset_info(rs: RootSystem, J: tuple[int, ...]):
-    """The bucket key (factor types, d_J, lam_dom) of J, and J's transported start."""
+    """The bucket key (factor types, d_J, lam_dom) of J, and J's transported start.
+
+    This is dominant_transport of J's node roots, all labeled 2, on integers:
+    the cocharacter is 2 rho^vee of R_J, the sum over J's components of their
+    _component_type coefficients times the node coroots.
+    """
     ext = extended_diagram(rs)
-    base = tuple(ext.root_of[j] for j in J)
-    pairings = ext.pairings(J)
-    types = tuple(sorted(ct for ct, _ in base_components(rs, base, pairings)))
-    dJ = torsion_order(ext, J)
-    lam_dom, start = dominant_transport(rs, [(r, 2) for r in base], pairings)
-    return (types, dJ, lam_dom), start
+    cartan, coroots = ext.pairings(J)
+    lam = [0] * rs.rank
+    types = []
+    for comp, (ct, _, two_rho) in _typed_components(cartan):
+        types.append(ct)
+        for a, c in zip(comp, two_rho):
+            for j, v in enumerate(coroots[a]):
+                lam[j] += c * v
+    word = _reflect_to_dominant(rs, lam, range(rs.rank))
+    start = transport_start(rs, [(ext.root_of[j], 2) for j in J], word)
+    return (tuple(sorted(types)), torsion_order(ext, J), tuple(lam)), start
 
 
 def enumerate_pseudolevis(
@@ -288,6 +329,7 @@ def _primes_upto(n: int) -> list[int]:
 
 
 _WITNESS_PRIME_BOUND = 1000
+_WITNESS_PRIMES = tuple(_primes_upto(_WITNESS_PRIME_BOUND))
 
 
 def point_order(lam: Sequence) -> int:
@@ -339,7 +381,7 @@ def witness_element(rs: RootSystem, J: Iterable[int], p: int) -> CocharVec:
 
 def _levi_witness_candidates(rs: RootSystem, removed: list[int]):
     n = rs.rank
-    for ell in _primes_upto(_WITNESS_PRIME_BOUND):
+    for ell in _WITNESS_PRIMES:
         yield tuple(
             Fraction(1, ell) if i in removed else Fraction(0) for i in range(n)
         )
@@ -353,7 +395,7 @@ def _affine_witness_candidates(rs: RootSystem, removed: list[int]):
     a1 = rs.marks[i1]
     rest = removed[1:]
     tail = sum(rs.marks[i] for i in rest)
-    for ell in _primes_upto(_WITNESS_PRIME_BOUND):
+    for ell in _WITNESS_PRIMES:
         if ell <= tail:
             continue
         vec = [Fraction(0)] * n

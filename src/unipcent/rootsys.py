@@ -9,10 +9,9 @@ are rejected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, InputError, InvariantViolation
 
@@ -26,22 +25,33 @@ _MAX_RANK = {"E": 8, "F": 4, "G": 2}
 DEFAULT_BUDGET = 10**7
 
 
-@dataclass(frozen=True, order=True)
-class CartanType:
-    """An irreducible Cartan type: family letter plus rank."""
-
+class _CartanTypeFields(NamedTuple):
     family: str
     rank: int
 
-    def __post_init__(self) -> None:
-        if self.family not in _MIN_RANK:
-            raise InputError(f"unknown family {self.family!r}")
-        if not isinstance(self.rank, int) or isinstance(self.rank, bool):
-            raise InputError(f"rank must be an integer, got {self.rank!r}")
-        if self.rank < _MIN_RANK[self.family]:
-            raise InputError(f"rank {self.rank} too small for family {self.family}")
-        if self.family in _MAX_RANK and self.rank > _MAX_RANK[self.family]:
-            raise InputError(f"rank {self.rank} too large for family {self.family}")
+
+class CartanType(_CartanTypeFields):
+    """An irreducible Cartan type: family letter plus rank.
+
+    A tuple: it sorts, compares and hashes as (family, rank).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, rank: int) -> "CartanType":
+        if family not in _MIN_RANK:
+            raise InputError(f"unknown family {family!r}")
+        if not isinstance(rank, int) or isinstance(rank, bool):
+            raise InputError(f"rank must be an integer, got {rank!r}")
+        if rank < _MIN_RANK[family]:
+            raise InputError(f"rank {rank} too small for family {family}")
+        if family in _MAX_RANK and rank > _MAX_RANK[family]:
+            raise InputError(f"rank {rank} too large for family {family}")
+        return super().__new__(cls, family, rank)
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "CartanType":
+        return cls(*fields)  # so that _replace validates too
 
     @classmethod
     def parse(cls, text: str) -> "CartanType":
@@ -90,15 +100,20 @@ def cartan_matrix(ctype: CartanType) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in C)
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    """An irreducible root system with its positive roots and highest-root marks."""
-
+class _RootSystemFields(NamedTuple):
     ctype: CartanType
     cartan: tuple[tuple[int, ...], ...]
     positive_roots: tuple[RootVec, ...]
     highest_root: RootVec
     marks: tuple[int, ...]
+
+
+class RootSystem(_RootSystemFields):
+    """An irreducible root system with its positive roots and highest-root marks.
+
+    It has no __slots__, so the cached_property tables below live in its
+    __dict__.  It equals only another RootSystem with the same fields.
+    """
 
     @property
     def rank(self) -> int:
@@ -150,6 +165,12 @@ class RootSystem:
             tuple((j, c) for j, c in enumerate(row) if c) for row in self.cartan
         )
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, RootSystem) and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
     def __hash__(self) -> int:
         # Equal systems have equal types, so this agrees with the field-wise
         # __eq__, and a cache keyed on a system does not hash all its roots.
@@ -159,8 +180,7 @@ class RootSystem:
         return str(self.ctype)
 
 
-@dataclass(frozen=True, eq=False)
-class RootIndex:
+class RootIndex(NamedTuple):
     """All roots in sorted order, their positions, and reflections as permutations.
 
     reflections holds the simple reflections s_i; affine_reflection is s_theta,
@@ -176,8 +196,7 @@ class RootIndex:
     coroots: tuple[RootVec, ...]
 
 
-@dataclass(frozen=True)
-class ExtendedDiagram:
+class ExtendedDiagram(NamedTuple):
     """The extended node set with each node's root vector, mark and coroot pairings.
 
     cartan is the extended Cartan matrix, cartan[a][b] = <root_of[b],

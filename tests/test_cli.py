@@ -1,6 +1,8 @@
 """Command-line behavior: exit codes, formats, determinism, cache, verify."""
 import json
 import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -118,6 +120,31 @@ def test_cache_round_trip(tmp_path, capsys):
     before = path.read_bytes()
     cache_store(build_report_document(CartanType.parse("A2")), tmp_path)
     assert path.read_bytes() == before
+
+
+def test_cache_entry_is_named_by_type_schema_and_version(tmp_path, capsys):
+    from unipcent import __version__
+
+    path = cache_store(build_report_document(CartanType.parse("A2")), tmp_path)
+    assert path.name == f"A2-s{SCHEMA_VERSION}-v{__version__}.json"
+    # An entry an older version wrote is under another name: a miss.
+    path.rename(tmp_path / f"A2-s{SCHEMA_VERSION}-v0.0.1.json")
+    assert cache_load("A2", tmp_path) is None
+    assert capsys.readouterr().err == ""
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_hashlib():
+    """Every run imports the CLI first, so its import path stays light."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = (
+        "import sys, unipcent.cli;"
+        " print(sorted({'dataclasses', 'inspect', 'hashlib'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"
 
 
 def test_cache_misses(tmp_path, capsys):
@@ -264,8 +291,6 @@ def test_verify_passes_the_budget_to_the_alcove_oracle(monkeypatch, capsys):
 
 def test_verify_rejects_an_order_one_datum_on_the_affine_node(monkeypatch, capsys):
     """J = (affine node,) spans a Levi up to conjugacy in B3, but is not standard."""
-    import dataclasses
-
     import unipcent.cli as cli
 
     original = cli.component_group_report
@@ -275,10 +300,10 @@ def test_verify_rejects_an_order_one_datum_on_the_affine_node(monkeypatch, capsy
         for diagram, rep in reports.items():
             if any(rec.order == 1 and rec.J == (0,) for rec in rep.classes):
                 classes = tuple(
-                    dataclasses.replace(rec, J=(rs.rank,)) if rec.order == 1 else rec
+                    rec._replace(J=(rs.rank,)) if rec.order == 1 else rec
                     for rec in rep.classes
                 )
-                return {**reports, diagram: dataclasses.replace(rep, classes=classes)}
+                return {**reports, diagram: rep._replace(classes=classes)}
         raise AssertionError("no order-1 record with J = (0,)")
 
     monkeypatch.setattr(cli, "component_group_report", doctored)

@@ -35,6 +35,11 @@ def test_partition_validation():
     with pytest.raises(InputError):
         Partition((2, 0))
     assert Partition((3, 1, 1)).total == 5
+    assert hash(Partition((3, 1, 1))) == hash(((3, 1, 1),))
+    with pytest.raises(AttributeError):
+        Partition((3, 1, 1)).parts = (5,)
+    with pytest.raises(InputError):
+        Partition((3, 1, 1))._replace(parts=(1, 3))
 
 
 def test_classical_partition_counts():

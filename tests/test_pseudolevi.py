@@ -22,7 +22,13 @@ from unipcent import (
 )
 from unipcent.oracle import lattice_root_closure, span_quotient_torsion
 from unipcent.pseudolevi import _proper_subsets, _subset_info, base_components
-from unipcent.rootsys import all_roots, canonical_labeled_set, pairing, partition_orbits
+from unipcent.rootsys import (
+    all_roots,
+    canonical_labeled_set,
+    dominant_transport,
+    pairing,
+    partition_orbits,
+)
 
 
 def rs_of(name):
@@ -121,6 +127,26 @@ def test_orbit_closure_matches_lattice_closure():
             assert subsystem_closure(ext, J) == expect, (name, J)
             checked += 1
     assert len(ALL_TYPES) == 33 and checked == 4963
+
+
+def test_subset_keys_match_the_fraction_transport():
+    """_subset_info's integer key and start are dominant_transport's on every proper subset."""
+    checked = 0
+    for name in ALL_TYPES:
+        rs = rs_of(name)
+        ext = extended_diagram(rs)
+        for J in _proper_subsets(len(ext.root_of)):
+            (types, dJ, lam_dom), start = _subset_info(rs, J)
+            base = [ext.root_of[j] for j in J]
+            pairings = ext.pairings(J)
+            expect = dominant_transport(rs, [(r, 2) for r in base], pairings)
+            assert (lam_dom, start) == expect, (name, J)
+            assert hash(lam_dom) == hash(expect[0])
+            comps = base_components(rs, base, pairings)
+            assert types == tuple(sorted(ct for ct, _ in comps))
+            assert dJ == torsion_order(ext, J)
+            checked += 1
+    assert checked == 4963
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "G2", "F4"])

@@ -73,6 +73,20 @@ def test_parse_roundtrip():
     assert str(ct) == "B4"
 
 
+def test_cartan_type_is_a_validated_tuple():
+    types = [CartanType.parse(n) for n in ("G2", "A10", "E8", "A3", "E6")]
+    assert [str(t) for t in sorted(types)] == ["A3", "A10", "E6", "E8", "G2"]
+    assert hash(CartanType("E", 8)) == hash(("E", 8))
+    assert repr(CartanType("E", 8)) == "CartanType(family='E', rank=8)"
+    with pytest.raises(AttributeError):
+        CartanType("E", 8).rank = 7
+    for family, rank in [("Q", 2), ("E", 9), ("D", 2), ("A", True), ("A", 2.0)]:
+        with pytest.raises(InputError):
+            CartanType(family, rank)
+    with pytest.raises(InputError):
+        CartanType("E", 8)._replace(rank=9)
+
+
 @pytest.mark.parametrize("name", ALL_TYPES)
 def test_positive_root_counts(name):
     rs = rs_of(name)
@@ -322,6 +336,16 @@ def test_root_system_hash_follows_its_type(name):
     assert fresh is not rs and fresh == rs
     assert hash(rs) == hash(fresh) == hash(build_root_system(rs.ctype))
     assert hash(rs) == hash(rs.ctype)
+
+
+def test_root_system_equals_only_a_root_system():
+    rs = rs_of("B3")
+    fields = tuple(rs)
+    assert rs != fields and fields != rs and not rs == fields
+    assert rs != rs_of("C3")
+    with pytest.raises(AttributeError):
+        rs.marks = (1, 1, 1)
+    assert rs.root_index is rs.root_index  # a cached table, built once
 
 
 @st.composite
