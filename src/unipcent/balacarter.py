@@ -17,18 +17,21 @@ from .rootsys import CartanType, RootSystem, RootVec, build_root_system
 LabeledSubDiagram = tuple[tuple[RootVec, int], ...]
 
 
-RootMasks = tuple[tuple[int, int], ...]
+RootMasks = tuple[int, tuple[tuple[int, int], ...]]
 
 
 def _root_masks(rsf: RootSystem) -> RootMasks:
-    """(support, nodes of coefficient 1) of each positive root, as node bitmasks."""
-    return tuple(
-        (
-            sum(1 << i for i, c in enumerate(gamma) if c),
-            sum(1 << i for i, c in enumerate(gamma) if c == 1),
-        )
-        for gamma in rsf.positive_roots
-    )
+    """|R+|, and for each node the positive roots whose support holds it and
+    those with coefficient 1 there, as bitmasks over the positive roots."""
+    supp = [0] * rsf.rank
+    ones = [0] * rsf.rank
+    for k, gamma in enumerate(rsf.positive_roots):
+        for i, c in enumerate(gamma):
+            if c:
+                supp[i] |= 1 << k
+                if c == 1:
+                    ones[i] |= 1 << k
+    return len(rsf.positive_roots), tuple(zip(supp, ones))
 
 
 def _twos_mask(labels: Sequence[int]) -> int:
@@ -42,16 +45,18 @@ def _grading_counts(masks: RootMasks, twos: int) -> tuple[int, int]:
     masks come from _root_masks and twos from _twos_mask.  A positive root
     gamma pairs to 2 * (sum of its coefficients on twos), so gamma and -gamma
     pair to 0 iff the support misses twos, and gamma pairs to 2 iff the
-    support meets twos in one node, where gamma has coefficient 1.
+    support meets twos in one node, where gamma has coefficient 1.  All
+    positive roots are counted at once: hit collects the roots whose support
+    meets the twos seen so far, and once those met in one node only, with
+    coefficient 1.
     """
-    zero = two = 0
-    for supp, ones in masks:
-        hit = supp & twos
-        if not hit:
-            zero += 2
-        elif hit & ones and not hit & (hit - 1):
-            two += 1
-    return zero, two
+    n_pos, per_node = masks
+    hit = once = 0
+    for i, (supp, ones) in enumerate(per_node):
+        if twos >> i & 1:
+            once = (once & ~supp) | (ones & ~hit)
+            hit |= supp
+    return 2 * (n_pos - hit.bit_count()), once.bit_count()
 
 
 def is_distinguished(rs_factor: RootSystem, labels: Sequence[int]) -> bool:
@@ -68,11 +73,12 @@ def is_distinguished(rs_factor: RootSystem, labels: Sequence[int]) -> bool:
 def distinguished_classes(ctype: CartanType) -> tuple[tuple[int, ...], ...]:
     """All distinguished {0,2}-labelings of an irreducible type, sorted."""
     masks = _root_masks(build_root_system(ctype))
+    n = ctype.rank
     out = []
-    for labels in itertools.product((0, 2), repeat=ctype.rank):
-        zero, two = _grading_counts(masks, _twos_mask(labels))
-        if zero + ctype.rank == two:
-            out.append(labels)
+    for twos in range(1 << n):
+        zero, two = _grading_counts(masks, twos)
+        if zero + n == two:
+            out.append(tuple(2 if twos >> i & 1 else 0 for i in range(n)))
     return tuple(sorted(out))
 
 

@@ -208,10 +208,22 @@ def _write_atomic(path: str | Path, text: str) -> None:
 
 
 def cache_store(doc: dict, cache_dir: str | Path) -> Path:
+    """Write doc's entry, then remove its type's entries under other versions.
+
+    Those are the <type>-s*-v*.json siblings with another name: cache_load
+    never reads them.  A sibling that cannot be removed is left in place.
+    """
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    path = cache_dir / f"{_cache_key(doc['cartan_type'])}.json"
+    ctype = doc["cartan_type"]
+    path = cache_dir / f"{_cache_key(ctype)}.json"
     _write_atomic(path, serialize_document(doc))
+    for stale in cache_dir.glob(f"{ctype}-s*-v*.json"):
+        if stale.name != path.name:
+            try:
+                stale.unlink()
+            except OSError:
+                pass
     return path
 
 

@@ -14,7 +14,7 @@ from typing import Iterable, NamedTuple
 
 from .balacarter import LabeledSubDiagram, distinguished_labelings_for_base
 from .errors import FingerprintError, InputError, InvariantViolation
-from .induce import LabeledDiagram, cochar_for_labeled_base, diagram_of_dominant
+from .induce import LabeledDiagram, diagram_of_dominant
 from .pseudolevi import (
     _check_subset,
     _proper_subsets,
@@ -29,9 +29,11 @@ from .rootsys import (
     CocharVec,
     RootSystem,
     WeylWord,
+    _reflect_to_dominant,
+    coroot_coefficients,
+    coroot_combination,
     is_good_prime,
     partition_orbits,
-    to_dominant,
     transport_start,
 )
 
@@ -39,13 +41,14 @@ from .rootsys import (
 class TripleRecord(NamedTuple):
     """One conjugacy class in some A(u): a labeled pseudo-Levi datum.
 
+    lam is the cocharacter of the labels, as integer coweight coordinates.
     word carries lam to its dominant form, whose coordinates are the induced
     diagram; it moves the labeled base along for the conjugacy walks.
     """
 
     J: tuple[int, ...]
     labels: LabeledSubDiagram
-    lam: CocharVec
+    lam: tuple[int, ...]
     induced: LabeledDiagram
     order: int
     factor_types: tuple[CartanType, ...]
@@ -94,21 +97,30 @@ def _labeled_records(
     """(record, factor-label invariant) for each labeling of J's base.
 
     labelings defaults to every distinguished labeling.  J's base is split
-    into components once, and each record takes one cocharacter solve and one
-    dominant reduction, whose word the record keeps.
+    into components once.  A record's cocharacter sums, over the components,
+    the coroot_coefficients of the component's type and labels times its
+    coroots; one dominant reduction gives the induced diagram and the word
+    the record keeps.
     """
     ext = extended_diagram(rs)
     nodes = sorted(J, key=ext.root_of.__getitem__)  # the order of sorted items
     base = tuple(ext.root_of[j] for j in nodes)
     pairings = ext.pairings(nodes)
+    coroot_of = dict(zip(base, pairings[1]))
     comps = base_components(rs, base, pairings)
     types = tuple(sorted(ct for ct, _ in comps))
     if labelings is None:
         labelings = distinguished_labelings_for_base(rs, base, comps)
     for items in labelings:
-        lam = cochar_for_labeled_base(rs, items, pairings)
-        lam_dom, word = to_dominant(rs, lam)
-        rec = TripleRecord(J, items, lam, diagram_of_dominant(lam_dom), dJ, types, word)
+        label_of = dict(items)
+        terms = []
+        for ct, roots in comps:
+            coeffs = coroot_coefficients(ct, tuple(label_of[r] for r in roots))
+            terms.extend((c, coroot_of[r]) for r, c in zip(roots, coeffs))
+        lam = coroot_combination(rs.rank, terms)
+        cochar = tuple(lam)
+        word = tuple(_reflect_to_dominant(rs, lam, range(rs.rank)))
+        rec = TripleRecord(J, items, cochar, diagram_of_dominant(lam), dJ, types, word)
         yield rec, _factor_label_invariant(comps, items)
 
 

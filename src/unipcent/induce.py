@@ -31,6 +31,8 @@ def cochar_for_labeled_base(
     """Solve for the cocharacter of a labeled base; must come out integral.
 
     pairings, in the order of items, is passed on to solve_cochar_for_base.
+    The pipeline builds each record's cocharacter from coroot_coefficients
+    instead; this Fraction solve is the reference tests compare it against.
     """
     items = tuple(items)
     if not items:

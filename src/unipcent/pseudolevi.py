@@ -30,6 +30,8 @@ from .rootsys import (
     base_pairings,
     canonical_labeled_set,
     cartan_matrix,
+    coroot_coefficients,
+    coroot_combination,
     is_good_prime,
     partition_orbits,
     transport_start,
@@ -165,39 +167,20 @@ def _match_cartan(M: list[list[int]], std: tuple[tuple[int, ...], ...]) -> list[
     return assign[:] if extend(0) else None
 
 
-def _two_rho_coefficients(M: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """The integer c with sum_a c[a] * M[a][b] = 2 for every b.
-
-    With M[a][b] = <beta_b, beta_a^vee> for a base beta of finite type,
-    sum_a c[a] beta_a^vee is the cocharacter 2 rho^vee, which pairs to 2 with
-    every beta_b; it is the sum of the positive coroots, so c is integral.
-    """
-    k = len(M)
-    A = [[Fraction(M[a][b]) for a in range(k)] + [Fraction(2)] for b in range(k)]
-    for col in range(k):
-        piv = next(r for r in range(col, k) if A[r][col])
-        A[col], A[piv] = A[piv], A[col]
-        A[col] = p = [v / A[col][col] for v in A[col]]
-        for r in range(k):
-            f = A[r][col]
-            if r != col and f:
-                A[r] = [v - f * w for v, w in zip(A[r], p)]
-    c = [row[k] for row in A]
-    if any(v.denominator != 1 for v in c):
-        raise InvariantViolation(f"non-integral 2 rho^vee coefficients {c}")
-    return tuple(int(v) for v in c)
-
-
 @lru_cache(maxsize=None)
 def _component_type(
     M: tuple[tuple[int, ...], ...]
 ) -> tuple[CartanType, tuple[int, ...], tuple[int, ...]]:
     """The type of an irreducible Cartan matrix, a node order matching it, and
-    the coefficients of 2 rho^vee on its nodes (_two_rho_coefficients)."""
+    the coefficients of 2 rho^vee on its nodes: the type's all-2
+    coroot_coefficients, carried to the nodes by the order."""
     for ct in _candidate_types(len(M)):
         order = _match_cartan(M, cartan_matrix(ct))
         if order is not None:
-            return ct, tuple(order), _two_rho_coefficients(M)
+            two_rho = [0] * len(M)
+            for a, c in zip(order, coroot_coefficients(ct, (2,) * ct.rank)):
+                two_rho[a] = c
+            return ct, tuple(order), tuple(two_rho)
     raise InvariantViolation("base is not of finite Cartan type")
 
 
@@ -269,13 +252,12 @@ def _subset_info(rs: RootSystem, J: tuple[int, ...]):
     """
     ext = extended_diagram(rs)
     cartan, coroots = ext.pairings(J)
-    lam = [0] * rs.rank
     types = []
+    terms = []
     for comp, (ct, _, two_rho) in _typed_components(cartan):
         types.append(ct)
-        for a, c in zip(comp, two_rho):
-            for j, v in enumerate(coroots[a]):
-                lam[j] += c * v
+        terms.extend((c, coroots[a]) for a, c in zip(comp, two_rho))
+    lam = coroot_combination(rs.rank, terms)
     word = _reflect_to_dominant(rs, lam, range(rs.rank))
     start = transport_start(rs, [(ext.root_of[j], 2) for j in J], word)
     return (tuple(sorted(types)), torsion_order(ext, J), tuple(lam)), start

@@ -121,22 +121,37 @@ class RootSystem(_RootSystemFields):
 
     @cached_property
     def root_index(self) -> "RootIndex":
-        """Roots as indices, reflections as permutations, and coroots; built lazily."""
+        """Roots as indices, reflections as permutations, and coroots; built lazily.
+
+        A root's pairings with the simple coroots, read off the sparse Cartan
+        rows once, give both its image under each simple reflection and its
+        coroot (reflect_root and _coroot_coords are the reference).
+        """
         pos = self.positive_roots
         roots = tuple(sorted(pos + tuple(tuple(-c for c in g) for g in pos)))
         index = {g: k for k, g in enumerate(roots)}
-        reflections = tuple(
-            tuple(index[reflect_root(self, i, g)] for g in roots)
-            for i in range(self.rank)
-        )
+        rows = self.cartan_rows
         d = symmetrizer(self)
-        coroots = tuple(_coroot_coords(self, d, g) for g in roots)
+        reflections = [list(range(len(roots))) for _ in rows]
+        coroots = []
+        for k, g in enumerate(roots):
+            pairs = _cartan_pairings(rows, g)
+            for i, p in enumerate(pairs):
+                if p:
+                    image = list(g)
+                    image[i] -= p
+                    reflections[i][k] = index[tuple(image)]
+            norm = sum(c * dk * p for c, dk, p in zip(g, d, pairs))
+            coroots.append(tuple(2 * dk * p // norm for dk, p in zip(d, pairs)))
         theta, theta_vee = self.highest_root, coroots[index[self.highest_root]]
+        tv = [(j, t) for j, t in enumerate(theta_vee) if t]
         affine = []
         for g in roots:
-            p = _dot(g, theta_vee)
+            p = sum(g[j] * t for j, t in tv)
             affine.append(index[tuple(c - p * t for c, t in zip(g, theta))])
-        return RootIndex(roots, index, reflections, tuple(affine), coroots)
+        return RootIndex(
+            roots, index, tuple(map(tuple, reflections)), tuple(affine), tuple(coroots)
+        )
 
     @cached_property
     def extended_diagram(self) -> "ExtendedDiagram":
@@ -161,9 +176,7 @@ class RootSystem(_RootSystemFields):
 
         A simple reflection changes exactly these coordinates of a cocharacter.
         """
-        return tuple(
-            tuple((j, c) for j, c in enumerate(row) if c) for row in self.cartan
-        )
+        return _sparse_rows(self.cartan)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RootSystem) and tuple.__eq__(self, other)
@@ -223,10 +236,23 @@ def _dot(a: Sequence, b: Sequence):
     return sum(x * y for x, y in zip(a, b))
 
 
+SparseRows = tuple[tuple[tuple[int, int], ...], ...]
+
+
+def _sparse_rows(C: Sequence[Sequence[int]]) -> SparseRows:
+    return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in C)
+
+
+def _cartan_pairings(rows: SparseRows, gamma: Sequence[int]) -> list[int]:
+    """<gamma, alpha_i^vee> for each simple node i, from the sparse Cartan rows."""
+    return [sum(c * gamma[j] for j, c in row) for row in rows]
+
+
 @lru_cache(maxsize=None)
 def build_root_system(ctype: CartanType) -> RootSystem:
     """Construct the root system by closing the simple roots under reflections."""
     C = cartan_matrix(ctype)
+    rows = _sparse_rows(C)
     n = ctype.rank
     simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     roots: set[RootVec] = set(simples)
@@ -234,8 +260,7 @@ def build_root_system(ctype: CartanType) -> RootSystem:
     while frontier:
         nxt: list[RootVec] = []
         for gamma in frontier:
-            for i in range(n):
-                p = _dot(C[i], gamma)
+            for i, p in enumerate(_cartan_pairings(rows, gamma)):
                 if p == 0:
                     continue
                 image = list(gamma)
@@ -441,7 +466,11 @@ def coroot(rs: RootSystem, gamma: RootVec) -> RootVec:
 
 
 def _coroot_coords(rs: RootSystem, d: Sequence[int], gamma: RootVec) -> RootVec:
-    """coroot of the root gamma, given the symmetrizer d of rs."""
+    """coroot of the root gamma, given the symmetrizer d of rs.
+
+    Computed on the dense Cartan matrix: the reference that tests compare
+    root_index's coroots against.
+    """
     C = rs.cartan
     Cg = [_dot(C[k], gamma) for k in range(rs.rank)]
     norm = sum(c * dk * v for c, dk, v in zip(gamma, d, Cg))
@@ -578,11 +607,30 @@ def solve_cochar_for_base(
     cartan, cor = base_pairings(rs, base) if pairings is None else pairings
     rhs = [Fraction(t) for t in targets]
     scale = math.lcm(*(t.denominator for t in rhs))
-    A = [
-        [cartan[b][a] for b in range(k)]
-        + [rhs[a].numerator * (scale // rhs[a].denominator)]
-        for a in range(k)
-    ]
+    A = _eliminate(
+        [
+            [cartan[b][a] for b in range(k)]
+            + [rhs[a].numerator * (scale // rhs[a].denominator)]
+            for a in range(k)
+        ]
+    )
+    # Now A[a][a] * x_a = A[a][k]; lam = sum_a x_a cor[a] over the denominator den.
+    den = math.lcm(*(A[a][a] for a in range(k)))
+    x = [A[a][k] * (den // A[a][a]) for a in range(k)]
+    return tuple(
+        Fraction(sum(x[a] * cor[a][j] for a in range(k)), den * scale)
+        for j in range(rs.rank)
+    )
+
+
+def _eliminate(A: list[list[int]]) -> list[list[int]]:
+    """Gauss-Jordan elimination of a nonsingular integer system [M | rhs], on integers.
+
+    Returns the rows, reordered and combined, with A[a][b] = 0 for b != a
+    among the first k columns: A[a][a] * x_a = A[a][k].  Each combined row is
+    divided by the gcd of its entries.
+    """
+    k = len(A)
     for col in range(k):
         piv = next((r for r in range(col, k) if A[r][col] != 0), None)
         if piv is None:
@@ -595,13 +643,43 @@ def solve_cochar_for_base(
                 row = [p[col] * v - f * w for v, w in zip(A[r], p)]
                 g = math.gcd(*row)
                 A[r] = [v // g for v in row] if g > 1 else row
-    # Now A[a][a] * x_a = A[a][k]; lam = sum_a x_a cor[a] over the denominator den.
-    den = math.lcm(*(A[a][a] for a in range(k)))
-    x = [A[a][k] * (den // A[a][a]) for a in range(k)]
-    return tuple(
-        Fraction(sum(x[a] * cor[a][j] for a in range(k)), den * scale)
-        for j in range(rs.rank)
-    )
+    return A
+
+
+@lru_cache(maxsize=None)
+def coroot_coefficients(ctype: CartanType, labels: tuple[int, ...]) -> tuple[int, ...]:
+    """The integer c with sum_a c[a] * C[a][b] = labels[b], C = cartan_matrix(ctype).
+
+    sum_a c[a] alpha_a^vee is the cocharacter in the span of the simple
+    coroots that pairs to labels[b] with alpha_b; the all-2 labels give
+    2 rho^vee.  A base of type ctype, in the node order of its match, has the
+    same c on its own coroots.  Solved once per (ctype, labels) on integers;
+    a c that is not integral is an InvariantViolation.
+    """
+    C = cartan_matrix(ctype)
+    k = ctype.rank
+    if len(labels) != k:
+        raise InputError(f"{len(labels)} labels for {ctype}")
+    A = _eliminate([[C[a][b] for a in range(k)] + [labels[b]] for b in range(k)])
+    out = []
+    for a in range(k):
+        x, r = divmod(A[a][k], A[a][a])
+        if r:
+            raise InvariantViolation(
+                f"labels {labels} of {ctype} have non-integral coroot coefficients"
+            )
+        out.append(x)
+    return tuple(out)
+
+
+def coroot_combination(rank: int, terms: Iterable[tuple[int, RootVec]]) -> list[int]:
+    """sum c * v over the (c, v) of terms: integer coweight coordinates."""
+    lam = [0] * rank
+    for c, v in terms:
+        if c:
+            for j, x in enumerate(v):
+                lam[j] += c * x
+    return lam
 
 
 def dominant_transport(
@@ -638,6 +716,7 @@ def transport_start(
     instead of solving and reducing again.
     """
     table = rs.root_index
+    reflections, n_roots = table.reflections, len(table.roots)
     items = tuple(items)
     rank = {l: k for k, l in enumerate(sorted({l for _, l in items}))}
     codes = []
@@ -646,8 +725,8 @@ def transport_start(
         if i is None:
             raise InputError(f"{r} is not a root of {rs.ctype}")
         for s in word:
-            i = table.reflections[s][i]
-        codes.append(rank[l] * len(table.roots) + i)
+            i = reflections[s][i]
+        codes.append(rank[l] * n_roots + i)
     return tuple(sorted(codes))
 
 

@@ -133,6 +133,26 @@ def test_cache_entry_is_named_by_type_schema_and_version(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_cache_store_removes_its_types_entries_from_other_versions(tmp_path):
+    from unipcent import __version__
+
+    stale = [f"A2-s{SCHEMA_VERSION}-v0.0.1.json", f"A2-s{SCHEMA_VERSION + 1}-v{__version__}.json"]
+    kept = [
+        f"A20-s{SCHEMA_VERSION}-v0.0.1.json",  # another type
+        f"B2-s{SCHEMA_VERSION}-v0.0.1.json",
+        "2afc957ca56472a6fa80f0b6.json",  # not a <type>-s*-v*.json name
+        "A2-notes.txt",
+    ]
+    for name in stale + kept:
+        (tmp_path / name).write_text("{}")
+    (tmp_path / f"A2-s{SCHEMA_VERSION}-v0.0.2.json").mkdir()  # not a file: kept
+    path = cache_store(build_report_document(CartanType.parse("A2")), tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        kept + [path.name, f"A2-s{SCHEMA_VERSION}-v0.0.2.json"]
+    )
+    assert cache_load("A2", tmp_path) is not None
+
+
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_hashlib():
     """Every run imports the CLI first, so its import path stays light."""
     src = Path(__file__).resolve().parent.parent / "src"

@@ -1,5 +1,6 @@
 """Record enumeration, pair conjugacy, grouping, and group recognition."""
 import itertools
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -9,12 +10,15 @@ from unipcent import (
     CartanType,
     FingerprintError,
     InputError,
+    InvariantViolation,
     build_root_system,
     build_triple_record,
     canonical_labeled_set,
     cochar_for_labeled_base,
     component_group_report,
+    coroot,
     count_pair_orbits,
+    distinguished_classes,
     enumerate_triples,
     extended_diagram,
     induced_diagram,
@@ -29,7 +33,12 @@ from unipcent.compgroup import (
 )
 from unipcent.oracle import act_labeled_set, brute_orbit, classical_nilpotent_classes
 from unipcent.pseudolevi import _proper_subsets
-from unipcent.rootsys import DEFAULT_BUDGET, dominant_transport
+from unipcent.rootsys import (
+    DEFAULT_BUDGET,
+    coroot_coefficients,
+    coroot_combination,
+    dominant_transport,
+)
 
 
 def rs_of(name):
@@ -238,7 +247,59 @@ def test_record_orbits_agree_with_canonical_forms():
     assert {(r.labels, r.J) for r in kept} == expected
 
 
-@pytest.mark.parametrize("name", ["G2", "B4", "F4", "E6"])
+ALL_TYPES = (
+    [f"A{r}" for r in range(1, 9)]
+    + [f"B{r}" for r in range(2, 9)]
+    + [f"C{r}" for r in range(2, 9)]
+    + [f"D{r}" for r in range(3, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+def fraction_coefficients(C, labels):
+    """c with sum_a c[a] * C[a][b] = labels[b], by Gauss-Jordan over Fractions."""
+    k = len(C)
+    A = [[Fraction(C[a][b]) for a in range(k)] + [Fraction(labels[b])] for b in range(k)]
+    for col in range(k):
+        piv = next(r for r in range(col, k) if A[r][col])
+        A[col], A[piv] = A[piv], A[col]
+        A[col] = [v / A[col][col] for v in A[col]]
+        for r in range(k):
+            if r != col and A[r][col]:
+                A[r] = [v - A[r][col] * w for v, w in zip(A[r], A[col])]
+    return tuple(row[k] for row in A)
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_coefficient_table_matches_the_fraction_solve(name):
+    """Every distinguished labeling's coroot coefficients, the all-2 row among them."""
+    rs = rs_of(name)
+    ct, C = rs.ctype, rs.cartan
+    regular = (2,) * ct.rank
+    assert regular in distinguished_classes(ct)
+    for labels in distinguished_classes(ct):
+        assert coroot_coefficients(ct, labels) == fraction_coefficients(C, labels)
+    # The all-2 row is 2 rho^vee: the sum of the positive coroots.  Row a of
+    # the Cartan matrix is the coweight coordinates of alpha_a^vee.
+    two_rho = coroot_combination(ct.rank, zip(coroot_coefficients(ct, regular), C))
+    assert two_rho == [sum(col) for col in zip(*(coroot(rs, g) for g in rs.positive_roots))]
+
+
+def test_coefficients_outside_the_coroot_lattice_are_an_invariant_violation():
+    with pytest.raises(InvariantViolation):  # half the coroot of A1
+        coroot_coefficients(CartanType("A", 1), (1,))
+    with pytest.raises(InvariantViolation):  # rho^vee of A3
+        coroot_coefficients(CartanType("A", 3), (1, 1, 1))
+
+
+def test_record_cocharacters_match_the_fraction_solve():
+    for name in ALL_TYPES:
+        rs = rs_of(name)
+        for rec in enumerate_triples(rs):
+            assert rec.lam == cochar_for_labeled_base(rs, rec.labels), (name, rec)
+
+
+@pytest.mark.parametrize("name", ["G2", "B4", "F4", "E6", "E7"])
 def test_one_solve_records_match_the_two_solve_path(name):
     """Each record's stored reduction gives what solving its labels again gives."""
     rs = rs_of(name)

@@ -15,6 +15,7 @@ REFERENCE_ONLY = {
     "apply_word",
     "alcove_reduce_map",
     "lattice_root_closure",
+    "cochar_for_labeled_base",
 }
 
 

@@ -25,6 +25,7 @@ from unipcent import (
 )
 from unipcent.oracle import act_cochar, act_labeled_set, brute_orbit
 from unipcent.rootsys import (
+    _coroot_coords,
     _refine_start,
     as_cochar,
     dominant_transport,
@@ -33,6 +34,7 @@ from unipcent.rootsys import (
     reflect_cochar,
     reflect_root,
     solve_cochar_for_base,
+    symmetrizer,
 )
 
 ALL_TYPES = (
@@ -92,6 +94,19 @@ def test_positive_root_counts(name):
     rs = rs_of(name)
     assert len(rs.positive_roots) == classical_positive_count(rs.ctype)
     assert len(set(rs.positive_roots)) == len(rs.positive_roots)
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_sparse_tables_match_the_dense_reference(name):
+    """The closure and root_index read sparse Cartan rows; reflect_root and
+    _coroot_coords read the dense matrix."""
+    rs = rs_of(name)  # test_positive_root_counts checks |R+| against its closed form
+    table = rs.root_index
+    for i in range(rs.rank):
+        expected = tuple(table.index[reflect_root(rs, i, g)] for g in table.roots)
+        assert table.reflections[i] == expected
+    d = symmetrizer(rs)
+    assert table.coroots == tuple(_coroot_coords(rs, d, g) for g in table.roots)
 
 
 @pytest.mark.parametrize("name", ALL_TYPES)
