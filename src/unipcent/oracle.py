@@ -5,16 +5,25 @@ points (subsystems found from points, not subsets), the integer-span closure
 of a set of roots (Hermite normal form), classical partition combinatorics
 for types A-D, and brute-force Weyl orbits.  A Smith-form utility exposes the
 torsion of the span quotient for the residue checks.
+
+The alcove-point side works on packed integers: the pairings of every
+positive root with a grid vector share one int, a field per root, and each
+step of the grid adds one packed column.  At a point c / q of the closed
+alcove a positive root pairs into [0, q], so it is integral iff its field
+is 0 or q; two broadword zero tests give the integral roots as a bitmask,
+and a root set is built only for a new mask.  integrality_subsystem, root by
+root, is the reference for those masks.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, InputError, InvariantViolation
 from .induce import LabeledDiagram
 from .pseudolevi import canonical_subsystem
-from .rootsys import RootSystem, RootVec, all_roots, _dot
+from .rootsys import RootSystem, RootVec, all_roots, as_cochar, _dot
 
 
 def default_denominator_bound(rs: RootSystem) -> int:
@@ -23,10 +32,15 @@ def default_denominator_bound(rs: RootSystem) -> int:
 
 
 def integrality_subsystem(rs: RootSystem, point: Sequence[Fraction]) -> frozenset[RootVec]:
-    """Roots pairing integrally with the point; computed root by root."""
-    return frozenset(
-        g for g in all_roots(rs) if Fraction(_dot(g, point)).denominator == 1
-    )
+    """Roots pairing integrally with the point; computed root by root.
+
+    The point is scaled once by the lcm den of its denominators, so a root
+    pairs integrally iff its integer pairing with the scaled point is 0 mod den.
+    """
+    point = as_cochar(point)
+    den = math.lcm(*(v.denominator for v in point))
+    scaled = [v.numerator * (den // v.denominator) for v in point]
+    return frozenset(g for g in all_roots(rs) if _dot(g, scaled) % den == 0)
 
 
 def _alcove_grid(rs: RootSystem, q: int):
@@ -71,6 +85,73 @@ def alcove_pseudolevis(
     )
 
 
+_Packing = tuple[int, tuple[int, ...], int, int]
+
+
+def _packing(rs: RootSystem, max_denominator: int) -> _Packing:
+    """(width, columns, low, high): the broadword layout of the positive roots'
+    pairings with a grid vector c.
+
+    Field k, width bits wide, holds <positive_roots[k], c>.  columns[i] holds
+    each positive root's coefficient at node i, so adding columns[i] to a
+    packed vector adds 1 to c[i].  low and high hold a 1 in each field's
+    lowest and top bit.  A field is one bit wider than max_denominator needs,
+    so the top bit of a pairing in [0, max_denominator] stays clear.
+    """
+    width = max_denominator.bit_length() + 1
+    pos = rs.positive_roots
+    columns = tuple(
+        sum(g[i] << (k * width) for k, g in enumerate(pos)) for i in range(rs.rank)
+    )
+    low = sum(1 << (k * width) for k in range(len(pos)))
+    return width, columns, low, low << (width - 1)
+
+
+def _integral_masks(rs: RootSystem, pk: _Packing, q: int) -> list[int]:
+    """The integral positive roots at each point c / q of _alcove_grid(rs, q).
+
+    Entry t, for the t-th grid vector c, holds the top bit of field k iff
+    <positive_roots[k], c> is 0 or q: in the closed alcove every positive
+    root pairs into [0, q].  Both are broadword zero tests (Lamport, CACM
+    1975) on the packed pairings P, one on P and one on P ^ q * low:
+    ~((P | high) - low) & high marks the zero fields of P.  q must not exceed
+    the bound pk was built for, or a field would reach its top bit.
+    """
+    _, cols, low, high = pk
+    marks, last, full = rs.marks, rs.rank - 1, q * low
+    out: list[int] = []
+    emit = out.append
+
+    def walk(i: int, left: int, packed: int) -> None:
+        col, step = cols[i], marks[i]
+        if i == last:
+            for _ in range(left // step + 1):
+                emit(
+                    ~(((packed | high) - low) & (((packed ^ full) | high) - low))
+                    & high
+                )
+                packed += col
+            return
+        for _ in range(left // step + 1):
+            walk(i + 1, left, packed)
+            left -= step
+            packed += col
+
+    walk(0, q, 0)
+    return out
+
+
+def _mask_roots(rs: RootSystem, pk: _Packing, mask: int) -> frozenset[RootVec]:
+    """The roots, both signs, of the positive roots whose top bit is set in mask."""
+    width = pk[0]
+    out = []
+    for k, g in enumerate(rs.positive_roots):
+        if mask >> (k * width + width - 1) & 1:
+            out.append(g)
+            out.append(tuple(-c for c in g))
+    return frozenset(out)
+
+
 def alcove_pseudolevis_by_denominator(
     rs: RootSystem, max_denominator: int, budget: int | None = None
 ) -> list[frozenset[tuple]]:
@@ -78,18 +159,21 @@ def alcove_pseudolevis_by_denominator(
 
     Entry q - 1 holds the canonical forms of the integrality subsystems of the
     alcove points c / q, c an integer vector; each subsystem is searched once.
+    The integral roots of each point come from _integral_masks, a mask over
+    the positive roots (a negative root is integral with its positive root).
     """
-    canon_of: dict[frozenset, tuple] = {}
+    if max_denominator < 1:
+        raise InputError("max_denominator must be >= 1")
+    pk = _packing(rs, max_denominator)
+    canon_of: dict[int, tuple] = {}
     levels = []
-    roots = sorted(all_roots(rs))
     for q in range(1, max_denominator + 1):
         level = set()
-        for c in _alcove_grid(rs, q):
-            sub = frozenset(g for g in roots if _dot(g, c) % q == 0)
-            canon = canon_of.get(sub)
+        for mask in set(_integral_masks(rs, pk, q)):
+            canon = canon_of.get(mask)
             if canon is None:
-                canon = canonical_subsystem(rs, sub, budget=budget)
-                canon_of[sub] = canon
+                canon = canonical_subsystem(rs, _mask_roots(rs, pk, mask), budget=budget)
+                canon_of[mask] = canon
             level.add(canon)
         levels.append(frozenset(level))
     return levels

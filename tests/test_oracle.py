@@ -9,9 +9,15 @@ from unipcent import (
     build_root_system,
     canonical_subsystem,
     enumerate_pseudolevis,
+    extended_diagram,
+    subsystem_closure,
 )
 from unipcent.oracle import (
     Partition,
+    _alcove_grid,
+    _integral_masks,
+    _mask_roots,
+    _packing,
     act_cochar,
     alcove_points,
     alcove_pseudolevis,
@@ -96,7 +102,7 @@ def test_alcove_points_a1():
 @pytest.mark.parametrize(
     "name",
     ["A2", "B2", "G2", "A3", "C3", "B3", "D4", "F4",
-     "A5", "B5", "C5", "D5", "B6", "C6", "D6", "E6", "E7"],
+     "A5", "B5", "C5", "D5", "B6", "C6", "D6", "E6", "E7", "E8"],
 )
 def test_alcove_oracle_matches_subset_enumeration(name):
     rs = rs_of(name)
@@ -126,6 +132,77 @@ def test_alcove_levels_add_up_to_the_bounded_oracle(name):
     for q in (1, 2, bound, bound + 1):
         assert frozenset().union(*levels[:q]) == alcove_pseudolevis(rs, q)
     assert levels[bound] <= frozenset().union(*levels[:bound])  # stabilized
+
+
+def test_oracle_rejects_a_denominator_bound_below_one():
+    g2 = rs_of("G2")
+    with pytest.raises(InputError):
+        alcove_points(g2, 0)
+    with pytest.raises(InputError):
+        alcove_pseudolevis(g2, 0)
+    with pytest.raises(InputError):
+        alcove_pseudolevis_by_denominator(g2, -3)
+
+
+def _packed_sets(rs, max_denominator, q):
+    """(c, packed integrality set) for each grid vector c of denominator q."""
+    pk = _packing(rs, max_denominator)
+    masks = _integral_masks(rs, pk, q)
+    points = zip(_alcove_grid(rs, q), masks, strict=True)
+    return [(c, _mask_roots(rs, pk, m)) for c, m in points]
+
+
+@pytest.mark.parametrize("name", ["G2", "B3", "C3", "D4", "F4"])
+def test_packed_integrality_sets_match_the_root_by_root_reference(name):
+    rs = rs_of(name)
+    bound = default_denominator_bound(rs)
+    for q in range(1, bound + 1):
+        for c, packed in _packed_sets(rs, bound, q):
+            point = tuple(Fraction(v, q) for v in c)
+            assert packed == integrality_subsystem(rs, point), (q, c)
+
+
+def test_packed_field_width_follows_the_denominator_bound():
+    """Pairings of 200 need 8 bits and a guard bit: a 7-bit field would carry."""
+    g2 = rs_of("G2")
+    q = 200
+    for c, packed in _packed_sets(g2, q, q):
+        point = tuple(Fraction(v, q) for v in c)
+        assert packed == integrality_subsystem(g2, point), c
+
+
+def _walls(rs, c, q):
+    """The walls of the alcove point c / q, normalized as alcove_reduce does."""
+    n = rs.rank
+    if all(v % q == 0 for v in c):
+        return tuple(range(n))  # a lattice point: its subsystem is all of R
+    walls = tuple(i for i, v in enumerate(c) if v == 0)
+    if sum(m * v for m, v in zip(rs.marks, c)) == q:
+        walls += (n,)
+    return walls
+
+
+@pytest.mark.parametrize("name", ["G2", "B3", "C3", "D4", "F4", "E6", "E7"])
+def test_packed_integrality_sets_are_the_closures_of_their_walls(name):
+    """Each point's integral roots are R_J for its wall set J, closed as an orbit."""
+    rs = rs_of(name)
+    ext = extended_diagram(rs)
+    bound = default_denominator_bound(rs)
+    pk = _packing(rs, bound)
+    pairs = set()
+    for q in range(1, bound + 1):
+        masks = _integral_masks(rs, pk, q)
+        points = zip(_alcove_grid(rs, q), masks, strict=True)
+        pairs.update((_walls(rs, c, q), m) for c, m in points)
+    closure = {}
+    for walls, mask in pairs:
+        if walls not in closure:
+            closure[walls] = subsystem_closure(ext, walls)
+        assert _mask_roots(rs, pk, mask) == closure[walls], walls
+    # Every proper wall set occurs, but those of a lattice vertex (all nodes
+    # but one of mark 1) are normalized to the simple nodes.
+    lattice_vertices = sum(1 for m in rs.marks if m == 1)
+    assert len(closure) == 2 ** (rs.rank + 1) - 1 - lattice_vertices
 
 
 def test_integrality_subsystem_direct():
