@@ -15,7 +15,6 @@ from .balacarter import (
 )
 from .compgroup import (
     AuReport,
-    TripleRecord,
     build_triple_record,
     component_group_report,
     count_pair_orbits,
@@ -34,6 +33,7 @@ from .oracle import lattice_root_closure
 from .pseudolevi import (
     ExtendedDiagram,
     PseudoLevi,
+    TripleRecord,
     canonical_subsystem,
     enumerate_pseudolevis,
     extended_diagram,

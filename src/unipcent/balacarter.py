@@ -11,7 +11,6 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import InputError
-from .pseudolevi import base_components
 from .rootsys import CartanType, RootSystem, RootVec, build_root_system
 
 LabeledSubDiagram = tuple[tuple[RootVec, int], ...]
@@ -83,24 +82,21 @@ def distinguished_classes(ctype: CartanType) -> tuple[tuple[int, ...], ...]:
 
 
 def distinguished_labelings_for_base(
-    rs: RootSystem,
-    base: Sequence[RootVec],
-    components: Sequence[tuple[CartanType, tuple[RootVec, ...]]] | None = None,
+    components: Sequence[tuple[CartanType, tuple[RootVec, ...]]],
 ) -> tuple[LabeledSubDiagram, ...]:
     """Distinguished labelings of an ambient base, as (root, label) item tuples.
 
-    The base is split into irreducible components, each matched to its
-    standard type; the per-type labelings are pulled back along the match.
-    The resulting set is independent of the matching chosen, since diagram
-    automorphisms permute the distinguished labelings of a type.  A caller
-    that already holds base_components(rs, base) passes it as components.
+    components is pseudolevi.base_components of the base: its irreducible
+    components, each with its standard type and its roots in the type's node
+    order.  The per-type labelings are pulled back along that order.  The
+    resulting set is independent of the order chosen, since diagram
+    automorphisms permute the distinguished labelings of a type.
     """
-    comps = base_components(rs, tuple(base)) if components is None else components
-    per = [distinguished_classes(ct) for ct, _ in comps]
+    per = [distinguished_classes(ct) for ct, _ in components]
     out = []
     for combo in itertools.product(*per):
         items = []
-        for (_, roots), labels in zip(comps, combo):
+        for (_, roots), labels in zip(components, combo):
             items.extend(zip(roots, labels))
         out.append(tuple(sorted(items)))
     return tuple(sorted(out))

@@ -430,10 +430,14 @@ def _load_config(path: str) -> dict:
     except (OSError, ValueError) as exc:  # ValueError: the file is not UTF-8
         raise UsageError(f"bad --config: {exc}") from None
     out = {}
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
-        if not line or line.startswith("#") or "=" not in line:
+        if not line or line.startswith("#"):
             continue
+        if "=" not in line:
+            raise UsageError(
+                f"bad --config line {number}: expected key=value, got {line!r}"
+            )
         key, value = line.split("=", 1)
         out[key.strip()] = value.strip()
     return out

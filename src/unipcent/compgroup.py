@@ -9,50 +9,22 @@ the component group than the coset itself has in Z/Z°).
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from .balacarter import LabeledSubDiagram, distinguished_labelings_for_base
+from .balacarter import LabeledSubDiagram
 from .errors import FingerprintError, InputError, InvariantViolation
-from .induce import LabeledDiagram, diagram_of_dominant
+from .induce import LabeledDiagram
 from .pseudolevi import (
+    TripleRecord,
     _check_subset,
+    _labeled_records,
+    _orbit_representatives,
     _proper_subsets,
-    base_components,
     extended_diagram,
     enumerate_pseudolevis,
     torsion_order,
 )
-from .rootsys import (
-    DEFAULT_BUDGET,
-    CartanType,
-    CocharVec,
-    RootSystem,
-    WeylWord,
-    _reflect_to_dominant,
-    coroot_coefficients,
-    coroot_combination,
-    is_good_prime,
-    partition_orbits,
-    transport_start,
-)
-
-
-class TripleRecord(NamedTuple):
-    """One conjugacy class in some A(u): a labeled pseudo-Levi datum.
-
-    lam is the cocharacter of the labels, as integer coweight coordinates.
-    word carries lam to its dominant form, whose coordinates are the induced
-    diagram; it moves the labeled base along for the conjugacy walks.
-    """
-
-    J: tuple[int, ...]
-    labels: LabeledSubDiagram
-    lam: tuple[int, ...]
-    induced: LabeledDiagram
-    order: int
-    factor_types: tuple[CartanType, ...]
-    word: WeylWord
+from .rootsys import DEFAULT_BUDGET, RootSystem, is_good_prime
 
 
 class AuReport(NamedTuple):
@@ -88,103 +60,31 @@ def build_triple_record(
     return rec
 
 
-def _labeled_records(
-    rs: RootSystem,
-    J: tuple[int, ...],
-    dJ: int,
-    labelings: Iterable[LabeledSubDiagram] | None = None,
-):
-    """(record, factor-label invariant) for each labeling of J's base.
-
-    labelings defaults to every distinguished labeling.  J's base is split
-    into components once.  A record's cocharacter sums, over the components,
-    the coroot_coefficients of the component's type and labels times its
-    coroots; one dominant reduction gives the induced diagram and the word
-    the record keeps.
-    """
-    ext = extended_diagram(rs)
-    nodes = sorted(J, key=ext.root_of.__getitem__)  # the order of sorted items
-    base = tuple(ext.root_of[j] for j in nodes)
-    pairings = ext.pairings(nodes)
-    coroot_of = dict(zip(base, pairings[1]))
-    comps = base_components(rs, base, pairings)
-    types = tuple(sorted(ct for ct, _ in comps))
-    if labelings is None:
-        labelings = distinguished_labelings_for_base(rs, base, comps)
-    for items in labelings:
-        label_of = dict(items)
-        terms = []
-        for ct, roots in comps:
-            coeffs = coroot_coefficients(ct, tuple(label_of[r] for r in roots))
-            terms.extend((c, coroot_of[r]) for r, c in zip(roots, coeffs))
-        lam = coroot_combination(rs.rank, terms)
-        cochar = tuple(lam)
-        word = tuple(_reflect_to_dominant(rs, lam, range(rs.rank)))
-        rec = TripleRecord(J, items, cochar, diagram_of_dominant(lam), dJ, types, word)
-        yield rec, _factor_label_invariant(comps, items)
-
-
-def _factor_label_invariant(
-    comps: Iterable[tuple[CartanType, tuple]], labels: LabeledSubDiagram
-) -> tuple[tuple[CartanType, tuple[int, ...]], ...]:
-    """Multiset of (factor type, sorted labels on that factor): a conjugacy invariant."""
-    label_map = dict(labels)
-    return tuple(
-        sorted((ct, tuple(sorted(label_map[r] for r in roots))) for ct, roots in comps)
-    )
-
-
-def _transport(rs: RootSystem, rec: TripleRecord) -> tuple[CocharVec, tuple[int, ...]]:
-    """dominant_transport of the record's labels, from the reduction it stored.
-
-    The dominant cocharacter's coordinates are the induced diagram.
-    """
-    return rec.induced, transport_start(rs, rec.labels, rec.word)
-
-
-def _orbit_representatives(
-    rs: RootSystem, records: Iterable[tuple[TripleRecord, tuple]], budget: int
-) -> list[TripleRecord]:
-    """One record per Weyl orbit of labeled bases, the one with the smallest labels.
-
-    records yields (record, factor-label invariant) pairs.  Records are
-    bucketed by (induced diagram, order, factor labels); only a bucket with
-    several members is split into orbits.
-    """
-    buckets: dict[tuple, list[TripleRecord]] = {}
-    for rec, invariant in records:
-        buckets.setdefault((rec.induced, rec.order, invariant), []).append(rec)
-    kept = []
-    for members in buckets.values():
-        if len(members) == 1:
-            kept.append(members[0])
-            continue
-        pairs = [_transport(rs, rec) for rec in members]
-        for orbit in partition_orbits(rs, pairs, budget):
-            kept.append(min((members[k] for k in orbit), key=lambda r: r.labels))
-    return kept
+def _smallest_labels(rec: TripleRecord) -> LabeledSubDiagram:
+    return rec.labels
 
 
 def enumerate_triples(
     rs: RootSystem, budget: int = DEFAULT_BUDGET
 ) -> tuple[TripleRecord, ...]:
-    """One record per Weyl orbit of (subsystem class, distinguished labeling)."""
-    return _enumerate_triples_cached(rs, budget)
+    """One record per Weyl orbit of (subsystem class, distinguished labeling).
 
-
-@lru_cache(maxsize=None)
-def _enumerate_triples_cached(rs: RootSystem, budget: int) -> tuple[TripleRecord, ...]:
+    The result is kept in rs.results.
+    """
     # Labelings of one class can still be Weyl-conjugate when the subsystem
     # has isomorphic factors the ambient group can swap.
-    records = [
-        rec
-        for pl in enumerate_pseudolevis(rs, budget)
-        for rec in _orbit_representatives(
-            rs, _labeled_records(rs, pl.J, pl.dJ), budget
-        )
-    ]
-    records.sort(key=lambda r: (r.induced, r.order, r.factor_types, r.labels, r.J))
-    return tuple(records)
+    key = ("triples", budget)
+    if key not in rs.results:
+        records = [
+            rec
+            for pl in enumerate_pseudolevis(rs, budget)
+            for rec in _orbit_representatives(
+                rs, _labeled_records(rs, pl.J, pl.dJ), budget, _smallest_labels
+            )
+        ]
+        records.sort(key=lambda r: (r.induced, r.order, r.factor_types, r.labels, r.J))
+        rs.results[key] = tuple(records)
+    return rs.results[key]
 
 
 def count_pair_orbits(rs: RootSystem, budget: int = DEFAULT_BUDGET) -> int:
@@ -199,7 +99,7 @@ def count_pair_orbits(rs: RootSystem, budget: int = DEFAULT_BUDGET) -> int:
         for J in _proper_subsets(len(ext.root_of))
         for rec in _labeled_records(rs, J, torsion_order(ext, J))
     )
-    return len(_orbit_representatives(rs, records, budget))
+    return len(_orbit_representatives(rs, records, budget, _smallest_labels))
 
 
 def _euler_phi(n: int) -> int:

@@ -11,7 +11,6 @@ from typing import Iterable, Sequence
 from .errors import InputError, InvariantViolation
 from .rootsys import (
     CocharVec,
-    Pairings,
     RootSystem,
     RootVec,
     as_cochar,
@@ -22,15 +21,14 @@ from .rootsys import (
 
 LabeledDiagram = tuple[int, ...]
 
+_DIAGRAM_LABELS = frozenset((0, 1, 2))
+
 
 def cochar_for_labeled_base(
-    rs: RootSystem,
-    items: Iterable[tuple[RootVec, int]],
-    pairings: Pairings | None = None,
+    rs: RootSystem, items: Iterable[tuple[RootVec, int]]
 ) -> CocharVec:
     """Solve for the cocharacter of a labeled base; must come out integral.
 
-    pairings, in the order of items, is passed on to solve_cochar_for_base.
     The pipeline builds each record's cocharacter from coroot_coefficients
     instead; this Fraction solve is the reference tests compare it against.
     """
@@ -39,7 +37,7 @@ def cochar_for_labeled_base(
         return zero_cochar(rs)
     base = [r for r, _ in items]
     targets = [l for _, l in items]
-    lam = solve_cochar_for_base(rs, base, targets, pairings)
+    lam = solve_cochar_for_base(rs, base, targets)
     if any(c.denominator != 1 for c in lam):
         raise InvariantViolation(
             f"cocharacter of labeled base {items} is not integral: {lam}"
@@ -53,13 +51,13 @@ def induced_diagram(rs: RootSystem, lam: Sequence) -> LabeledDiagram:
     if any(c.denominator != 1 for c in lam):
         raise InputError(f"cocharacter {lam} is not integral on the roots")
     dom, _ = to_dominant(rs, lam)
-    return diagram_of_dominant(dom)
+    return diagram_of_dominant([int(c) for c in dom])
 
 
-def diagram_of_dominant(lam_dom: Sequence) -> LabeledDiagram:
-    """The labels of a dominant integral cocharacter; must land in {0, 1, 2}."""
-    labels = tuple(int(c) for c in lam_dom)
-    if any(v not in (0, 1, 2) for v in labels):
+def diagram_of_dominant(lam_dom: Sequence[int]) -> LabeledDiagram:
+    """The labels of a dominant integer cocharacter; must land in {0, 1, 2}."""
+    labels = tuple(lam_dom)
+    if not _DIAGRAM_LABELS.issuperset(labels):
         raise InvariantViolation(
             f"induced labels {labels} leave {{0,1,2}}; upstream data is corrupt"
         )

@@ -2,9 +2,14 @@
 
 Node ids: 0..rank-1 are the simple roots (Bourbaki order), rank is the affine
 node carrying minus the highest root with mark 1.  For a proper subset J of
-the nodes, the subsystem is the set of roots in the integer span of J's roots;
-enumeration groups these subsystems up to Weyl conjugacy and attaches the
-torsion order d_J = gcd of the marks outside J.
+the nodes, the subsystem is the set of roots in the integer span of J's roots,
+with the torsion order d_J = gcd of the marks outside J.
+
+A record is J with a labeling of its base.  Records are split into Weyl orbits
+by one routine, _orbit_representatives.  The subsystem classes are the orbits
+of the all-2 records, whose labeling gives the regular, hence distinguished,
+class of the pseudo-Levi; compgroup splits the records of every
+distinguished labeling the same way.
 """
 from __future__ import annotations
 
@@ -12,9 +17,11 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
+from .balacarter import LabeledSubDiagram, distinguished_labelings_for_base
 from .errors import InputError, InvariantViolation, WitnessSearchExhausted
+from .induce import LabeledDiagram, diagram_of_dominant
 from .rootsys import (
     DEFAULT_BUDGET,
     CartanType,
@@ -23,6 +30,7 @@ from .rootsys import (
     Pairings,
     RootSystem,
     RootVec,
+    WeylWord,
     _reflect_to_dominant,
     affine_node,
     alcove_reduce,
@@ -78,7 +86,7 @@ def subsystem_closure(ext: ExtendedDiagram, J: Iterable[int]) -> frozenset[RootV
                     seen.add(k)
                     nxt.append(k)
         frontier = nxt
-    return frozenset(table.roots[i] for i in seen)
+    return frozenset(map(table.roots.__getitem__, seen))
 
 
 def subsystem_base(rs: RootSystem, subsystem: Iterable[RootVec]) -> tuple[RootVec, ...]:
@@ -96,24 +104,23 @@ def subsystem_base(rs: RootSystem, subsystem: Iterable[RootVec]) -> tuple[RootVe
 
 
 def _component_split(cartan: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The connected components of a Cartan matrix's diagram, as sorted positions."""
     k = len(cartan)
-    adj = [[b for b in range(k) if b != a and cartan[b][a] != 0] for a in range(k)]
     seen = [False] * k
     comps = []
     for start in range(k):
         if seen[start]:
             continue
-        comp = []
-        stack = [start]
         seen[start] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if not seen[w]:
+        comp = [start]
+        for v in comp:  # comp grows while it is scanned
+            row = cartan[v]
+            for w in range(k):
+                if row[w] and not seen[w]:
                     seen[w] = True
-                    stack.append(w)
-        comps.append(sorted(comp))
+                    comp.append(w)
+        comp.sort()
+        comps.append(comp)
     return comps
 
 
@@ -168,27 +175,13 @@ def _match_cartan(M: list[list[int]], std: tuple[tuple[int, ...], ...]) -> list[
 
 
 @lru_cache(maxsize=None)
-def _component_type(
-    M: tuple[tuple[int, ...], ...]
-) -> tuple[CartanType, tuple[int, ...], tuple[int, ...]]:
-    """The type of an irreducible Cartan matrix, a node order matching it, and
-    the coefficients of 2 rho^vee on its nodes: the type's all-2
-    coroot_coefficients, carried to the nodes by the order."""
+def _component_type(M: tuple[tuple[int, ...], ...]) -> tuple[CartanType, tuple[int, ...]]:
+    """The type of an irreducible Cartan matrix and a node order matching it."""
     for ct in _candidate_types(len(M)):
         order = _match_cartan(M, cartan_matrix(ct))
         if order is not None:
-            two_rho = [0] * len(M)
-            for a, c in zip(order, coroot_coefficients(ct, (2,) * ct.rank)):
-                two_rho[a] = c
-            return ct, tuple(order), tuple(two_rho)
+            return ct, tuple(order)
     raise InvariantViolation("base is not of finite Cartan type")
-
-
-def _typed_components(cartan: Sequence[Sequence[int]]):
-    """Each irreducible component of a base, as node positions, with its _component_type."""
-    for comp in _component_split(cartan):
-        M = tuple(tuple(cartan[a][b] for b in comp) for a in comp)
-        yield comp, _component_type(M)
 
 
 def base_components(
@@ -198,27 +191,24 @@ def base_components(
 ) -> tuple[tuple[CartanType, tuple[RootVec, ...]], ...]:
     """Irreducible components of a base, each with roots in standard node order.
 
-    pairings is base_pairings(rs, base), passed by a caller that already
-    holds it (ExtendedDiagram.pairings).  A component's type is read off its
-    Cartan submatrix alone.
+    pairings is base_pairings(rs, base), or ExtendedDiagram.pairings for a
+    caller that holds node subsets; only its Cartan submatrix is read, and a
+    component's type is read off that alone.
     """
     base = tuple(base)
     cartan, _ = base_pairings(rs, base) if pairings is None else pairings
-    out = [
-        (ct, tuple(base[comp[i]] for i in order))
-        for comp, (ct, order, _) in _typed_components(cartan)
-    ]
+    out = []
+    for comp in _component_split(cartan):
+        M = tuple([tuple([cartan[a][b] for b in comp]) for a in comp])
+        ct, order = _component_type(M)
+        out.append((ct, tuple([base[comp[i]] for i in order])))
     return tuple(sorted(out))
 
 
 def torsion_order(ext: ExtendedDiagram, J: Iterable[int]) -> int:
     """gcd of the marks over the complement of J in the extended node set."""
     J = _check_subset(ext, J)
-    out = 0
-    for node in ext.nodes:
-        if node not in J:
-            out = gcd(out, ext.mark_of[node])
-    return out
+    return gcd(*[mark for node, mark in enumerate(ext.mark_of) if node not in J])
 
 
 class PseudoLevi(NamedTuple):
@@ -243,24 +233,106 @@ def _proper_subsets(n_nodes: int):
         yield from itertools.combinations(range(n_nodes), size)
 
 
-def _subset_info(rs: RootSystem, J: tuple[int, ...]):
-    """The bucket key (factor types, d_J, lam_dom) of J, and J's transported start.
+class TripleRecord(NamedTuple):
+    """One conjugacy class in some A(u): a labeled pseudo-Levi datum.
 
-    This is dominant_transport of J's node roots, all labeled 2, on integers:
-    the cocharacter is 2 rho^vee of R_J, the sum over J's components of their
-    _component_type coefficients times the node coroots.
+    lam is the cocharacter of the labels, as integer coweight coordinates.
+    word carries lam to its dominant form, whose coordinates are the induced
+    diagram; it moves the labeled base along for the conjugacy walks.
     """
-    ext = extended_diagram(rs)
-    cartan, coroots = ext.pairings(J)
-    types = []
-    terms = []
-    for comp, (ct, _, two_rho) in _typed_components(cartan):
-        types.append(ct)
-        terms.extend((c, coroots[a]) for a, c in zip(comp, two_rho))
-    lam = coroot_combination(rs.rank, terms)
-    word = _reflect_to_dominant(rs, lam, range(rs.rank))
-    start = transport_start(rs, [(ext.root_of[j], 2) for j in J], word)
-    return (tuple(sorted(types)), torsion_order(ext, J), tuple(lam)), start
+
+    J: tuple[int, ...]
+    labels: LabeledSubDiagram
+    lam: tuple[int, ...]
+    induced: LabeledDiagram
+    order: int
+    factor_types: tuple[CartanType, ...]
+    word: WeylWord
+
+
+def _labeled_records(
+    rs: RootSystem,
+    J: tuple[int, ...],
+    dJ: int,
+    labelings: Iterable[LabeledSubDiagram] | None = None,
+):
+    """(record, factor-label invariant) for each labeling of J's base.
+
+    labelings defaults to every distinguished labeling; each is a tuple of
+    (root, label) items sorted by root.  J's base is split into components
+    once.  A record's cocharacter sums, over the components, the
+    coroot_coefficients of the component's type and labels times its
+    coroots; one dominant reduction gives the induced diagram and the word
+    the record keeps.  The factor-label invariant is the sorted tuple of
+    (factor type, sorted labels on that factor): a conjugacy invariant.
+    """
+    ext = rs.extended_diagram
+    nodes = sorted(J, key=ext.root_of.__getitem__)  # the order of sorted items
+    base = [ext.root_of[j] for j in nodes]
+    pairings = ext.pairings(nodes)
+    coroot_of = dict(zip(base, pairings[1]))
+    comps = base_components(rs, base, pairings)
+    types = tuple([ct for ct, _ in comps])  # base_components sorts by type first
+    if labelings is None:
+        labelings = distinguished_labelings_for_base(comps)
+    for items in labelings:
+        label_of = dict(items)
+        terms = []
+        factors = []
+        for ct, roots in comps:
+            labels = tuple(map(label_of.__getitem__, roots))
+            factors.append((ct, tuple(sorted(labels))))
+            coeffs = coroot_coefficients(ct, labels)
+            terms += zip(coeffs, map(coroot_of.__getitem__, roots))
+        lam = coroot_combination(rs.rank, terms)
+        cochar = tuple(lam)
+        word = tuple(_reflect_to_dominant(rs, lam, range(rs.rank)))
+        rec = TripleRecord(J, items, cochar, diagram_of_dominant(lam), dJ, types, word)
+        factors.sort()
+        yield rec, tuple(factors)
+
+
+def _transport(rs: RootSystem, rec: TripleRecord) -> tuple[CocharVec, tuple[int, ...]]:
+    """dominant_transport of the record's labels, from the reduction it stored.
+
+    The dominant cocharacter's coordinates are the induced diagram.
+    """
+    return rec.induced, transport_start(rs, rec.labels, rec.word)
+
+
+def _orbit_representatives(
+    rs: RootSystem,
+    records: Iterable[tuple[TripleRecord, tuple]],
+    budget: int,
+    preferred: Callable[[TripleRecord], object],
+) -> list[TripleRecord]:
+    """One record per Weyl orbit of labeled bases: its smallest under preferred.
+
+    records yields (record, factor-label invariant) pairs.  Records are
+    bucketed by (induced diagram, order, factor labels); only a bucket with
+    several members is split into orbits, by partition_orbits.  budget
+    bounds each stabilizer-orbit walk.
+    """
+    buckets: dict[tuple, list[TripleRecord]] = {}
+    for rec, invariant in records:
+        buckets.setdefault((rec.induced, rec.order, invariant), []).append(rec)
+    kept = []
+    for members in buckets.values():
+        if len(members) == 1:
+            kept.append(members[0])
+            continue
+        pairs = [_transport(rs, rec) for rec in members]
+        for orbit in partition_orbits(rs, pairs, budget):
+            kept.append(min((members[k] for k in orbit), key=preferred))
+    return kept
+
+
+def _regular_records(rs: RootSystem):
+    """The all-2 record of every proper subset J, with its factor-label invariant."""
+    ext = rs.extended_diagram
+    for J in _proper_subsets(len(ext.root_of)):
+        regular = tuple(sorted([(ext.root_of[j], 2) for j in J]))
+        yield from _labeled_records(rs, J, torsion_order(ext, J), [regular])
 
 
 def enumerate_pseudolevis(
@@ -268,36 +340,27 @@ def enumerate_pseudolevis(
 ) -> tuple[PseudoLevi, ...]:
     """All subsystem classes R_J for proper subsets J, one representative each.
 
-    Representatives prefer subsets of the simple nodes, then the
-    lexicographically smallest node tuple; output is sorted by (rank of
-    subsystem, factor types, d_J, J).  budget bounds each canonical-form
-    search (BudgetExceeded).
+    R_J and R_J' are conjugate iff the all-2 labelings of J and J' are, so
+    the classes are the orbits of the all-2 records.  Representatives prefer
+    subsets of the simple nodes, then the lexicographically smallest node
+    tuple; output is sorted by (rank of subsystem, factor types, d_J, J).
+    budget bounds each stabilizer-orbit walk (BudgetExceeded).  The result
+    is kept in rs.results; only the representatives are closed.
     """
-    return _enumerate_pseudolevis_cached(rs, budget)
-
-
-@lru_cache(maxsize=None)
-def _enumerate_pseudolevis_cached(rs: RootSystem, budget: int) -> tuple[PseudoLevi, ...]:
-    # The bucket key needs no closure: the factor types already fix the
-    # subsystem's size.  Each bucket is split into Weyl orbits by one
-    # stabilizer-orbit walk per orbit; only each class's representative is
-    # closed.
-    ext = extended_diagram(rs)
-    buckets: dict[tuple, list] = {}
-    for J in _proper_subsets(len(ext.root_of)):
-        key, start = _subset_info(rs, J)
-        buckets.setdefault(key, []).append((J, start))
-    out = []
-    aff = affine_node(rs)
-    for (types, dJ, lam_dom), members in buckets.items():
-        pairs = [(lam_dom, start) for _, start in members]
-        for orbit in partition_orbits(rs, pairs, budget):
-            Js = [members[k][0] for k in orbit]
-            levi = [J for J in Js if aff not in J]
-            rep = min(levi) if levi else min(Js)
-            out.append(PseudoLevi(rep, subsystem_closure(ext, rep), types, dJ))
-    out.sort(key=lambda pl: (len(pl.J), pl.factor_types, pl.dJ, pl.J))
-    return tuple(out)
+    key = ("pseudolevis", budget)
+    if key not in rs.results:
+        ext = rs.extended_diagram
+        aff = affine_node(rs)
+        reps = _orbit_representatives(
+            rs, _regular_records(rs), budget, lambda r: (aff in r.J, r.J)
+        )
+        out = [
+            PseudoLevi(r.J, subsystem_closure(ext, r.J), r.factor_types, r.order)
+            for r in reps
+        ]
+        out.sort(key=lambda pl: (len(pl.J), pl.factor_types, pl.dJ, pl.J))
+        rs.results[key] = tuple(out)
+    return rs.results[key]
 
 
 def _primes_upto(n: int) -> list[int]:

@@ -111,8 +111,9 @@ class _RootSystemFields(NamedTuple):
 class RootSystem(_RootSystemFields):
     """An irreducible root system with its positive roots and highest-root marks.
 
-    It has no __slots__, so the cached_property tables below live in its
-    __dict__.  It equals only another RootSystem with the same fields.
+    It has no __slots__, so the cached_property tables and stage results
+    below live in its __dict__.  It equals only another RootSystem with the
+    same fields.
     """
 
     @property
@@ -130,7 +131,7 @@ class RootSystem(_RootSystemFields):
         pos = self.positive_roots
         roots = tuple(sorted(pos + tuple(tuple(-c for c in g) for g in pos)))
         index = {g: k for k, g in enumerate(roots)}
-        rows = self.cartan_rows
+        rows = _sparse_rows(self.cartan)
         d = symmetrizer(self)
         reflections = [list(range(len(roots))) for _ in rows]
         coroots = []
@@ -168,15 +169,31 @@ class RootSystem(_RootSystemFields):
             raise InvariantViolation("affine relation violated")
         coroots = [coroot(self, r) for r in root_of]
         cartan = tuple(tuple(_dot(r, cor) for r in root_of) for cor in coroots)
-        return ExtendedDiagram(self, root_of, mark_of, cartan)
+        return ExtendedDiagram(
+            self, root_of, mark_of, cartan, _sparse_rows([row[:n] for row in cartan])
+        )
 
     @cached_property
-    def cartan_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Row i of the Cartan matrix as its (j, C[i][j]) pairs with C[i][j] != 0.
+    def cartan_rows(self) -> "SparseRows":
+        """Row i of the Cartan matrix off the diagonal: its (j, C[i][j]) pairs
+        with j != i and C[i][j] != 0.
 
-        A simple reflection changes exactly these coordinates of a cocharacter.
+        s_i negates coordinate i of a cocharacter m and lowers coordinate j by
+        m[i] * C[i][j] for exactly these j.
         """
-        return _sparse_rows(self.cartan)
+        return tuple(
+            tuple((j, c) for j, c in enumerate(row) if c and j != i)
+            for i, row in enumerate(self.cartan)
+        )
+
+    @cached_property
+    def results(self) -> dict:
+        """Whole-stage results for this type, keyed by (stage, budget).
+
+        A stage stores its result only once it has finished, so a budget
+        overrun leaves nothing behind.
+        """
+        return {}
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RootSystem) and tuple.__eq__(self, other)
@@ -214,29 +231,35 @@ class ExtendedDiagram(NamedTuple):
 
     cartan is the extended Cartan matrix, cartan[a][b] = <root_of[b],
     root_of[a]^vee> (the convention of cartan_matrix); the first rank entries
-    of row a are the coweight coordinates of node a's coroot.
+    of row a are the coweight coordinates of node a's coroot, and
+    coroot_rows[a] holds them as sparse (j, value) pairs.
     """
 
     rs: RootSystem
     root_of: tuple[RootVec, ...]
     mark_of: tuple[int, ...]
     cartan: tuple[tuple[int, ...], ...]
+    coroot_rows: "SparseRows"
 
     @property
     def nodes(self) -> range:
         return range(len(self.root_of))
 
-    def pairings(self, J: Sequence[int]) -> "Pairings":
-        """base_pairings of J's node roots, in J's order, read from cartan."""
-        C, n = self.cartan, self.rs.rank
-        return [[C[a][b] for b in J] for a in J], [C[a][:n] for a in J]
+    def pairings(self, J: Sequence[int]) -> tuple[list[list[int]], list["SparseRow"]]:
+        """The Cartan submatrix of J's node roots and their coroot_rows, in J's order.
+
+        The submatrix is base_pairings' and the rows are its coroots, sparse.
+        """
+        C, rows = self.cartan, self.coroot_rows
+        return [[C[a][b] for b in J] for a in J], [rows[a] for a in J]
 
 
 def _dot(a: Sequence, b: Sequence):
     return sum(x * y for x, y in zip(a, b))
 
 
-SparseRows = tuple[tuple[tuple[int, int], ...], ...]
+SparseRow = tuple[tuple[int, int], ...]
+SparseRows = tuple[SparseRow, ...]
 
 
 def _sparse_rows(C: Sequence[Sequence[int]]) -> SparseRows:
@@ -384,25 +407,24 @@ def _reflect_to_dominant(
 
     Each step reflects at the first node, in the order of nodes, whose
     coordinate is negative, then rescans from the first node; a reflection
-    changes only the coordinates of its nonzero Cartan row entries.  Returns
-    the word.  The parabolic subgroup on nodes has no element longer than
-    |R+|, so no walk takes more steps.
+    negates its own coordinate and changes only those of its cartan_rows
+    entries.  Returns the word.  The parabolic subgroup on nodes has no
+    element longer than |R+|, so no walk takes more steps.
     """
     rows = rs.cartan_rows
-    cap = len(rs.positive_roots)
     word: list[int] = []
-    while True:
+    for _ in range(len(rs.positive_roots) + 1):
         for i in nodes:
             if m[i] < 0:
                 break
         else:
             return word
-        if len(word) == cap:
-            raise InvariantViolation("dominant reduction failed to terminate")
         coef = m[i]
+        m[i] = -coef
         for j, c in rows[i]:
             m[j] -= coef * c
         word.append(i)
+    raise InvariantViolation("dominant reduction failed to terminate")
 
 
 def to_dominant(rs: RootSystem, lam: Sequence) -> tuple[CocharVec, WeylWord]:
@@ -590,21 +612,16 @@ def base_pairings(rs: RootSystem, base: Sequence[RootVec]) -> Pairings:
 
 
 def solve_cochar_for_base(
-    rs: RootSystem,
-    base: Sequence[RootVec],
-    targets: Sequence,
-    pairings: Pairings | None = None,
+    rs: RootSystem, base: Sequence[RootVec], targets: Sequence
 ) -> CocharVec:
     """The unique lam in the span of the base's coroots with <base[a], lam> = targets[a].
 
-    pairings is base_pairings(rs, base), passed by a caller that already
-    holds it, as the extended diagram does for node subsets.  Solved on
-    integers: the targets are scaled once by the lcm of their denominators,
-    elimination keeps integer rows, and each coordinate is divided out at the
-    end.
+    Solved on integers: the targets are scaled once by the lcm of their
+    denominators, elimination keeps integer rows, and each coordinate is
+    divided out at the end.
     """
     k = len(base)
-    cartan, cor = base_pairings(rs, base) if pairings is None else pairings
+    cartan, cor = base_pairings(rs, base)
     rhs = [Fraction(t) for t in targets]
     scale = math.lcm(*(t.denominator for t in rhs))
     A = _eliminate(
@@ -672,20 +689,21 @@ def coroot_coefficients(ctype: CartanType, labels: tuple[int, ...]) -> tuple[int
     return tuple(out)
 
 
-def coroot_combination(rank: int, terms: Iterable[tuple[int, RootVec]]) -> list[int]:
-    """sum c * v over the (c, v) of terms: integer coweight coordinates."""
+def coroot_combination(rank: int, terms: Iterable[tuple[int, SparseRow]]) -> list[int]:
+    """sum c * row over the (c, row) of terms: integer coweight coordinates.
+
+    Each row is a coweight vector as its nonzero (j, value) pairs, as in
+    ExtendedDiagram.coroot_rows.
+    """
     lam = [0] * rank
-    for c, v in terms:
-        if c:
-            for j, x in enumerate(v):
-                lam[j] += c * x
+    for c, row in terms:
+        for j, x in row:
+            lam[j] += c * x
     return lam
 
 
 def dominant_transport(
-    rs: RootSystem,
-    items: Iterable[tuple[RootVec, int]],
-    pairings: Pairings | None = None,
+    rs: RootSystem, items: Iterable[tuple[RootVec, int]]
 ) -> tuple[CocharVec, tuple[int, ...]]:
     """(lam_dom, start): a labeled base carried along with its cocharacter.
 
@@ -694,14 +712,13 @@ def dominant_transport(
     _stabilizer_orbit: a labeled root (r, l) becomes rank(l) * |R| + index of
     r, where rank(l) is the position of l among the base's distinct labels.
     The transported labels are the pairings with lam_dom, so under equal
-    lam_dom equal starts mean equal labeled bases.  pairings, in the order
-    of items, is passed on to solve_cochar_for_base.
+    lam_dom equal starts mean equal labeled bases.
     """
     items = tuple(items)
     if not items:
         return zero_cochar(rs), ()
     base = [r for r, _ in items]
-    lam = solve_cochar_for_base(rs, base, [l for _, l in items], pairings)
+    lam = solve_cochar_for_base(rs, base, [l for _, l in items])
     lam_dom, word = to_dominant(rs, lam)
     return lam_dom, transport_start(rs, items, word)
 
@@ -744,10 +761,9 @@ def _stabilizer_orbit(
     table = rs.root_index
     n_roots = len(table.roots)
     n_labels = start[-1] // n_roots + 1 if start else 1
-    perms = [
-        tuple(k * n_roots + j for k in range(n_labels) for j in table.reflections[i])
-        for i in nodes
-    ]
+    perms = [table.reflections[i] for i in nodes]
+    if n_labels > 1:
+        perms = [tuple(k * n_roots + j for k in range(n_labels) for j in p) for p in perms]
     seen = {start}
     frontier = [start]
     while frontier:

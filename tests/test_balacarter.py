@@ -135,7 +135,7 @@ def test_product_classes():
         ext = extended_diagram(rs)
         base = tuple(ext.root_of[j] for j in J)
         assert tuple(str(t) for t, _ in base_components(rs, base)) == factors
-        labelings = distinguished_labelings_for_base(rs, base)
+        labelings = distinguished_labelings_for_base(base_components(rs, base))
         assert len(labelings) == count, name
         closure = subsystem_closure(ext, J)
         for items in labelings:
@@ -146,7 +146,9 @@ def test_product_classes():
     g2 = build_root_system(ct("G2"))
     ext = extended_diagram(g2)
     base = (ext.root_of[0], ext.root_of[2])
-    assert distinguished_labelings_for_base(g2, base) == (tuple(sorted((r, 2) for r in base)),)
+    assert distinguished_labelings_for_base(base_components(g2, base)) == (
+        tuple(sorted((r, 2) for r in base)),
+    )
 
 
 def test_labelings_for_base_pullback():
@@ -155,10 +157,10 @@ def test_labelings_for_base_pullback():
 
     ext = extended_diagram(rs)
     base = tuple(sorted((ext.root_of[0], ext.root_of[1])))
-    labelings = distinguished_labelings_for_base(rs, base)
+    labelings = distinguished_labelings_for_base(base_components(rs, base))
     assert len(labelings) == 2
     for items in labelings:
         assert {r for r, _ in items} == set(base)
         assert all(l in (0, 2) for _, l in items)
     # the empty base carries exactly the empty labeling
-    assert distinguished_labelings_for_base(rs, ()) == ((),)
+    assert distinguished_labelings_for_base(base_components(rs, ())) == ((),)

@@ -408,6 +408,18 @@ def test_config_keys_and_choices_follow_the_options(tmp_path, capsys):
     assert "positive roots: 6" in capsys.readouterr().out
 
 
+def test_config_line_without_an_equals_sign_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    for text in ("budget 1\n", "# comment\n\nformat: md\n"):
+        cfg.write_text(text)
+        assert main(["--config", str(cfg), "component-groups", "E6"]) == EXIT_USAGE, text
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--config line" in err, text
+    assert "line 3" in err
+    cfg.write_text("# comment\n\nbudget=1\n")
+    assert main(["--config", str(cfg), "component-groups", "E6"]) == EXIT_BUDGET
+
+
 def test_out_not_writable(tmp_path, capsys):
     assert main(["component-groups", "G2", "--out", str(tmp_path)]) == EXIT_USAGE
     err = capsys.readouterr().err

@@ -25,14 +25,14 @@ from unipcent import (
     recognize_group_from_torsion,
     torsion_order,
 )
-from unipcent.compgroup import (
-    _candidate_class_data,
+from unipcent.compgroup import _candidate_class_data, _smallest_labels
+from unipcent.oracle import act_labeled_set, brute_orbit, classical_nilpotent_classes
+from unipcent.pseudolevi import (
     _labeled_records,
     _orbit_representatives,
+    _proper_subsets,
     _transport,
 )
-from unipcent.oracle import act_labeled_set, brute_orbit, classical_nilpotent_classes
-from unipcent.pseudolevi import _proper_subsets
 from unipcent.rootsys import (
     DEFAULT_BUDGET,
     coroot_coefficients,
@@ -241,7 +241,7 @@ def test_record_orbits_agree_with_canonical_forms():
     for rec, invariant in records:
         key = (rec.induced, rec.order, invariant)
         classes.setdefault((key, canonical_labeled_set(rs, rec.labels)), []).append(rec)
-    kept = _orbit_representatives(rs, records, DEFAULT_BUDGET)
+    kept = _orbit_representatives(rs, records, DEFAULT_BUDGET, _smallest_labels)
     expected = {min((r.labels, r.J) for r in cls) for cls in classes.values()}
     assert len(kept) == len(classes)
     assert {(r.labels, r.J) for r in kept} == expected
@@ -280,8 +280,10 @@ def test_coefficient_table_matches_the_fraction_solve(name):
     for labels in distinguished_classes(ct):
         assert coroot_coefficients(ct, labels) == fraction_coefficients(C, labels)
     # The all-2 row is 2 rho^vee: the sum of the positive coroots.  Row a of
-    # the Cartan matrix is the coweight coordinates of alpha_a^vee.
-    two_rho = coroot_combination(ct.rank, zip(coroot_coefficients(ct, regular), C))
+    # the Cartan matrix is the coweight coordinates of alpha_a^vee; the
+    # extended diagram's coroot_rows hold it sparse.
+    rows = extended_diagram(rs).coroot_rows
+    two_rho = coroot_combination(ct.rank, zip(coroot_coefficients(ct, regular), rows))
     assert two_rho == [sum(col) for col in zip(*(coroot(rs, g) for g in rs.positive_roots))]
 
 
@@ -385,8 +387,6 @@ def test_e8_report_walks_visit_few_states(monkeypatch):
     Without the refinement the walks of one E8 report visit 19,253 states.
     """
     import unipcent.rootsys as rootsys
-    from unipcent.compgroup import _enumerate_triples_cached
-    from unipcent.pseudolevi import _enumerate_pseudolevis_cached
 
     visited = []
     original = rootsys._stabilizer_orbit
@@ -397,8 +397,8 @@ def test_e8_report_walks_visit_few_states(monkeypatch):
         return orbit
 
     monkeypatch.setattr(rootsys, "_stabilizer_orbit", counting)
-    _enumerate_pseudolevis_cached.cache_clear()
-    _enumerate_triples_cached.cache_clear()
-    reports = component_group_report(rs_of("E8"))
+    rs = rs_of("E8")
+    rs.results.clear()
+    reports = component_group_report(rs)
     assert sum(len(rep.classes) for rep in reports.values()) == 113
     assert visited and sum(visited) <= 4800

@@ -21,7 +21,12 @@ from unipcent import (
     witness_element,
 )
 from unipcent.oracle import lattice_root_closure, span_quotient_torsion
-from unipcent.pseudolevi import _proper_subsets, _subset_info, base_components
+from unipcent.pseudolevi import (
+    _proper_subsets,
+    _regular_records,
+    _transport,
+    base_components,
+)
 from unipcent.rootsys import (
     all_roots,
     canonical_labeled_set,
@@ -130,21 +135,23 @@ def test_orbit_closure_matches_lattice_closure():
 
 
 def test_subset_keys_match_the_fraction_transport():
-    """_subset_info's integer key and start are dominant_transport's on every proper subset."""
+    """The all-2 record's integer key and start are dominant_transport's on every proper subset."""
     checked = 0
     for name in ALL_TYPES:
         rs = rs_of(name)
         ext = extended_diagram(rs)
-        for J in _proper_subsets(len(ext.root_of)):
-            (types, dJ, lam_dom), start = _subset_info(rs, J)
+        subsets = _proper_subsets(len(ext.root_of))
+        for J, (rec, invariant) in zip(subsets, _regular_records(rs), strict=True):
+            assert rec.J == J
+            lam_dom, start = _transport(rs, rec)
             base = [ext.root_of[j] for j in J]
-            pairings = ext.pairings(J)
-            expect = dominant_transport(rs, [(r, 2) for r in base], pairings)
+            expect = dominant_transport(rs, [(r, 2) for r in base])
             assert (lam_dom, start) == expect, (name, J)
             assert hash(lam_dom) == hash(expect[0])
-            comps = base_components(rs, base, pairings)
-            assert types == tuple(sorted(ct for ct, _ in comps))
-            assert dJ == torsion_order(ext, J)
+            comps = base_components(rs, base, ext.pairings(J))
+            assert rec.factor_types == tuple(sorted(ct for ct, _ in comps))
+            assert invariant == tuple((ct, (2,) * ct.rank) for ct in rec.factor_types)
+            assert rec.order == torsion_order(ext, J)
             checked += 1
     assert checked == 4963
 
@@ -395,14 +402,14 @@ def test_orbit_partition_agrees_with_canonical_forms(name):
     ext = extended_diagram(rs)
     buckets = {}
     by_canon = {}
-    for J in _proper_subsets(len(ext.root_of)):
-        key, start = _subset_info(rs, J)
-        buckets.setdefault(key, []).append((J, start))
-        canon = canonical_labeled_set(rs, [(ext.root_of[j], 2) for j in J])
-        by_canon.setdefault((key, canon), set()).add(J)
+    for rec, invariant in _regular_records(rs):
+        key = (rec.induced, rec.order, invariant)
+        buckets.setdefault(key, []).append((rec.J, _transport(rs, rec)[1]))
+        canon = canonical_labeled_set(rs, [(ext.root_of[j], 2) for j in rec.J])
+        by_canon.setdefault((key, canon), set()).add(rec.J)
     by_walk = set()
     for key, members in buckets.items():
-        for orbit in partition_orbits(rs, [(key[2], start) for _, start in members]):
+        for orbit in partition_orbits(rs, [(key[0], start) for _, start in members]):
             by_walk.add(frozenset(members[k][0] for k in orbit))
     classes = {frozenset(v) for v in by_canon.values()}
     assert by_walk == classes

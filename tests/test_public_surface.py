@@ -55,9 +55,9 @@ def test_every_exported_name_is_used():
     assert sorted(exported - used - REFERENCE_ONLY) == []
 
 
-# Caches of whole results per (root system, budget); per-type tables belong
-# to the RootSystem itself.
-RESULT_CACHES = {"_enumerate_pseudolevis_cached", "_enumerate_triples_cached"}
+# Caches of whole results per (root system, budget); per-type tables and
+# stage results belong to the RootSystem itself.
+RESULT_CACHES = set()
 
 
 def _is_lru_cache(decorator: ast.expr) -> bool:
