@@ -56,7 +56,7 @@ def build_triple_record(
         raise InputError("labels must cover exactly the roots of J")
     if order is None:
         order = torsion_order(ext, J)
-    ((rec, _),) = _labeled_records(rs, J, order, [items])
+    (rec,) = _labeled_records(rs, J, order, [items])
     return rec
 
 
@@ -102,21 +102,6 @@ def count_pair_orbits(rs: RootSystem, budget: int = DEFAULT_BUDGET) -> int:
     return len(_orbit_representatives(rs, records, budget, _smallest_labels))
 
 
-def _euler_phi(n: int) -> int:
-    out = n
-    p = 2
-    m = n
-    while p * p <= m:
-        if m % p == 0:
-            out -= out // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out -= out // m
-    return out
-
-
 _SYM_FINGERPRINTS = {
     "Sym(3)": (1, 2, 3),
     "Sym(4)": (1, 2, 2, 3, 4),
@@ -124,66 +109,54 @@ _SYM_FINGERPRINTS = {
 }
 
 
-def _candidate_class_data(n_classes: int) -> list[tuple[str, tuple[tuple[int, bool], ...]]]:
-    """Candidate groups with n_classes classes, as (order, rational?) per class.
+def _candidate_class_data(n_classes: int) -> list[tuple[str, tuple[int, ...]]]:
+    """Candidate groups with n_classes classes, with their sorted class orders.
 
-    A class is rational when it equals the class of every coprime power of its
-    elements; symmetric groups are wholly rational, as are elementary abelian
-    2-groups, while a cyclic group of order >= 3 has irrational generator
-    classes.
+    A record's image class must be rational, equal to the class of every
+    coprime power of its elements: the normalizer of the pseudo-Levi
+    conjugates a coset generator to all its coprime powers.  Symmetric groups
+    and elementary abelian 2-groups are wholly rational.  A cyclic group of
+    order n >= 3 is no candidate: its generator class of order n is
+    irrational, so no record can carry it and no coset data fit the group.
     """
     out = []
     if n_classes == 1:
-        out.append(("trivial", ((1, True),)))
+        out.append(("trivial", (1,)))
     if n_classes >= 2 and n_classes & (n_classes - 1) == 0:
         k = n_classes.bit_length() - 1
-        out.append(
-            (f"ElemAb2({k})", ((1, True),) + ((2, True),) * (n_classes - 1))
-        )
-    if n_classes >= 3:
-        classes = tuple(
-            (e, e <= 2)
-            for e in range(1, n_classes + 1)
-            if n_classes % e == 0
-            for _ in range(_euler_phi(e))
-        )
-        out.append((f"Cyc({n_classes})", classes))
+        out.append((f"ElemAb2({k})", (1,) + (2,) * (n_classes - 1)))
     for name, fp in _SYM_FINGERPRINTS.items():
         if len(fp) == n_classes:
-            out.append((name, tuple((o, True) for o in fp)))
+            out.append((name, fp))
     return out
 
 
-def _match_classes(torsions: tuple[int, ...], classes: tuple[tuple[int, bool], ...]) -> bool:
+def _match_classes(torsions: tuple[int, ...], orders: tuple[int, ...]) -> bool:
     """Perfect matching of records to group classes under the order constraints.
 
     A record of coset order d can carry a class of element order o iff o
-    divides d, o = 1 exactly when d = 1, and the class is rational (the
-    normalizer of the pseudo-Levi conjugates a generator to all its coprime
-    powers, so the image class must equal its coprime-power classes).
+    divides d and o = 1 exactly when d = 1.
     """
-    remaining = list(classes)
+    remaining = list(orders)
 
     def backtrack(i: int) -> bool:
         if i == len(torsions):
             return not remaining
         d = torsions[i]
         tried = set()
-        for idx, (o, rational) in enumerate(remaining):
-            if (o, rational) in tried:
+        for idx, o in enumerate(remaining):
+            if o in tried:
                 continue
-            tried.add((o, rational))
-            if not rational:
-                continue
+            tried.add(o)
             if (o == 1) != (d == 1):
                 continue
             if d % o != 0:
                 continue
             remaining.pop(idx)
             if backtrack(i + 1):
-                remaining.insert(idx, (o, rational))
+                remaining.insert(idx, o)
                 return True
-            remaining.insert(idx, (o, rational))
+            remaining.insert(idx, o)
         return False
 
     return backtrack(0)
@@ -203,9 +176,9 @@ def recognize_group_from_torsion(torsions: Iterable[int]) -> tuple[str, tuple[in
     if torsions.count(1) != 1:
         raise InputError(f"exactly one trivial coset expected: {torsions}")
     matches = []
-    for name, classes in _candidate_class_data(len(torsions)):
-        if _match_classes(torsions, classes):
-            matches.append((name, tuple(sorted(o for o, _ in classes))))
+    for name, orders in _candidate_class_data(len(torsions)):
+        if _match_classes(torsions, orders):
+            matches.append((name, orders))
     if len(matches) != 1:
         raise FingerprintError(
             f"coset orders {torsions} matched"

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .errors import BudgetExceeded, InputError, InvariantViolation
 from .induce import LabeledDiagram
 from .pseudolevi import canonical_subsystem
-from .rootsys import RootSystem, RootVec, all_roots, as_cochar, _dot
+from .rootsys import DEFAULT_BUDGET, RootSystem, RootVec, all_roots, as_cochar, _dot
 
 
 def default_denominator_bound(rs: RootSystem) -> int:
@@ -74,7 +74,7 @@ def alcove_points(rs: RootSystem, max_denominator: int) -> list[tuple[Fraction, 
 
 
 def alcove_pseudolevis(
-    rs: RootSystem, max_denominator: int, budget: int | None = None
+    rs: RootSystem, max_denominator: int, budget: int = DEFAULT_BUDGET
 ) -> frozenset[tuple]:
     """Canonical forms of every integrality subsystem of a bounded-denominator point.
 
@@ -153,7 +153,7 @@ def _mask_roots(rs: RootSystem, pk: _Packing, mask: int) -> frozenset[RootVec]:
 
 
 def alcove_pseudolevis_by_denominator(
-    rs: RootSystem, max_denominator: int, budget: int | None = None
+    rs: RootSystem, max_denominator: int, budget: int = DEFAULT_BUDGET
 ) -> list[frozenset[tuple]]:
     """alcove_pseudolevis split by denominator, in one pass.
 

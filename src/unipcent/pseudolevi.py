@@ -5,11 +5,12 @@ node carrying minus the highest root with mark 1.  For a proper subset J of
 the nodes, the subsystem is the set of roots in the integer span of J's roots,
 with the torsion order d_J = gcd of the marks outside J.
 
-A record is J with a labeling of its base.  Records are split into Weyl orbits
-by one routine, _orbit_representatives.  The subsystem classes are the orbits
-of the all-2 records, whose labeling gives the regular, hence distinguished,
-class of the pseudo-Levi; compgroup splits the records of every
-distinguished labeling the same way.
+A record is J with a labeling of its base.  Weyl conjugacy of records is
+decided in one place: _orbit_representatives hands every record of a stage to
+rootsys.partition_orbits and keeps one record per orbit.  The subsystem
+classes are the orbits of the all-2 records, whose labeling gives the
+regular, hence distinguished, class of the pseudo-Levi; compgroup splits the
+records of every distinguished labeling the same way.
 """
 from __future__ import annotations
 
@@ -221,7 +222,7 @@ class PseudoLevi(NamedTuple):
 
 
 def canonical_subsystem(
-    rs: RootSystem, subsystem: Iterable[RootVec], budget: int | None = None
+    rs: RootSystem, subsystem: Iterable[RootVec], budget: int = DEFAULT_BUDGET
 ) -> tuple:
     """Canonical form deciding Weyl conjugacy of closed subsystems (as root sets)."""
     base = subsystem_base(rs, frozenset(subsystem))
@@ -256,15 +257,14 @@ def _labeled_records(
     dJ: int,
     labelings: Iterable[LabeledSubDiagram] | None = None,
 ):
-    """(record, factor-label invariant) for each labeling of J's base.
+    """The record of each labeling of J's base.
 
     labelings defaults to every distinguished labeling; each is a tuple of
     (root, label) items sorted by root.  J's base is split into components
     once.  A record's cocharacter sums, over the components, the
     coroot_coefficients of the component's type and labels times its
     coroots; one dominant reduction gives the induced diagram and the word
-    the record keeps.  The factor-label invariant is the sorted tuple of
-    (factor type, sorted labels on that factor): a conjugacy invariant.
+    the record keeps.
     """
     ext = rs.extended_diagram
     nodes = sorted(J, key=ext.root_of.__getitem__)  # the order of sorted items
@@ -278,18 +278,13 @@ def _labeled_records(
     for items in labelings:
         label_of = dict(items)
         terms = []
-        factors = []
         for ct, roots in comps:
-            labels = tuple(map(label_of.__getitem__, roots))
-            factors.append((ct, tuple(sorted(labels))))
-            coeffs = coroot_coefficients(ct, labels)
+            coeffs = coroot_coefficients(ct, tuple(map(label_of.__getitem__, roots)))
             terms += zip(coeffs, map(coroot_of.__getitem__, roots))
         lam = coroot_combination(rs.rank, terms)
         cochar = tuple(lam)
-        word = tuple(_reflect_to_dominant(rs, lam, range(rs.rank)))
-        rec = TripleRecord(J, items, cochar, diagram_of_dominant(lam), dJ, types, word)
-        factors.sort()
-        yield rec, tuple(factors)
+        word = tuple(_reflect_to_dominant(rs, lam, range(rs.rank)))  # lam turns dominant
+        yield TripleRecord(J, items, cochar, diagram_of_dominant(lam), dJ, types, word)
 
 
 def _transport(rs: RootSystem, rec: TripleRecord) -> tuple[CocharVec, tuple[int, ...]]:
@@ -302,33 +297,22 @@ def _transport(rs: RootSystem, rec: TripleRecord) -> tuple[CocharVec, tuple[int,
 
 def _orbit_representatives(
     rs: RootSystem,
-    records: Iterable[tuple[TripleRecord, tuple]],
+    records: Iterable[TripleRecord],
     budget: int,
     preferred: Callable[[TripleRecord], object],
 ) -> list[TripleRecord]:
     """One record per Weyl orbit of labeled bases: its smallest under preferred.
 
-    records yields (record, factor-label invariant) pairs.  Records are
-    bucketed by (induced diagram, order, factor labels); only a bucket with
-    several members is split into orbits, by partition_orbits.  budget
-    bounds each stabilizer-orbit walk.
+    Every record is transported once and partition_orbits splits them all;
+    budget bounds each stabilizer-orbit walk.
     """
-    buckets: dict[tuple, list[TripleRecord]] = {}
-    for rec, invariant in records:
-        buckets.setdefault((rec.induced, rec.order, invariant), []).append(rec)
-    kept = []
-    for members in buckets.values():
-        if len(members) == 1:
-            kept.append(members[0])
-            continue
-        pairs = [_transport(rs, rec) for rec in members]
-        for orbit in partition_orbits(rs, pairs, budget):
-            kept.append(min((members[k] for k in orbit), key=preferred))
-    return kept
+    records = list(records)
+    orbits = partition_orbits(rs, [_transport(rs, rec) for rec in records], budget)
+    return [min([records[k] for k in orbit], key=preferred) for orbit in orbits]
 
 
 def _regular_records(rs: RootSystem):
-    """The all-2 record of every proper subset J, with its factor-label invariant."""
+    """The all-2 record of every proper subset J."""
     ext = rs.extended_diagram
     for J in _proper_subsets(len(ext.root_of)):
         regular = tuple(sorted([(ext.root_of[j], 2) for j in J]))

@@ -861,7 +861,7 @@ def partition_orbits(
 
 
 def canonical_labeled_set(
-    rs: RootSystem, items: Iterable[tuple[RootVec, int]], budget: int | None = None
+    rs: RootSystem, items: Iterable[tuple[RootVec, int]], budget: int = DEFAULT_BUDGET
 ) -> tuple:
     """Canonical form (lam_dom, best) of a labeled base under the Weyl group.
 
@@ -869,14 +869,12 @@ def canonical_labeled_set(
     labels; best is the decoded smallest state in the orbit of the transported
     base under the stabilizer of lam_dom (see dominant_transport), as a sorted
     labeled base.  Two labeled bases are Weyl-conjugate iff their canonical
-    forms coincide.  budget (default DEFAULT_BUDGET) bounds the states
-    visited (BudgetExceeded).  Nothing is memoized: every call walks the
-    orbit.
+    forms coincide.  budget bounds the states visited (BudgetExceeded).
+    Nothing is memoized: every call walks the orbit.
     """
     items = tuple(sorted((tuple(r), int(l)) for r, l in items))
     lam_dom, start = dominant_transport(rs, items)
     nodes = _zero_nodes(lam_dom, range(rs.rank))
-    budget = DEFAULT_BUDGET if budget is None else budget
     best = min(_stabilizer_orbit(rs, nodes, start, budget))
     roots = rs.root_index.roots
     labels = sorted({l for _, l in items})

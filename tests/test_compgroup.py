@@ -229,18 +229,17 @@ def test_count_pair_orbits_matches_enumeration():
 
 
 def test_record_orbits_agree_with_canonical_forms():
-    """E6: every labeled record, grouped by bucket key plus canonical form."""
+    """E6: every labeled record, grouped by its canonical form alone."""
     rs = rs_of("E6")
     ext = extended_diagram(rs)
     records = [
-        pair
+        rec
         for J in _proper_subsets(len(ext.root_of))
-        for pair in _labeled_records(rs, J, torsion_order(ext, J))
+        for rec in _labeled_records(rs, J, torsion_order(ext, J))
     ]
     classes = {}
-    for rec, invariant in records:
-        key = (rec.induced, rec.order, invariant)
-        classes.setdefault((key, canonical_labeled_set(rs, rec.labels)), []).append(rec)
+    for rec in records:
+        classes.setdefault(canonical_labeled_set(rs, rec.labels), []).append(rec)
     kept = _orbit_representatives(rs, records, DEFAULT_BUDGET, _smallest_labels)
     expected = {min((r.labels, r.J) for r in cls) for cls in classes.values()}
     assert len(kept) == len(classes)
@@ -308,7 +307,7 @@ def test_one_solve_records_match_the_two_solve_path(name):
     ext = extended_diagram(rs)
     count = 0
     for J in _proper_subsets(len(ext.root_of)):
-        for rec, _ in _labeled_records(rs, J, torsion_order(ext, J)):
+        for rec in _labeled_records(rs, J, torsion_order(ext, J)):
             assert _transport(rs, rec) == dominant_transport(rs, rec.labels)
             assert rec.induced == induced_diagram(rs, cochar_for_labeled_base(rs, rec.labels))
             count += 1

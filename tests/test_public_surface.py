@@ -81,3 +81,27 @@ def test_no_lru_cache_is_keyed_on_a_root_system():
             ):
                 keyed.add(node.name)
     assert keyed == RESULT_CACHES
+
+
+PIPELINE_MODULES = ("rootsys", "pseudolevi", "balacarter", "induce", "compgroup")
+
+
+def _imported_names(tree: ast.Module) -> set[str]:
+    """The last dotted part of every module and name an import statement names."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            out |= {alias.name.split(".")[-1] for alias in node.names}
+        if isinstance(node, ast.ImportFrom) and node.module:
+            out.add(node.module.split(".")[-1])
+    return out
+
+
+def test_no_pipeline_module_imports_the_oracle():
+    """Reference code checks the pipeline, so the pipeline must not lean on it."""
+    importers = []
+    for name in PIPELINE_MODULES:
+        path = ROOT / "src" / "unipcent" / f"{name}.py"
+        if "oracle" in _imported_names(ast.parse(path.read_text(), str(path))):
+            importers.append(name)
+    assert importers == []
