@@ -2,13 +2,16 @@
 
 A record pairs a subsystem class (a proper node subset J) with a distinguished
 labeling of its base; records are classified up to Weyl conjugacy of labeled
-bases and grouped by their induced ambient diagram.  Each diagram's multiset
-of coset orders d_J is then matched against a closed list of candidate groups
-under divisibility (the image of a coset generator can have smaller order in
-the component group than the coset itself has in Z/Z°).
+bases and cut into runs of equal induced ambient diagram.  Each diagram's
+class count picks the one candidate group with that many classes, and its
+coset orders d_J are matched to the candidate's class orders under
+divisibility (the image of a coset generator can have smaller order in the
+component group than the coset itself has in Z/Z°).
 """
 from __future__ import annotations
 
+from itertools import groupby
+from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 from .balacarter import LabeledSubDiagram
@@ -69,7 +72,9 @@ def enumerate_triples(
 ) -> tuple[TripleRecord, ...]:
     """One record per Weyl orbit of (subsystem class, distinguished labeling).
 
-    The result is kept in rs.results.
+    Records are sorted by induced diagram, then by order, factor types,
+    labels and J; this is the one place the report's order is decided.  The
+    result is kept in rs.results.
     """
     # Labelings of one class can still be Weyl-conjugate when the subsystem
     # has isomorphic factors the ambient group can swap.
@@ -102,33 +107,29 @@ def count_pair_orbits(rs: RootSystem, budget: int = DEFAULT_BUDGET) -> int:
     return len(_orbit_representatives(rs, records, budget, _smallest_labels))
 
 
-_SYM_FINGERPRINTS = {
-    "Sym(3)": (1, 2, 3),
-    "Sym(4)": (1, 2, 2, 3, 4),
-    "Sym(5)": (1, 2, 2, 3, 4, 5, 6),
+_FIXED_CANDIDATES = {
+    1: ("trivial", (1,)),
+    3: ("Sym(3)", (1, 2, 3)),
+    5: ("Sym(4)", (1, 2, 2, 3, 4)),
+    7: ("Sym(5)", (1, 2, 2, 3, 4, 5, 6)),
 }
 
 
-def _candidate_class_data(n_classes: int) -> list[tuple[str, tuple[int, ...]]]:
-    """Candidate groups with n_classes classes, with their sorted class orders.
+def _candidate(n_classes: int) -> tuple[str, tuple[int, ...]] | None:
+    """The one candidate group with n_classes classes, with its sorted class orders.
 
-    A record's image class must be rational, equal to the class of every
-    coprime power of its elements: the normalizer of the pseudo-Levi
-    conjugates a coset generator to all its coprime powers.  Symmetric groups
-    and elementary abelian 2-groups are wholly rational.  A cyclic group of
-    order n >= 3 is no candidate: its generator class of order n is
-    irrational, so no record can carry it and no coset data fit the group.
+    The candidates have 1, 2^k, 3, 5 and 7 classes.  A record's image class
+    must be rational, equal to the class of every coprime power of its
+    elements: the normalizer of the pseudo-Levi conjugates a coset generator
+    to all its coprime powers.  Symmetric groups and elementary abelian
+    2-groups are wholly rational.  A cyclic group of order n >= 3 is no
+    candidate: its generator class of order n is irrational, so no record can
+    carry it and no coset data fit the group.
     """
-    out = []
-    if n_classes == 1:
-        out.append(("trivial", (1,)))
     if n_classes >= 2 and n_classes & (n_classes - 1) == 0:
         k = n_classes.bit_length() - 1
-        out.append((f"ElemAb2({k})", (1,) + (2,) * (n_classes - 1)))
-    for name, fp in _SYM_FINGERPRINTS.items():
-        if len(fp) == n_classes:
-            out.append((name, fp))
-    return out
+        return (f"ElemAb2({k})", (1,) + (2,) * (n_classes - 1))
+    return _FIXED_CANDIDATES.get(n_classes)
 
 
 def _match_classes(torsions: tuple[int, ...], orders: tuple[int, ...]) -> bool:
@@ -168,23 +169,18 @@ def recognize_group_from_torsion(torsions: Iterable[int]) -> tuple[str, tuple[in
     The coset order d_J bounds the image element's order in A(u) (the image
     of the d_J-th power is central-connected, hence trivial); equality can
     fail, so recognition matches records to classes under divisibility rather
-    than insisting the multisets agree.  Exactly one candidate may fit.
+    than insisting the multisets agree.  The class count picks the one
+    candidate tried.
     """
     torsions = tuple(sorted(int(d) for d in torsions))
     if not torsions:
         raise InputError("empty torsion multiset")
     if torsions.count(1) != 1:
         raise InputError(f"exactly one trivial coset expected: {torsions}")
-    matches = []
-    for name, orders in _candidate_class_data(len(torsions)):
-        if _match_classes(torsions, orders):
-            matches.append((name, orders))
-    if len(matches) != 1:
-        raise FingerprintError(
-            f"coset orders {torsions} matched"
-            f" {[m[0] for m in matches] or 'no candidate'}"
-        )
-    return matches[0]
+    candidate = _candidate(len(torsions))
+    if candidate is None or not _match_classes(torsions, candidate[1]):
+        raise FingerprintError(f"coset orders {torsions} fit no candidate group")
+    return candidate
 
 
 def component_group_report(
@@ -193,20 +189,16 @@ def component_group_report(
     """Per unipotent class (keyed by labeled diagram), the A(u) class data.
 
     The characteristic enters only through the good-prime gate; reports are
-    identical for every good p.
+    identical for every good p.  Reports come in diagram order, and each
+    report's classes in the order of enumerate_triples, which sorts them.
     """
     if not is_good_prime(rs, p):
         raise InputError(f"p={p} is not good for {rs.ctype}")
-    records = enumerate_triples(rs, budget=budget)
-    grouped: dict[LabeledDiagram, list[TripleRecord]] = {}
-    for rec in records:
-        grouped.setdefault(rec.induced, []).append(rec)
     out: dict[LabeledDiagram, AuReport] = {}
-    for diagram in sorted(grouped):
-        classes = tuple(
-            sorted(grouped[diagram], key=lambda r: (r.order, r.factor_types, r.labels))
-        )
-        torsions = tuple(sorted(r.order for r in classes))
+    records = enumerate_triples(rs, budget=budget)
+    for diagram, run in groupby(records, attrgetter("induced")):
+        classes = tuple(run)
+        torsions = tuple(r.order for r in classes)
         if torsions.count(1) != 1:
             raise InvariantViolation(
                 f"diagram {diagram} of {rs.ctype} has {torsions.count(1)} order-1 classes"

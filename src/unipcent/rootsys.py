@@ -316,23 +316,34 @@ def all_roots(rs: RootSystem) -> frozenset[RootVec]:
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    i = 2
-    while i * i <= p:
-        if p % i == 0:
+    """Miller-Rabin with the prime bases up to 37: exact for p < 2**64."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if p < 2 or p in bases:
+        return p in bases
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2**s with d odd
+    for a in bases:
+        x = pow(a, (p - 1) >> s, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        i += 1
     return True
 
 
 def is_good_prime(rs: RootSystem, p: int) -> bool:
-    """True iff p is 0 or divides no coefficient of the highest root."""
+    """True iff p is 0 or divides no coefficient of the highest root.
+
+    p must be 0 or a prime below 2**64, the range _is_prime decides.
+    """
     if not isinstance(p, int) or isinstance(p, bool) or p < 0:
         raise InputError(f"characteristic must be 0 or a prime, got {p!r}")
     if p == 0:
         return True
-    if not _is_prime(p):
+    if p >= 2**64 or not _is_prime(p):
         raise InputError(f"characteristic must be 0 or a prime, got {p}")
     return all(a % p != 0 for a in rs.marks)
 
@@ -774,7 +785,7 @@ def _stabilizer_orbit(
                 if image not in seen:
                     if len(seen) >= budget:
                         raise BudgetExceeded(
-                            f"canonical-form search exceeded {budget} states"
+                            f"stabilizer-orbit walk exceeded {budget} states"
                             f" for a labeled base of {rs.ctype}"
                         )
                     seen.add(image)

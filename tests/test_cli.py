@@ -69,6 +69,30 @@ def test_witness_prime_checked_before_any_output(capsys):
         assert _one_usage_line(capsys), p
 
 
+def _witness_run(p):
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "unipcent.cli", "pseudolevis", "G2", "--witness", str(p)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=10,
+    )
+
+
+def test_witness_at_a_large_prime_is_fast():
+    run = _witness_run(2**61 - 1)
+    assert run.returncode == EXIT_OK
+    assert run.stdout.splitlines()[1].endswith("| witness order")
+
+
+def test_witness_rejects_strong_pseudoprimes_and_primes_past_the_bound():
+    # strong pseudoprimes to the bases 2-23 and 2-7; 2**64 + 13 is prime, but
+    # the primality test decides only p < 2**64
+    for p in (3825123056546413051, 3215031751, 2**64 + 13):
+        run = _witness_run(p)
+        assert run.returncode == EXIT_USAGE, p
+        assert run.stdout == ""
+        assert run.stderr == f"usage error: characteristic must be 0 or a prime, got {p}\n"
+
+
 def test_pseudolevis_command(capsys):
     assert main(["pseudolevis", "A1"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -340,10 +364,25 @@ def test_verify_small_type(name, capsys):
     assert "all checks passed" in err
 
 
+def test_verify_checks_the_served_cache_entry(tmp_path, capsys):
+    """A well-formed entry that lost a report and had one J rewritten is caught."""
+    doc = build_report_document(CartanType.parse("G2"))
+    doctored = json.loads(serialize_document(doc))
+    del doctored["reports"][-1]
+    doctored["reports"][0]["classes"][0]["J"] = [2]
+    cache_store(doc, tmp_path).write_text(serialize_document(doctored))
+    argv = ["component-groups", "G2", "--cache-dir", str(tmp_path), "--verify"]
+    assert main(argv) == EXIT_VERIFY
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == doctored  # the entry was served
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("verify: served document differs")
+
+
 def test_verify_failure_exit_code(monkeypatch, capsys):
     import unipcent.cli as cli
 
-    monkeypatch.setattr(cli, "_verify", lambda ct, budget: ["forced failure"])
+    monkeypatch.setattr(cli, "_verify", lambda ct, budget, doc: ["forced failure"])
     assert main(["component-groups", "A1", "--verify"]) == 2
     assert "forced failure" in capsys.readouterr().err
 

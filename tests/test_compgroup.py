@@ -25,7 +25,7 @@ from unipcent import (
     recognize_group_from_torsion,
     torsion_order,
 )
-from unipcent.compgroup import _candidate_class_data, _smallest_labels
+from unipcent.compgroup import _candidate, _smallest_labels
 from unipcent.oracle import act_labeled_set, brute_orbit, classical_nilpotent_classes
 from unipcent.pseudolevi import (
     _labeled_records,
@@ -103,9 +103,24 @@ def test_recognize_group_rejects():
 
 
 def test_candidate_fingerprints_pairwise_distinct():
-    for n in range(1, 9):
-        fingerprints = [tuple(sorted(classes)) for _, classes in _candidate_class_data(n)]
-        assert len(set(fingerprints)) == len(fingerprints), n
+    """The class count names at most one candidate, so recognition tries one."""
+    expected = {
+        1: "trivial",
+        2: "ElemAb2(1)",
+        3: "Sym(3)",
+        4: "ElemAb2(2)",
+        5: "Sym(4)",
+        6: None,
+        7: "Sym(5)",
+        8: "ElemAb2(3)",
+    }
+    for n, name in expected.items():
+        candidate = _candidate(n)
+        if name is None:
+            assert candidate is None, n
+        else:
+            assert candidate[0] == name and len(candidate[1]) == n, n
+            assert list(candidate[1]) == sorted(candidate[1]), n
 
 
 def test_recognize_from_torsion():

@@ -68,6 +68,10 @@ def test_diagram_recipe_small():
     # A2: three partitions, three distinct diagrams
     a2 = classical_nilpotent_classes("A", 2)
     assert len(a2) == 3 and len({d for _, d in a2}) == 3
+    # D3 = A3 with the path's middle node as node 0: the D recipe needs no remap
+    d3 = sorted(d for _, d in classical_nilpotent_classes("D", 3))
+    a3 = sorted((d[1], d[0], d[2]) for _, d in classical_nilpotent_classes("A", 3))
+    assert d3 == a3 and len(d3) == 5
 
 
 def test_very_even_partitions_split():
