@@ -32,7 +32,6 @@ from .oracle import (
     default_denominator_bound,
 )
 from .pseudolevi import (
-    alcove_reduce,
     canonical_subsystem,
     enumerate_pseudolevis,
     point_order,
@@ -313,11 +312,7 @@ def cmd_pseudolevis(args) -> int:
         factors = "+".join(str(t) for t in pl.factor_types) if pl.factor_types else "T"
         row = f"{list(pl.J)} | {factors} | {pl.dJ}"
         if args.witness is not None:
-            vec = witness_element(rs, pl.J, args.witness)
-            _, walls = alcove_reduce(rs, vec)
-            if walls != frozenset(pl.J):
-                raise InvariantViolation(f"witness for {pl.J} failed its round trip")
-            row += f" | {point_order(vec)}"
+            row += f" | {point_order(witness_element(rs, pl.J, args.witness))}"
         rows.append(row)
     print("\n".join(rows))
     return EXIT_OK
@@ -375,9 +370,6 @@ def _verify(ct: CartanType, budget: int, doc: dict) -> list[str]:
     for p in (0, 7):
         for pl in pls:
             vec = witness_element(rs, pl.J, p)
-            _, walls = alcove_reduce(rs, vec)
-            if walls != frozenset(pl.J):
-                failures.append(f"witness round trip failed for J={pl.J} at p={p}")
             if p > 0 and point_order(vec) % p == 0:
                 failures.append(f"witness order not prime to p for J={pl.J} at p={p}")
     return failures

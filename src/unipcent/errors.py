@@ -14,8 +14,8 @@ class BudgetExceeded(RuntimeError):
 
 
 class FingerprintError(RuntimeError):
-    """A class-order multiset matched no candidate group, or more than one."""
+    """The coset orders fit no candidate group; the class count picks at most one."""
 
 
 class WitnessSearchExhausted(RuntimeError):
-    """No auxiliary prime below the search bound produced a valid witness."""
+    """No point of the torus has the requested alcove wall set."""

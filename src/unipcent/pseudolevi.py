@@ -32,6 +32,7 @@ from .rootsys import (
     RootSystem,
     RootVec,
     WeylWord,
+    _is_prime,
     _reflect_to_dominant,
     affine_node,
     alcove_reduce,
@@ -44,7 +45,6 @@ from .rootsys import (
     is_good_prime,
     partition_orbits,
     transport_start,
-    zero_cochar,
 )
 
 
@@ -347,20 +347,6 @@ def enumerate_pseudolevis(
     return rs.results[key]
 
 
-def _primes_upto(n: int) -> list[int]:
-    sieve = [True] * (n + 1)
-    sieve[0] = sieve[1] = False
-    for i in range(2, int(n**0.5) + 1):
-        if sieve[i]:
-            for m in range(i * i, n + 1, i):
-                sieve[m] = False
-    return [i for i, v in enumerate(sieve) if v]
-
-
-_WITNESS_PRIME_BOUND = 1000
-_WITNESS_PRIMES = tuple(_primes_upto(_WITNESS_PRIME_BOUND))
-
-
 def point_order(lam: Sequence) -> int:
     """Order of the point in the torus V / (coweight lattice)."""
     out = 1
@@ -372,63 +358,34 @@ def point_order(lam: Sequence) -> int:
 def witness_element(rs: RootSystem, J: Iterable[int], p: int) -> CocharVec:
     """A rational point whose alcove wall set is exactly J, of order prime to p.
 
-    Built from the fundamental coweights of the removed simple nodes and an
-    auxiliary prime distinct from p; primes are tried in increasing order up
-    to a fixed bound.
+    Built in Kac coordinates (Kac 8.6).  Let rest be the removed simple
+    nodes, less the first one i1 when J holds the affine node, t the sum of
+    their marks and q the least prime above t other than p.  The point is 1/q
+    on each node of rest and, when J holds the affine node, (q - t)/(a q) on
+    i1, of mark a, which puts it on the affine wall.  Its order divides a q,
+    prime to p as p is good.  One alcove_reduce checks the walls.  They
+    differ, and WitnessSearchExhausted is raised, exactly when J holds the
+    affine node and leaves out a single simple node, of mark 1, for then the
+    point is a lattice point.
     """
     if not is_good_prime(rs, p):
         raise InputError(f"p={p} is not good for {rs.ctype}")
-    ext = extended_diagram(rs)
-    J = _check_subset(ext, J)
-    n = rs.rank
-    aff = affine_node(rs)
-    removed = [i for i in range(n) if i not in J]
-    if aff not in J:
-        if not removed:
-            vec = zero_cochar(rs)  # J = S: the identity element
-            _, walls = alcove_reduce(rs, vec)
-            if walls != frozenset(J):
-                raise InvariantViolation("lattice point did not certify J = S")
-            return vec
-        candidates = _levi_witness_candidates(rs, removed)
-    else:
-        candidates = _affine_witness_candidates(rs, removed)
-    tried = 0
-    for vec in candidates:
-        tried += 1
-        _, walls = alcove_reduce(rs, vec)
-        if walls != frozenset(J):
-            continue
-        if p > 0 and point_order(vec) % p == 0:
-            continue
-        return vec
-    raise WitnessSearchExhausted(
-        f"no auxiliary prime below {_WITNESS_PRIME_BOUND} certifies J={J} for"
-        f" {rs.ctype} at p={p} ({tried} candidates tried)"
-    )
-
-
-def _levi_witness_candidates(rs: RootSystem, removed: list[int]):
-    n = rs.rank
-    for ell in _WITNESS_PRIMES:
-        yield tuple(
-            Fraction(1, ell) if i in removed else Fraction(0) for i in range(n)
+    J = _check_subset(extended_diagram(rs), J)
+    removed = [i for i in range(rs.rank) if i not in J]
+    on_affine = affine_node(rs) in J
+    rest = removed[1:] if on_affine else removed
+    t = sum(rs.marks[i] for i in rest)
+    q = next(q for q in itertools.count(t + 1) if q != p and _is_prime(q))
+    vec = [Fraction(0)] * rs.rank
+    for i in rest:
+        vec[i] = Fraction(1, q)
+    if on_affine:
+        vec[removed[0]] = Fraction(q - t, rs.marks[removed[0]] * q)
+    vec = tuple(vec)
+    _, walls = alcove_reduce(rs, vec)
+    if walls != frozenset(J):
+        raise WitnessSearchExhausted(
+            f"no point of {rs.ctype} has alcove walls exactly J={J}"
+            f" (the formula's point has walls {sorted(walls)})"
         )
-
-
-def _affine_witness_candidates(rs: RootSystem, removed: list[int]):
-    if not removed:
-        raise InvariantViolation("affine witness requested with no removed simple node")
-    n = rs.rank
-    i1 = removed[0]
-    a1 = rs.marks[i1]
-    rest = removed[1:]
-    tail = sum(rs.marks[i] for i in rest)
-    for ell in _WITNESS_PRIMES:
-        if ell <= tail:
-            continue
-        vec = [Fraction(0)] * n
-        vec[i1] = Fraction(ell - tail, a1 * ell)
-        for i in rest:
-            vec[i] = Fraction(1, ell)
-        yield tuple(vec)
+    return vec

@@ -350,18 +350,10 @@ def is_good_prime(rs: RootSystem, p: int) -> bool:
 
 def bad_primes(rs: RootSystem) -> tuple[int, ...]:
     """The primes dividing some mark, in increasing order."""
-    out = set()
-    for a in rs.marks:
-        d = 2
-        while d * d <= a:
-            if a % d == 0:
-                out.add(d)
-                while a % d == 0:
-                    a //= d
-            d += 1
-        if a > 1:
-            out.add(a)
-    return tuple(sorted(out))
+    return tuple(
+        q for q in range(2, max(rs.marks) + 1)
+        if _is_prime(q) and any(a % q == 0 for a in rs.marks)
+    )
 
 
 def as_cochar(coords: Iterable) -> CocharVec:

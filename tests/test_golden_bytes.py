@@ -1,5 +1,6 @@
 """Byte identity: every report's stdout matches the digests in perfbench/golden.json,
-and every pseudo-Levi table's stdout matches PSEUDOLEVI_GOLDEN."""
+every pseudo-Levi table's stdout matches PSEUDOLEVI_GOLDEN and every witness
+table's stdout matches WITNESS_GOLDEN."""
 import hashlib
 import json
 from pathlib import Path
@@ -66,8 +67,48 @@ PSEUDOLEVI_GOLDEN = {
 }
 
 
+# sha256 of `unipcent pseudolevis T --witness 7` stdout: the same table with
+# the order of each class's witness point at p = 7.
+WITNESS_GOLDEN = {
+    "A1": "2a9bee6180fbf5aecaadf805c80cac7857f47b24f52902f11b4044971686c331",
+    "A2": "fee93a2fcd42c9e4d97f5580f56ca2736e37af2364c59278e946f1e77ace3b26",
+    "A3": "763dc528fe9cd5bd74bf821db0b4020c2ad94f92af9bda720730dceb8d504fc4",
+    "A4": "2f20ba2a628f0ecffbf9ec0f4bfbcb0ffad8d45193a9e8d564007742b27cfdeb",
+    "A5": "970f59501adadee1ebd0d84b957c1740261bdb7634e33a1146c48d1317b8de08",
+    "A6": "ee21bf0e8e8060b72c87cbd5450cfdc702e0aa3183e30f23892910cc5e2d498e",
+    "A7": "105e3fe52dac18f624223585af43d96ec27e625867c481b9f2e50640caa5883c",
+    "A8": "f9176efb9b225d1dd699b5c8070fd18fb77fb3f6a3965fb2bc87ff997a186f7d",
+    "B2": "f2e4489c6be5e10961cc4f7400017bb52762045cd224170309850d4f1fb5e5c4",
+    "B3": "a7331cd598ef79535a85766790cd8311a6a5b97e6632b675cb752d46735ea760",
+    "B4": "68b3f2e3f366efa2246de85a1551b8fcfb5d6feaef12a1e2ea6904beaa1efcc4",
+    "B5": "3a62ebf065bfb1cf87373aac93d41e9014e61a54bd627b9abe444ac356cac0f7",
+    "B6": "e24fbc768e50d4597aea8a8ab16d3b2f09b759d6526aac3119e4a1c08d60e9ad",
+    "B7": "47e12db308ca475bc1e4ea5053af6ab7bac7be4d26604f1656c27c9a27ca802b",
+    "B8": "85d18695407b3d1484913f1f346755df8e46fb66dbc59dd5fb82b08ae511ac7b",
+    "C2": "203350397a073ffb2fe7acd325ace2797ba4fd9cb35c6694c7b0d66e40582db2",
+    "C3": "9a7908954a6955d99495c6c9a964854bc36291c7a608391783dd59172968fc3f",
+    "C4": "d199df201232ce0ac5639d8d48567dd5743e9b48702976852ea9d039f4ed381b",
+    "C5": "70ef9406c34881f81c82bc26b0ac25b1719db1bd8ecf87feb5a9811f45de9af9",
+    "C6": "2e1c3d4028f45ee45454205496ab08ae9a9446d8563e0b9a2f980830ed15a3db",
+    "C7": "2589ed324f937e9b8475e59ed96a181aca189261900cc14a6478f01778c94ca0",
+    "C8": "7ba5b4262dea729eae75b64c203a4fd041c630a191b9e167d78836728760cdea",
+    "D3": "e5700ef9f8fcdc4d7954118b4d25e70a57d9053c6ee9fb66312e1af52b75fc73",
+    "D4": "1334a24183f339528fccc3a0a5fdd4efb59f4836bc2a085252bb46136887c768",
+    "D5": "6e0cbe4de0f6aa4d030b169fe71d86892f4a17df24885e5528691791600702c9",
+    "D6": "3252d04ceda00a11ccaf6957c6312f4ec03110141b7ace421c8b0beeb7aa7d9c",
+    "D7": "4b7b3a10d8b98b8531c3b485efeee1b63f00c98d04f28148e1e7c79013986e6b",
+    "D8": "cd589c4ee3f47739a53e5aee860e0aaca237bd5c94f0d3a161b1e9377dbefff9",
+    "E6": "4b059a1998d90642340582eb797f334e72c992f84ef465bbd4831193dd7c2785",
+    "E7": "085b3322d1f13281e8d61120762f3305428ce929014522c1b5a28b4097c6a1e8",
+    "E8": "b48fed58c3d5d4b5f3e00c1e2b5e58d7f60baa34dd7c2d5f106eb4c091e2042b",
+    "F4": "bccbe08e5339b49703c931d52d176b4c5594157414a515bd1b1070d48cc75f79",
+    "G2": "12db17c618a3c0e025880e9c474358188e67bcd61069899ee824169ce30b54e7",
+}
+
+
 def test_pseudolevi_golden_covers_every_type():
     assert sorted(PSEUDOLEVI_GOLDEN) == sorted(GOLDEN)
+    assert sorted(WITNESS_GOLDEN) == sorted(GOLDEN)
 
 
 @pytest.mark.parametrize("ctype", sorted(PSEUDOLEVI_GOLDEN))
@@ -75,3 +116,10 @@ def test_pseudolevi_table_matches_golden_digest(ctype, capsys):
     assert main(["pseudolevis", ctype]) == EXIT_OK
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PSEUDOLEVI_GOLDEN[ctype]
+
+
+@pytest.mark.parametrize("ctype", sorted(WITNESS_GOLDEN))
+def test_witness_table_matches_golden_digest(ctype, capsys):
+    assert main(["pseudolevis", ctype, "--witness", "7"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == WITNESS_GOLDEN[ctype]

@@ -303,14 +303,34 @@ def test_witness_rejects_bad_characteristic():
 
 
 def test_witness_unrealizable_wall_set():
-    # removing a single mark-1 simple node spans the whole system, so the
-    # requested wall set can never be certified; the search reports its bound
+    # J holds the affine node and leaves out a single simple node, of mark 1:
+    # the only point on those walls is a lattice point, whose walls are S
     from unipcent import WitnessSearchExhausted
 
     a2 = rs_of("A2")
     with pytest.raises(WitnessSearchExhausted) as info:
         witness_element(a2, (1, 2), 0)
-    assert "1000" in str(info.value)
+    assert "no point of A2 has alcove walls exactly J=(1, 2)" in str(info.value)
+
+
+@pytest.mark.parametrize("name", ["G2", "F4", "A4", "B3", "C3", "D4", "E6"])
+@pytest.mark.parametrize("p", [0, 7])
+def test_witness_realizes_every_wall_set_but_the_mark_one_ones(name, p):
+    from unipcent import WitnessSearchExhausted
+
+    rs = rs_of(name)
+    aff = rs.rank
+    for J in _proper_subsets(rs.rank + 1):
+        removed = [i for i in range(rs.rank) if i not in J]
+        if aff in J and len(removed) == 1 and rs.marks[removed[0]] == 1:
+            with pytest.raises(WitnessSearchExhausted):
+                witness_element(rs, J, p)
+            continue
+        vec = witness_element(rs, J, p)
+        _, walls = alcove_reduce(rs, vec)
+        assert walls == frozenset(J)
+        if p:
+            assert point_order(vec) % p != 0
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "C3", "D4"])
