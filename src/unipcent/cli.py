@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from importlib import resources
 from pathlib import Path
 
 from . import __version__
@@ -53,13 +52,9 @@ EXIT_VERIFY = 2
 EXIT_BUDGET = 3
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); the contract wants 1
-        raise UsageError(message)
+        raise InputError(message)
 
 
 def _positive_int(text: str) -> int:
@@ -74,32 +69,22 @@ def _positive_int(text: str) -> int:
 
 
 def _parse_type(text: str, max_rank: int) -> CartanType:
-    try:
-        ct = CartanType.parse(text)
-    except InputError as exc:
-        raise UsageError(str(exc)) from exc
+    ct = CartanType.parse(text)
     if ct.rank > max_rank:
-        raise UsageError(
+        raise InputError(
             f"rank {ct.rank} exceeds the configured maximum {max_rank}"
         )
     return ct
 
 
-def _display_names() -> dict:
-    with resources.files("unipcent").joinpath("data/display_names.json").open() as fh:
-        return json.load(fh)
-
-
-def _display_name(names: dict, ctype: str, diagram: tuple[int, ...]) -> str:
-    key = ",".join(str(v) for v in diagram)
-    by_type = names.get("by_type", {}).get(ctype, {})
-    if key in by_type:
-        return by_type[key]
-    patterns = names.get("patterns", {})
-    if diagram and all(v == 0 for v in diagram):
-        return patterns.get("all_zero", "")
-    if diagram and all(v == 2 for v in diagram):
-        return patterns.get("all_two", "")
+def _display_name(ctype: CartanType, diagram: tuple[int, ...]) -> str:
+    """A report's cosmetic name: the trivial and regular classes, and G2(a1)."""
+    if ctype == ("G", 2) and diagram == (0, 2):
+        return "subregular class G2(a1)"
+    if all(v == 0 for v in diagram):
+        return "trivial class"
+    if all(v == 2 for v in diagram):
+        return "regular class"
     return ""
 
 
@@ -109,7 +94,6 @@ def build_report_document(
     """The canonical JSON-ready document for one Cartan type."""
     rs = build_root_system(ctype)
     reports = component_group_report(rs, p=p, budget=budget)
-    names = _display_names()
     bad = bad_primes(rs)
     doc_reports = []
     for diagram, rep in reports.items():
@@ -117,7 +101,7 @@ def build_report_document(
             {
                 "diagram": list(diagram),
                 "group_name": rep.group_name,
-                "display_name": _display_name(names, str(ctype), diagram),
+                "display_name": _display_name(ctype, diagram),
                 "classes": [
                     {
                         "order": rec.order,
@@ -341,6 +325,7 @@ def _verify(ct: CartanType, budget: int, doc: dict) -> list[str]:
         elif any(j >= rs.rank for j in ones[0].J):
             failures.append(f"diagram {rep.diagram}: order-1 datum is not a Levi")
 
+    # The alcove check stops at rank 4: its canonical forms take seconds at E8.
     if ct.rank <= 4:
         bound = default_denominator_bound(rs)
         subset_side = {
@@ -352,12 +337,13 @@ def _verify(ct: CartanType, budget: int, doc: dict) -> list[str]:
             failures.append("alcove-point oracle disagrees with subset enumeration")
         if not beyond <= point_side:
             failures.append("alcove-point enumeration not stabilized at the bound")
-        if ct.family in "ABCD":
-            oracle_diagrams = sorted(
-                d for _, d in classical_nilpotent_classes(ct.family, ct.rank)
-            )
-            if oracle_diagrams != list(reports):
-                failures.append("partition oracle diagrams disagree with report keys")
+
+    if ct.family in "ABCD":
+        oracle_diagrams = sorted(
+            d for _, d in classical_nilpotent_classes(ct.family, ct.rank)
+        )
+        if oracle_diagrams != list(reports):
+            failures.append("partition oracle diagrams disagree with report keys")
 
     served = serialize_document(doc)
     differ = [
@@ -416,14 +402,14 @@ def _load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
     except (OSError, ValueError) as exc:  # ValueError: the file is not UTF-8
-        raise UsageError(f"bad --config: {exc}") from None
+        raise InputError(f"bad --config: {exc}") from None
     out = {}
     for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise UsageError(
+            raise InputError(
                 f"bad --config line {number}: expected key=value, got {line!r}"
             )
         key, value = line.split("=", 1)
@@ -483,14 +469,14 @@ def make_parser(defaults: dict | None = None) -> _Parser:
         for key, value in defaults.items():
             key = key.replace("-", "_")
             if key not in options:
-                raise UsageError(f"unknown --config key {key!r}")
+                raise InputError(f"unknown --config key {key!r}")
             action = options[key]
             try:
                 casted[key] = action.type(value) if action.type else value
             except (ValueError, argparse.ArgumentTypeError):
-                raise UsageError(f"bad --config value {key}={value!r}") from None
+                raise InputError(f"bad --config value {key}={value!r}") from None
             if action.choices is not None and casted[key] not in action.choices:
-                raise UsageError(
+                raise InputError(
                     f"bad --config value {key}={value!r}"
                     f" (choose from {', '.join(action.choices)})"
                 )
@@ -507,13 +493,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.config:  # a second parse applies the file's defaults
             args = make_parser(_load_config(args.config)).parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except InputError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (BudgetExceeded,) as exc:
+    except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (FingerprintError, WitnessSearchExhausted) as exc:

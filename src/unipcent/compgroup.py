@@ -49,7 +49,6 @@ def build_triple_record(
     rs: RootSystem,
     J: Iterable[int],
     labels: LabeledSubDiagram,
-    order: int | None = None,
 ) -> TripleRecord:
     """Assemble a record for a node subset J with labeled base items."""
     ext = extended_diagram(rs)
@@ -57,9 +56,7 @@ def build_triple_record(
     items = tuple(sorted((tuple(r), int(l)) for r, l in labels))
     if len(items) != len(J) or {r for r, _ in items} != {ext.root_of[j] for j in J}:
         raise InputError("labels must cover exactly the roots of J")
-    if order is None:
-        order = torsion_order(ext, J)
-    (rec,) = _labeled_records(rs, J, order, [items])
+    (rec,) = _labeled_records(rs, J, torsion_order(ext, J), [items])
     return rec
 
 

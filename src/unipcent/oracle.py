@@ -282,15 +282,8 @@ def _admissible(family: str, parts: tuple[int, ...]) -> bool:
     raise InputError(f"no partition classification for family {family!r}")
 
 
-ORACLE_RANK_BOUND = 4
-
-
-def classical_partitions(
-    family: str, rank: int, rank_bound: int = ORACLE_RANK_BOUND
-) -> tuple[Partition, ...]:
+def classical_partitions(family: str, rank: int) -> tuple[Partition, ...]:
     """Admissible partitions for the classical family at the given rank."""
-    if rank > rank_bound:
-        raise InputError(f"partition oracle capped at rank {rank_bound}, got {rank}")
     n = {"A": rank + 1, "B": 2 * rank + 1, "C": 2 * rank, "D": 2 * rank}[family]
     return tuple(
         Partition(p) for p in sorted(_partitions_of(n), reverse=True)
@@ -298,13 +291,11 @@ def classical_partitions(
     )
 
 
-def distinguished_partitions(
-    family: str, rank: int, rank_bound: int = ORACLE_RANK_BOUND
-) -> tuple[Partition, ...]:
+def distinguished_partitions(family: str, rank: int) -> tuple[Partition, ...]:
     """Partitions of distinguished classes: one part (A), odd distinct (B, D),
     even distinct (C)."""
     out = []
-    for part in classical_partitions(family, rank, rank_bound):
+    for part in classical_partitions(family, rank):
         parts = part.parts
         if family == "A":
             ok = len(parts) == 1
@@ -347,11 +338,11 @@ def partition_diagrams(
 
 
 def classical_nilpotent_classes(
-    family: str, rank: int, rank_bound: int = ORACLE_RANK_BOUND
+    family: str, rank: int
 ) -> tuple[tuple[Partition, LabeledDiagram], ...]:
     """All (partition, diagram) pairs; very even D partitions appear twice."""
     out = []
-    for part in classical_partitions(family, rank, rank_bound):
+    for part in classical_partitions(family, rank):
         for diag in partition_diagrams(family, rank, part):
             out.append((part, diag))
     return tuple(out)

@@ -32,6 +32,8 @@ from .rootsys import (
     RootSystem,
     RootVec,
     WeylWord,
+    _MAX_RANK,
+    _MIN_RANK,
     _is_prime,
     _reflect_to_dominant,
     affine_node,
@@ -126,19 +128,12 @@ def _component_split(cartan: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 def _candidate_types(k: int) -> list[CartanType]:
-    out = [CartanType("A", k)]
-    if k >= 2:
-        out.append(CartanType("B", k))
-        out.append(CartanType("C", k))
-    if k >= 4:
-        out.append(CartanType("D", k))
-    if k in (6, 7, 8):
-        out.append(CartanType("E", k))
-    if k == 4:
-        out.append(CartanType("F", 4))
-    if k == 2:
-        out.append(CartanType("G", 2))
-    return out
+    """Every irreducible type of rank k, families in the order of _MIN_RANK."""
+    return [
+        CartanType(family, k)
+        for family, low in _MIN_RANK.items()
+        if low <= k <= _MAX_RANK.get(family, k)
+    ]
 
 
 def _match_cartan(M: list[list[int]], std: tuple[tuple[int, ...], ...]) -> list[int] | None:

@@ -179,7 +179,9 @@ class RootSystem(_RootSystemFields):
         with j != i and C[i][j] != 0.
 
         s_i negates coordinate i of a cocharacter m and lowers coordinate j by
-        m[i] * C[i][j] for exactly these j.
+        m[i] * C[i][j] for exactly these j.  The diagonal is left out, and the
+        table kept apart from _sparse_rows, so _reflect_to_dominant's inner
+        loop has no entry to skip.
         """
         return tuple(
             tuple((j, c) for j, c in enumerate(row) if c and j != i)

@@ -46,7 +46,7 @@ def test_a1_and_a_n_unique():
     for n in range(1, 9):
         classes = distinguished_classes(ct(f"A{n}"))
         assert classes == ((2,) * n,)
-        assert len(distinguished_partitions("A", n, rank_bound=8)) == 1
+        assert len(distinguished_partitions("A", n)) == 1
 
 
 def test_g2_two_classes():
@@ -72,7 +72,7 @@ def test_sweep_matches_partition_oracle_up_to_rank_8(family):
         swept = set(distinguished_classes(ct(f"{family}{rank}")))
         from_partitions = {
             diag
-            for part in distinguished_partitions(family, rank, rank_bound=8)
+            for part in distinguished_partitions(family, rank)
             for diag in partition_diagrams(family, rank, part)
         }
         assert swept == from_partitions, f"{family}{rank}"

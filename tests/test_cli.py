@@ -357,6 +357,25 @@ def test_verify_rejects_an_order_one_datum_on_the_affine_node(monkeypatch, capsy
     assert "order-1 classes" not in err
 
 
+@pytest.mark.parametrize("name", ["D6", "C8"])
+def test_verify_rejects_a_diagram_no_partition_gives(name, monkeypatch, capsys):
+    """The partition oracle runs above rank 4: a rewritten report key is caught."""
+    import unipcent.cli as cli
+
+    original = cli.component_group_report
+
+    def doctored(rs, p=0, budget=None):
+        reports = original(rs, p=p, budget=budget)
+        *kept, last = reports.items()
+        bad = (3,) * rs.rank  # weighted-diagram labels lie in {0, 1, 2}
+        return {**dict(kept), bad: last[1]._replace(diagram=bad)}
+
+    monkeypatch.setattr(cli, "component_group_report", doctored)
+    assert main(["component-groups", name, "--verify"]) == EXIT_VERIFY
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["verify: partition oracle diagrams disagree with report keys"]
+
+
 @pytest.mark.parametrize("name", ["B2", "D3", "F4"])
 def test_verify_small_type(name, capsys):
     assert main(["component-groups", name, "--verify"]) == EXIT_OK

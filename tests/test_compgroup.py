@@ -157,7 +157,7 @@ def test_a1_records_and_reports():
 def test_a_n_records_match_partition_count(n):
     from unipcent.oracle import classical_partitions
 
-    classes = len(classical_partitions("A", n, rank_bound=8))
+    classes = len(classical_partitions("A", n))
     rs = rs_of(f"A{n}")
     recs = enumerate_triples(rs)
     assert len(recs) == classes
