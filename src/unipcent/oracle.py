@@ -277,14 +277,15 @@ def _admissible(family: str, parts: tuple[int, ...]) -> bool:
         return True
     if family in ("B", "D"):
         return all(c % 2 == 0 for p, c in counts.items() if p % 2 == 0)
-    if family == "C":
-        return all(c % 2 == 0 for p, c in counts.items() if p % 2 == 1)
-    raise InputError(f"no partition classification for family {family!r}")
+    return all(c % 2 == 0 for p, c in counts.items() if p % 2 == 1)  # C
 
 
 def classical_partitions(family: str, rank: int) -> tuple[Partition, ...]:
     """Admissible partitions for the classical family at the given rank."""
-    n = {"A": rank + 1, "B": 2 * rank + 1, "C": 2 * rank, "D": 2 * rank}[family]
+    sizes = {"A": rank + 1, "B": 2 * rank + 1, "C": 2 * rank, "D": 2 * rank}
+    if family not in sizes:
+        raise InputError(f"no partition classification for family {family!r}")
+    n = sizes[family]
     return tuple(
         Partition(p) for p in sorted(_partitions_of(n), reverse=True)
         if _admissible(family, p)

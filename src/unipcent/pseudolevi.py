@@ -6,11 +6,14 @@ the nodes, the subsystem is the set of roots in the integer span of J's roots,
 with the torsion order d_J = gcd of the marks outside J.
 
 A record is J with a labeling of its base.  Weyl conjugacy of records is
-decided in one place: _orbit_representatives hands every record of a stage to
-rootsys.partition_orbits and keeps one record per orbit.  The subsystem
-classes are the orbits of the all-2 records, whose labeling gives the
-regular, hence distinguished, class of the pseudo-Levi; compgroup splits the
-records of every distinguished labeling the same way.
+decided by rootsys.partition_orbits: _orbit_representatives hands it every
+record of a stage and keeps one record per orbit.  The subsystem classes are
+the orbits of the all-2 records, whose labeling gives the regular, hence
+distinguished, class of the pseudo-Levi.  Elementary moves (_move_groups)
+first merge subsets whose subsystems a longest element carries onto each
+other, and only one all-2 record per move group goes to partition_orbits,
+which decides the rest; compgroup splits the records of every distinguished
+labeling with partition_orbits alone.
 """
 from __future__ import annotations
 
@@ -35,6 +38,7 @@ from .rootsys import (
     _MAX_RANK,
     _MIN_RANK,
     _is_prime,
+    _opposition,
     _reflect_to_dominant,
     affine_node,
     alcove_reduce,
@@ -306,12 +310,76 @@ def _orbit_representatives(
     return [min([records[k] for k in orbit], key=preferred) for orbit in orbits]
 
 
-def _regular_records(rs: RootSystem):
-    """The all-2 record of every proper subset J."""
+def _regular_records(rs: RootSystem, subsets: Iterable[tuple[int, ...]]):
+    """The all-2 record of each proper subset J in subsets."""
     ext = rs.extended_diagram
-    for J in _proper_subsets(len(ext.root_of)):
+    for J in subsets:
         regular = tuple(sorted([(ext.root_of[j], 2) for j in J]))
         yield from _labeled_records(rs, J, torsion_order(ext, J), [regular])
+
+
+def _move_groups(ext: ExtendedDiagram) -> list[list[tuple[int, ...]]]:
+    """The proper subsets of the extended nodes, grouped by elementary moves.
+
+    A move takes J and a node s outside it with M = J + {s} still proper, and
+    carries J to M less sigma(s), where sigma is the opposition involution of
+    the component C of M that holds s.  The longest element of W_M sends the
+    roots of J in C to minus their sigma-images and the root system of each
+    other component of M onto itself, so it maps R_J onto the image's
+    subsystem: a group lies in one Weyl class.  The moves generate conjugacy of parabolic subsets in the
+    affine Weyl group (Deodhar, Comm. Algebra 10, 1982); subsets that only W
+    relates are left in different groups.
+
+    So for each proper M and each 2-cycle (u, v) of the sigma of one of its
+    components, read off the component's type (rootsys._opposition), M less
+    u and M less v are one move apart.  Subsets are bit masks until the
+    groups are returned, in the order of their first subset in
+    _proper_subsets.
+    """
+    n_nodes, nodes, C = len(ext.root_of), ext.nodes, ext.cartan
+    adjacent = [sum([1 << b for b in nodes if b != a and C[a][b]]) for a in nodes]
+    swaps: dict[int, list[tuple[int, int]]] = {}  # component mask -> sigma's 2-cycles
+    components = {0: []}  # subset mask -> masks of its components
+    linked: dict[int, list[int]] = {}
+    for M in range(1, (1 << n_nodes) - 1):
+        low = M & -M  # M's components: those of M less its lowest node, joined at it
+        touching = adjacent[low.bit_length() - 1]
+        comps, joined = [], low
+        for c in components[M ^ low]:
+            if c & touching:
+                joined |= c
+            else:
+                comps.append(c)
+        comps.append(joined)
+        components[M] = comps
+        for c in comps:
+            if c not in swaps:
+                comp = [j for j in nodes if c >> j & 1]
+                ct, order = _component_type(
+                    tuple([tuple([C[a][b] for b in comp]) for a in comp])
+                )
+                node = [comp[k] for k in order]  # standard position -> node
+                sigma = _opposition(ct)
+                swaps[c] = [(node[k], node[t]) for k, t in enumerate(sigma) if k < t]
+            for u, v in swaps[c]:
+                J, K = M & ~(1 << u), M & ~(1 << v)
+                linked.setdefault(J, []).append(K)
+                linked.setdefault(K, []).append(J)
+    seen = set()
+    groups = []
+    for J in _proper_subsets(n_nodes):
+        start = sum([1 << j for j in J])
+        if start in seen:
+            continue
+        seen.add(start)
+        group = [start]
+        for K in group:  # group grows while it is scanned
+            for image in linked.get(K, ()):
+                if image not in seen:
+                    seen.add(image)
+                    group.append(image)
+        groups.append([tuple([j for j in nodes if K >> j & 1]) for K in group])
+    return groups
 
 
 def enumerate_pseudolevis(
@@ -320,9 +388,11 @@ def enumerate_pseudolevis(
     """All subsystem classes R_J for proper subsets J, one representative each.
 
     R_J and R_J' are conjugate iff the all-2 labelings of J and J' are, so
-    the classes are the orbits of the all-2 records.  Representatives prefer
-    subsets of the simple nodes, then the lexicographically smallest node
-    tuple; output is sorted by (rank of subsystem, factor types, d_J, J).
+    the classes are the orbits of the all-2 records.  Only the preferred
+    subset of each move group (_move_groups) gets a record, and each orbit
+    keeps the preferred subset over the union of its groups: a subset of the
+    simple nodes if there is one, then the lexicographically smallest node
+    tuple.  Output is sorted by (rank of subsystem, factor types, d_J, J).
     budget bounds each stabilizer-orbit walk (BudgetExceeded).  The result
     is kept in rs.results; only the representatives are closed.
     """
@@ -330,8 +400,13 @@ def enumerate_pseudolevis(
     if key not in rs.results:
         ext = rs.extended_diagram
         aff = affine_node(rs)
+
+        def preferred(J: tuple[int, ...]):
+            return (aff in J, J)
+
+        subsets = [min(group, key=preferred) for group in _move_groups(ext)]
         reps = _orbit_representatives(
-            rs, _regular_records(rs), budget, lambda r: (aff in r.J, r.J)
+            rs, _regular_records(rs, subsets), budget, lambda r: preferred(r.J)
         )
         out = [
             PseudoLevi(r.J, subsystem_closure(ext, r.J), r.factor_types, r.order)

@@ -79,6 +79,24 @@ def _dynkin_edges(ctype: CartanType) -> list[tuple[int, int]]:
     return edges
 
 
+def _opposition(ctype: CartanType) -> tuple[int, ...]:
+    """The opposition involution -w_0 on the nodes, as the image of each node.
+
+    -w_0 permutes the simple roots.  It is the diagram flip for A_n, swaps
+    the two fork nodes of D_n for odd n, swaps 1-6 and 3-5 of E6, and is the
+    identity on every other type (Bourbaki, Plates I-IX, (XI)).
+    """
+    n, fam = ctype.rank, ctype.family
+    sigma = list(range(n))
+    if fam == "A":
+        sigma.reverse()
+    elif fam == "D" and n % 2:
+        sigma[n - 2], sigma[n - 1] = n - 1, n - 2
+    elif fam == "E" and n == 6:
+        sigma = [5, 1, 4, 3, 2, 0]
+    return tuple(sigma)
+
+
 @lru_cache(maxsize=None)
 def cartan_matrix(ctype: CartanType) -> tuple[tuple[int, ...], ...]:
     """Cartan matrix with C[i][j] = <alpha_j, alpha_i^vee> (Bourbaki numbering)."""

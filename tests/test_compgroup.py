@@ -396,23 +396,39 @@ def test_budget_exhaustion_is_loud():
 
 
 def test_e8_report_walks_visit_few_states(monkeypatch):
-    """Refining each start before its walk keeps an E8 report's walks small.
+    """Elementary moves leave an E8 report no walk; the recount still walks.
 
-    Without the refinement the walks of one E8 report visit 19,253 states.
+    The moves alone merge E8's 511 subsets into its 67 subsystem classes,
+    so the pseudo-Levi stage has no two all-2 records to compare, and the
+    distinguished labelings of each class split without a walk too.
+    count_pair_orbits reduces every subset, so it still walks, much as the
+    pseudo-Levi stage did before the moves (35 walks over 3,159 states;
+    19,253 states without refining the starts).
     """
+    import unipcent.pseudolevi as pseudolevi
     import unipcent.rootsys as rootsys
 
-    visited = []
+    visited, regular = [], []
     original = rootsys._stabilizer_orbit
+    original_regular = pseudolevi._regular_records
 
     def counting(*args):
         orbit = original(*args)
         visited.append(len(orbit))
         return orbit
 
+    def counting_regular(rs, subsets):
+        for rec in original_regular(rs, subsets):
+            regular.append(rec.J)
+            yield rec
+
     monkeypatch.setattr(rootsys, "_stabilizer_orbit", counting)
+    monkeypatch.setattr(pseudolevi, "_regular_records", counting_regular)
     rs = rs_of("E8")
     rs.results.clear()
     reports = component_group_report(rs)
     assert sum(len(rep.classes) for rep in reports.values()) == 113
-    assert visited and sum(visited) <= 4800
+    assert len(regular) == 67
+    assert visited == []
+    assert count_pair_orbits(rs) == 113
+    assert (len(visited), sum(visited)) == (37, 3223)

@@ -57,6 +57,12 @@ def test_classical_partition_counts():
     assert parts == {(5,), (3, 1, 1), (2, 2, 1), (1, 1, 1, 1, 1)}
 
 
+@pytest.mark.parametrize("family,rank", [("F", 4), ("E", 6)])
+def test_classical_partitions_reject_an_exceptional_family(family, rank):
+    with pytest.raises(InputError, match="no partition classification"):
+        classical_partitions(family, rank)
+
+
 def test_diagram_recipe_small():
     a1 = dict((p.parts, d) for p, d in classical_nilpotent_classes("A", 1))
     assert a1 == {(2,): (2,), (1, 1): (0,)}

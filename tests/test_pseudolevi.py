@@ -22,6 +22,7 @@ from unipcent import (
 )
 from unipcent.oracle import lattice_root_closure, span_quotient_torsion
 from unipcent.pseudolevi import (
+    _move_groups,
     _proper_subsets,
     _regular_records,
     _transport,
@@ -140,8 +141,8 @@ def test_subset_keys_match_the_fraction_transport():
     for name in ALL_TYPES:
         rs = rs_of(name)
         ext = extended_diagram(rs)
-        subsets = _proper_subsets(len(ext.root_of))
-        for J, rec in zip(subsets, _regular_records(rs), strict=True):
+        subsets = list(_proper_subsets(len(ext.root_of)))
+        for J, rec in zip(subsets, _regular_records(rs, subsets), strict=True):
             assert rec.J == J
             lam_dom, start = _transport(rs, rec)
             base = [ext.root_of[j] for j in J]
@@ -419,7 +420,7 @@ def test_orbit_partition_agrees_with_canonical_forms(name):
     """The canonical forms alone group the subsets as the orbit walks do."""
     rs = rs_of(name)
     ext = extended_diagram(rs)
-    records = list(_regular_records(rs))
+    records = list(_regular_records(rs, _proper_subsets(len(ext.root_of))))
     by_canon = {}
     for rec in records:
         canon = canonical_labeled_set(rs, [(ext.root_of[j], 2) for j in rec.J])
@@ -430,3 +431,34 @@ def test_orbit_partition_agrees_with_canonical_forms(name):
     assert by_walk == classes
     reps = [pl.J for pl in enumerate_pseudolevis(rs)]
     assert sorted(sum(J in cls for J in reps) for cls in classes) == [1] * len(classes)
+
+
+@pytest.mark.parametrize("name", ["G2", "F4", "A5", "B4", "C4", "D5", "D6", "E6", "E7"])
+def test_move_groups_lie_in_one_canonical_class(name):
+    """Each group of elementary moves lies in one Weyl class of all-2 bases."""
+    rs = rs_of(name)
+    ext = extended_diagram(rs)
+    groups = _move_groups(ext)
+    subsets = sorted(J for group in groups for J in group)
+    assert subsets == sorted(_proper_subsets(len(ext.root_of)))
+    for group in groups:
+        canons = {
+            canonical_labeled_set(rs, [(ext.root_of[j], 2) for j in J]) for J in group
+        }
+        assert len(canons) == 1, (name, group)
+
+
+def test_move_group_counts():
+    """Moves alone give E8's 67 classes; elsewhere partition_orbits merges more."""
+    counts = {}
+    for name in ["E8", "E7", "B8", "C8", "D8", "A8"]:
+        rs = rs_of(name)
+        counts[name] = (len(_move_groups(rs.extended_diagram)), len(enumerate_pseudolevis(rs)))
+    assert counts == {
+        "E8": (67, 67),
+        "E7": (59, 44),
+        "B8": (154, 142),
+        "C8": (187, 114),
+        "D8": (137, 74),
+        "A8": (42, 30),
+    }

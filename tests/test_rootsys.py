@@ -26,6 +26,7 @@ from unipcent import (
 from unipcent.oracle import act_cochar, act_labeled_set, brute_orbit
 from unipcent.rootsys import (
     _coroot_coords,
+    _opposition,
     _refine_start,
     as_cochar,
     dominant_transport,
@@ -243,6 +244,20 @@ def test_to_dominant_matches_orbit_bfs(name):
         assert apply_word(rs, word, lam) == dom
         again, word2 = to_dominant(rs, dom)
         assert again == dom and word2 == ()
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_opposition_is_minus_the_longest_element(name):
+    """-w_0 carries each fundamental coweight to the one _opposition names.
+
+    The dominant conjugate of -omega_i is -w_0(omega_i) = omega_sigma(i).
+    """
+    rs = rs_of(name)
+    sigma = _opposition(rs.ctype)
+    assert sorted(sigma) == list(range(rs.rank))
+    for i in range(rs.rank):
+        dom, _ = to_dominant(rs, tuple(-1 if j == i else 0 for j in range(rs.rank)))
+        assert dom == tuple(1 if j == sigma[i] else 0 for j in range(rs.rank)), (name, i)
 
 
 def test_word_involution():
