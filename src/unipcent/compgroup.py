@@ -1,12 +1,13 @@
 """Conjugacy classes of unipotent-centralizer component groups, assembled.
 
 A record pairs a subsystem class (a proper node subset J) with a distinguished
-labeling of its base; records are classified up to Weyl conjugacy of labeled
-bases and cut into runs of equal induced ambient diagram.  Each diagram's
-class count picks the one candidate group with that many classes, and its
-coset orders d_J are matched to the candidate's class orders under
-divisibility (the image of a coset generator can have smaller order in the
-component group than the coset itself has in Z/Z°).
+labeling of its base; pseudolevi.enumerate_triples classifies records up to
+Weyl conjugacy of labeled bases, and the report cuts them into runs of equal
+induced ambient diagram.  Each diagram's class count picks the one candidate
+group with that many classes, and its coset orders d_J are matched to the
+candidate's class orders under divisibility (the image of a coset generator
+can have smaller order in the component group than the coset itself has in
+Z/Z°).
 """
 from __future__ import annotations
 
@@ -21,11 +22,10 @@ from .pseudolevi import (
     TripleRecord,
     _check_subset,
     _labeled_records,
-    _orbit_representatives,
+    _pair_orbits,
     _proper_subsets,
+    enumerate_triples,
     extended_diagram,
-    enumerate_pseudolevis,
-    torsion_order,
 )
 from .rootsys import DEFAULT_BUDGET, RootSystem, is_good_prime
 
@@ -56,52 +56,18 @@ def build_triple_record(
     items = tuple(sorted((tuple(r), int(l)) for r, l in labels))
     if len(items) != len(J) or {r for r, _ in items} != {ext.root_of[j] for j in J}:
         raise InputError("labels must cover exactly the roots of J")
-    (rec,) = _labeled_records(rs, J, torsion_order(ext, J), [items])
+    (rec,) = _labeled_records(rs, J, [items])
     return rec
 
 
-def _smallest_labels(rec: TripleRecord) -> LabeledSubDiagram:
-    return rec.labels
-
-
-def enumerate_triples(
-    rs: RootSystem, budget: int = DEFAULT_BUDGET
-) -> tuple[TripleRecord, ...]:
-    """One record per Weyl orbit of (subsystem class, distinguished labeling).
-
-    Records are sorted by induced diagram, then by order, factor types,
-    labels and J; this is the one place the report's order is decided.  The
-    result is kept in rs.results.
-    """
-    # Labelings of one class can still be Weyl-conjugate when the subsystem
-    # has isomorphic factors the ambient group can swap.
-    key = ("triples", budget)
-    if key not in rs.results:
-        records = [
-            rec
-            for pl in enumerate_pseudolevis(rs, budget)
-            for rec in _orbit_representatives(
-                rs, _labeled_records(rs, pl.J, pl.dJ), budget, _smallest_labels
-            )
-        ]
-        records.sort(key=lambda r: (r.induced, r.order, r.factor_types, r.labels, r.J))
-        rs.results[key] = tuple(records)
-    return rs.results[key]
-
-
 def count_pair_orbits(rs: RootSystem, budget: int = DEFAULT_BUDGET) -> int:
-    """Independent recount: classify every (J, labeling) pair directly.
+    """Independent recount: the pair orbits of every proper subset.
 
-    Walks all proper subsets with all distinguished labelings, skipping the
-    subsystem-class grouping that enumerate_triples relies on.
+    The same split as enumerate_triples, over all proper subsets instead of
+    one per move group, so it checks the elementary moves and nothing else.
     """
-    ext = extended_diagram(rs)
-    records = (
-        rec
-        for J in _proper_subsets(len(ext.root_of))
-        for rec in _labeled_records(rs, J, torsion_order(ext, J))
-    )
-    return len(_orbit_representatives(rs, records, budget, _smallest_labels))
+    n_nodes = len(extended_diagram(rs).root_of)
+    return len(_pair_orbits(rs, _proper_subsets(n_nodes), budget))
 
 
 _FIXED_CANDIDATES = {

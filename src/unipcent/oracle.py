@@ -61,18 +61,6 @@ def _alcove_grid(rs: RootSystem, q: int):
     yield from rec(0, q, [])
 
 
-def alcove_points(rs: RootSystem, max_denominator: int) -> list[tuple[Fraction, ...]]:
-    """All points of the closed fundamental alcove with denominator <= bound."""
-    if max_denominator < 1:
-        raise InputError("max_denominator must be >= 1")
-    seen: set[tuple[Fraction, ...]] = set()
-    for q in range(1, max_denominator + 1):
-        for c in _alcove_grid(rs, q):
-            point = tuple(Fraction(v, q) for v in c)
-            seen.add(point)
-    return sorted(seen)
-
-
 def alcove_pseudolevis(
     rs: RootSystem, max_denominator: int, budget: int = DEFAULT_BUDGET
 ) -> frozenset[tuple]:

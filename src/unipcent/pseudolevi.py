@@ -7,13 +7,14 @@ with the torsion order d_J = gcd of the marks outside J.
 
 A record is J with a labeling of its base.  Weyl conjugacy of records is
 decided by rootsys.partition_orbits: _orbit_representatives hands it every
-record of a stage and keeps one record per orbit.  The subsystem classes are
-the orbits of the all-2 records, whose labeling gives the regular, hence
-distinguished, class of the pseudo-Levi.  Elementary moves (_move_groups)
-first merge subsets whose subsystems a longest element carries onto each
-other, and only one all-2 record per move group goes to partition_orbits,
-which decides the rest; compgroup splits the records of every distinguished
-labeling with partition_orbits alone.
+record of a stage and keeps one record per orbit, the smallest
+(affine node in J, J, labels).  _pair_orbits feeds it the records of every
+distinguished labeling of a list of subsets, and it is the one split:
+enumerate_triples runs it on one subset per move group, elementary moves
+(_move_groups) having merged subsets whose subsystems a longest element
+carries onto each other, and compgroup.count_pair_orbits on every proper
+subset.  Every subsystem class has a distinguished labeling, so
+enumerate_pseudolevis reads the classes off enumerate_triples' records.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .balacarter import LabeledSubDiagram, distinguished_labelings_for_base
 from .errors import InputError, InvariantViolation, WitnessSearchExhausted
@@ -253,7 +254,6 @@ class TripleRecord(NamedTuple):
 def _labeled_records(
     rs: RootSystem,
     J: tuple[int, ...],
-    dJ: int,
     labelings: Iterable[LabeledSubDiagram] | None = None,
 ):
     """The record of each labeling of J's base.
@@ -266,6 +266,7 @@ def _labeled_records(
     the record keeps.
     """
     ext = rs.extended_diagram
+    dJ = torsion_order(ext, J)
     nodes = sorted(J, key=ext.root_of.__getitem__)  # the order of sorted items
     base = [ext.root_of[j] for j in nodes]
     pairings = ext.pairings(nodes)
@@ -295,27 +296,33 @@ def _transport(rs: RootSystem, rec: TripleRecord) -> tuple[CocharVec, tuple[int,
 
 
 def _orbit_representatives(
-    rs: RootSystem,
-    records: Iterable[TripleRecord],
-    budget: int,
-    preferred: Callable[[TripleRecord], object],
+    rs: RootSystem, records: Iterable[TripleRecord], budget: int
 ) -> list[TripleRecord]:
-    """One record per Weyl orbit of labeled bases: its smallest under preferred.
+    """One record per Weyl orbit of labeled bases.
 
     Every record is transported once and partition_orbits splits them all;
-    budget bounds each stabilizer-orbit walk.
+    budget bounds each stabilizer-orbit walk.  Each orbit keeps its smallest
+    record by (affine node in J, J, labels).
     """
+    aff = affine_node(rs)
     records = list(records)
     orbits = partition_orbits(rs, [_transport(rs, rec) for rec in records], budget)
-    return [min([records[k] for k in orbit], key=preferred) for orbit in orbits]
+    return [
+        min([records[k] for k in orbit], key=lambda r: (aff in r.J, r.J, r.labels))
+        for orbit in orbits
+    ]
 
 
-def _regular_records(rs: RootSystem, subsets: Iterable[tuple[int, ...]]):
-    """The all-2 record of each proper subset J in subsets."""
-    ext = rs.extended_diagram
-    for J in subsets:
-        regular = tuple(sorted([(ext.root_of[j], 2) for j in J]))
-        yield from _labeled_records(rs, J, torsion_order(ext, J), [regular])
+def _pair_orbits(
+    rs: RootSystem, subsets: Iterable[tuple[int, ...]], budget: int
+) -> list[TripleRecord]:
+    """One record per Weyl orbit of the distinguished labelings of the subsets.
+
+    Every distinguished labeling of each subset gets a record, and one
+    _orbit_representatives call splits them all.
+    """
+    records = [rec for J in subsets for rec in _labeled_records(rs, J)]
+    return _orbit_representatives(rs, records, budget)
 
 
 def _move_groups(ext: ExtendedDiagram) -> list[list[tuple[int, ...]]]:
@@ -382,35 +389,57 @@ def _move_groups(ext: ExtendedDiagram) -> list[list[tuple[int, ...]]]:
     return groups
 
 
+def enumerate_triples(
+    rs: RootSystem, budget: int = DEFAULT_BUDGET
+) -> tuple[TripleRecord, ...]:
+    """One record per Weyl orbit of (subsystem class, distinguished labeling).
+
+    _pair_orbits over the preferred subset of each move group
+    (_move_groups): a subset of the simple nodes if there is one, then the
+    lexicographically smallest node tuple.  An orbit holds a record of every
+    such subset of its class, so the one it keeps has the class's preferred
+    subset and, of that subset's labelings in the orbit, the smallest.
+    Labelings of one class can still be Weyl-conjugate when the subsystem
+    has isomorphic factors the ambient group can swap.
+
+    Records are sorted by induced diagram, then by order, factor types,
+    labels and J; this is the one place the report's order is decided.
+    budget bounds each stabilizer-orbit walk (BudgetExceeded).  The result
+    is kept in rs.results.
+    """
+    key = ("triples", budget)
+    if key not in rs.results:
+        aff = affine_node(rs)
+        subsets = [
+            min(group, key=lambda J: (aff in J, J))
+            for group in _move_groups(rs.extended_diagram)
+        ]
+        records = _pair_orbits(rs, subsets, budget)
+        records.sort(key=lambda r: (r.induced, r.order, r.factor_types, r.labels, r.J))
+        rs.results[key] = tuple(records)
+    return rs.results[key]
+
+
 def enumerate_pseudolevis(
     rs: RootSystem, budget: int = DEFAULT_BUDGET
 ) -> tuple[PseudoLevi, ...]:
     """All subsystem classes R_J for proper subsets J, one representative each.
 
-    R_J and R_J' are conjugate iff the all-2 labelings of J and J' are, so
-    the classes are the orbits of the all-2 records.  Only the preferred
-    subset of each move group (_move_groups) gets a record, and each orbit
-    keeps the preferred subset over the union of its groups: a subset of the
-    simple nodes if there is one, then the lexicographically smallest node
-    tuple.  Output is sorted by (rank of subsystem, factor types, d_J, J).
-    budget bounds each stabilizer-orbit walk (BudgetExceeded).  The result
-    is kept in rs.results; only the representatives are closed.
+    The classes are the subsets J that the records of enumerate_triples
+    carry: every class has a distinguished labeling (all 2, or the empty one
+    of the torus), and each record's J is its class's preferred subset.
+    Output is sorted by (rank of subsystem, factor types, d_J, J).  budget
+    is enumerate_triples'.  The result is kept in rs.results; only the
+    representatives are closed.
     """
     key = ("pseudolevis", budget)
     if key not in rs.results:
         ext = rs.extended_diagram
-        aff = affine_node(rs)
-
-        def preferred(J: tuple[int, ...]):
-            return (aff in J, J)
-
-        subsets = [min(group, key=preferred) for group in _move_groups(ext)]
-        reps = _orbit_representatives(
-            rs, _regular_records(rs, subsets), budget, lambda r: preferred(r.J)
-        )
+        # Any record of J will do: its order and factor types are J's.
+        by_subset = {r.J: r for r in enumerate_triples(rs, budget)}
         out = [
-            PseudoLevi(r.J, subsystem_closure(ext, r.J), r.factor_types, r.order)
-            for r in reps
+            PseudoLevi(J, subsystem_closure(ext, J), r.factor_types, r.order)
+            for J, r in by_subset.items()
         ]
         out.sort(key=lambda pl: (len(pl.J), pl.factor_types, pl.dJ, pl.J))
         rs.results[key] = tuple(out)

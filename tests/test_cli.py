@@ -420,10 +420,11 @@ def test_invariant_violation_exit_code(monkeypatch, capsys):
 
 
 def test_budget_exit_code(capsys):
-    for name in ("C6", "E6"):
+    for name in ("C6", "E6", "G2"):
         rc = main(["component-groups", name, "--budget", "1"])
         assert rc == EXIT_BUDGET, name
         assert "budget exceeded" in capsys.readouterr().err
+    assert main(["component-groups", "G2", "--budget", "2"]) == EXIT_OK
 
 
 def test_budget_holds_after_an_unbudgeted_run(capsys):

@@ -11,6 +11,7 @@ from unipcent import (
     FingerprintError,
     InputError,
     InvariantViolation,
+    affine_node,
     build_root_system,
     build_triple_record,
     canonical_labeled_set,
@@ -23,9 +24,8 @@ from unipcent import (
     extended_diagram,
     induced_diagram,
     recognize_group_from_torsion,
-    torsion_order,
 )
-from unipcent.compgroup import _candidate, _smallest_labels
+from unipcent.compgroup import _candidate
 from unipcent.oracle import act_labeled_set, brute_orbit, classical_nilpotent_classes
 from unipcent.pseudolevi import (
     _labeled_records,
@@ -250,13 +250,17 @@ def test_record_orbits_agree_with_canonical_forms():
     records = [
         rec
         for J in _proper_subsets(len(ext.root_of))
-        for rec in _labeled_records(rs, J, torsion_order(ext, J))
+        for rec in _labeled_records(rs, J)
     ]
     classes = {}
     for rec in records:
         classes.setdefault(canonical_labeled_set(rs, rec.labels), []).append(rec)
-    kept = _orbit_representatives(rs, records, DEFAULT_BUDGET, _smallest_labels)
-    expected = {min((r.labels, r.J) for r in cls) for cls in classes.values()}
+    kept = _orbit_representatives(rs, records, DEFAULT_BUDGET)
+    aff = affine_node(rs)
+    preferred = [
+        min(cls, key=lambda r: (aff in r.J, r.J, r.labels)) for cls in classes.values()
+    ]
+    expected = {(r.labels, r.J) for r in preferred}
     assert len(kept) == len(classes)
     assert {(r.labels, r.J) for r in kept} == expected
 
@@ -322,7 +326,7 @@ def test_one_solve_records_match_the_two_solve_path(name):
     ext = extended_diagram(rs)
     count = 0
     for J in _proper_subsets(len(ext.root_of)):
-        for rec in _labeled_records(rs, J, torsion_order(ext, J)):
+        for rec in _labeled_records(rs, J):
             assert _transport(rs, rec) == dominant_transport(rs, rec.labels)
             assert rec.induced == induced_diagram(rs, cochar_for_labeled_base(rs, rec.labels))
             count += 1
@@ -399,36 +403,35 @@ def test_e8_report_walks_visit_few_states(monkeypatch):
     """Elementary moves leave an E8 report no walk; the recount still walks.
 
     The moves alone merge E8's 511 subsets into its 67 subsystem classes,
-    so the pseudo-Levi stage has no two all-2 records to compare, and the
-    distinguished labelings of each class split without a walk too.
-    count_pair_orbits reduces every subset, so it still walks, much as the
-    pseudo-Levi stage did before the moves (35 walks over 3,159 states;
-    19,253 states without refining the starts).
+    so the report builds records for 67 subsets, and the distinguished
+    labelings of those split without a walk.  count_pair_orbits reduces
+    every subset, so it still walks, much as the pseudo-Levi stage did
+    before the moves (35 walks over 3,159 states; 19,253 states without
+    refining the starts).
     """
     import unipcent.pseudolevi as pseudolevi
     import unipcent.rootsys as rootsys
 
-    visited, regular = [], []
+    visited, subsets = [], set()
     original = rootsys._stabilizer_orbit
-    original_regular = pseudolevi._regular_records
+    original_records = pseudolevi._labeled_records
 
     def counting(*args):
         orbit = original(*args)
         visited.append(len(orbit))
         return orbit
 
-    def counting_regular(rs, subsets):
-        for rec in original_regular(rs, subsets):
-            regular.append(rec.J)
-            yield rec
+    def counting_records(rs, J, labelings=None):
+        subsets.add(J)
+        yield from original_records(rs, J, labelings)
 
     monkeypatch.setattr(rootsys, "_stabilizer_orbit", counting)
-    monkeypatch.setattr(pseudolevi, "_regular_records", counting_regular)
+    monkeypatch.setattr(pseudolevi, "_labeled_records", counting_records)
     rs = rs_of("E8")
     rs.results.clear()
     reports = component_group_report(rs)
     assert sum(len(rep.classes) for rep in reports.values()) == 113
-    assert len(regular) == 67
+    assert len(subsets) == 67
     assert visited == []
     assert count_pair_orbits(rs) == 113
     assert (len(visited), sum(visited)) == (37, 3223)

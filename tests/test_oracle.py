@@ -19,7 +19,6 @@ from unipcent.oracle import (
     _mask_roots,
     _packing,
     act_cochar,
-    alcove_points,
     alcove_pseudolevis,
     alcove_pseudolevis_by_denominator,
     brute_orbit,
@@ -103,8 +102,6 @@ def test_distinguished_partitions():
 
 def test_alcove_points_a1():
     a1 = rs_of("A1")
-    pts = alcove_points(a1, 2)
-    assert set(pts) == {(Fraction(0),), (Fraction(1, 2),), (Fraction(1),)}
     classes = alcove_pseudolevis(a1, 2)
     assert len(classes) == 2  # torus and the full system
 
@@ -146,8 +143,6 @@ def test_alcove_levels_add_up_to_the_bounded_oracle(name):
 
 def test_oracle_rejects_a_denominator_bound_below_one():
     g2 = rs_of("G2")
-    with pytest.raises(InputError):
-        alcove_points(g2, 0)
     with pytest.raises(InputError):
         alcove_pseudolevis(g2, 0)
     with pytest.raises(InputError):

@@ -22,9 +22,9 @@ from unipcent import (
 )
 from unipcent.oracle import lattice_root_closure, span_quotient_torsion
 from unipcent.pseudolevi import (
+    _labeled_records,
     _move_groups,
     _proper_subsets,
-    _regular_records,
     _transport,
     base_components,
 )
@@ -141,8 +141,9 @@ def test_subset_keys_match_the_fraction_transport():
     for name in ALL_TYPES:
         rs = rs_of(name)
         ext = extended_diagram(rs)
-        subsets = list(_proper_subsets(len(ext.root_of)))
-        for J, rec in zip(subsets, _regular_records(rs, subsets), strict=True):
+        for J in _proper_subsets(len(ext.root_of)):
+            regular = tuple(sorted([(ext.root_of[j], 2) for j in J]))
+            (rec,) = _labeled_records(rs, J, [regular])
             assert rec.J == J
             lam_dom, start = _transport(rs, rec)
             base = [ext.root_of[j] for j in J]
@@ -420,7 +421,11 @@ def test_orbit_partition_agrees_with_canonical_forms(name):
     """The canonical forms alone group the subsets as the orbit walks do."""
     rs = rs_of(name)
     ext = extended_diagram(rs)
-    records = list(_regular_records(rs, _proper_subsets(len(ext.root_of))))
+    records = [
+        rec
+        for J in _proper_subsets(len(ext.root_of))
+        for rec in _labeled_records(rs, J, [tuple(sorted([(ext.root_of[j], 2) for j in J]))])
+    ]
     by_canon = {}
     for rec in records:
         canon = canonical_labeled_set(rs, [(ext.root_of[j], 2) for j in rec.J])
