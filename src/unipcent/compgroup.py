@@ -138,6 +138,8 @@ def recognize_group_from_torsion(torsions: Iterable[int]) -> tuple[str, tuple[in
     torsions = tuple(sorted(int(d) for d in torsions))
     if not torsions:
         raise InputError("empty torsion multiset")
+    if torsions[0] < 1:
+        raise InputError(f"coset orders must be at least 1: {torsions}")
     if torsions.count(1) != 1:
         raise InputError(f"exactly one trivial coset expected: {torsions}")
     candidate = _candidate(len(torsions))

@@ -6,15 +6,16 @@ the nodes, the subsystem is the set of roots in the integer span of J's roots,
 with the torsion order d_J = gcd of the marks outside J.
 
 A record is J with a labeling of its base.  Weyl conjugacy of records is
-decided by rootsys.partition_orbits: _orbit_representatives hands it every
-record of a stage and keeps one record per orbit, the smallest
-(affine node in J, J, labels).  _pair_orbits feeds it the records of every
-distinguished labeling of a list of subsets, and it is the one split:
-enumerate_triples runs it on one subset per move group, elementary moves
-(_move_groups) having merged subsets whose subsystems a longest element
-carries onto each other, and compgroup.count_pair_orbits on every proper
-subset.  Every subsystem class has a distinguished labeling, so
-enumerate_pseudolevis reads the classes off enumerate_triples' records.
+decided by one rootsys.partition_orbits call, which refines every start and
+buckets by one key: _pair_orbits builds the record of every distinguished
+labeling of a list of subsets, pairs each with its transported start, and
+keeps one record per orbit, the smallest (affine node in J, J, labels).
+It is the one split: enumerate_triples runs it on one subset per move
+group, elementary moves (_move_groups) having merged subsets whose
+subsystems a longest element carries onto each other, and
+compgroup.count_pair_orbits on every proper subset.  Every subsystem class
+has a distinguished labeling, so enumerate_pseudolevis reads the classes
+off enumerate_triples' records.
 """
 from __future__ import annotations
 
@@ -287,42 +288,25 @@ def _labeled_records(
         yield TripleRecord(J, items, cochar, diagram_of_dominant(lam), dJ, types, word)
 
 
-def _transport(rs: RootSystem, rec: TripleRecord) -> tuple[CocharVec, tuple[int, ...]]:
-    """dominant_transport of the record's labels, from the reduction it stored.
-
-    The dominant cocharacter's coordinates are the induced diagram.
-    """
-    return rec.induced, transport_start(rs, rec.labels, rec.word)
-
-
-def _orbit_representatives(
-    rs: RootSystem, records: Iterable[TripleRecord], budget: int
-) -> list[TripleRecord]:
-    """One record per Weyl orbit of labeled bases.
-
-    Every record is transported once and partition_orbits splits them all;
-    budget bounds each stabilizer-orbit walk.  Each orbit keeps its smallest
-    record by (affine node in J, J, labels).
-    """
-    aff = affine_node(rs)
-    records = list(records)
-    orbits = partition_orbits(rs, [_transport(rs, rec) for rec in records], budget)
-    return [
-        min([records[k] for k in orbit], key=lambda r: (aff in r.J, r.J, r.labels))
-        for orbit in orbits
-    ]
-
-
 def _pair_orbits(
     rs: RootSystem, subsets: Iterable[tuple[int, ...]], budget: int
 ) -> list[TripleRecord]:
     """One record per Weyl orbit of the distinguished labelings of the subsets.
 
-    Every distinguished labeling of each subset gets a record, and one
-    _orbit_representatives call splits them all.
+    Every distinguished labeling of each subset gets a record, paired with
+    dominant_transport's (lam_dom, start) from the reduction it stored: the
+    dominant cocharacter's coordinates are the induced diagram.  One
+    partition_orbits call splits them all; budget bounds each
+    stabilizer-orbit walk.  Each orbit keeps its smallest record by
+    (affine node in J, J, labels).
     """
+    aff = affine_node(rs)
     records = [rec for J in subsets for rec in _labeled_records(rs, J)]
-    return _orbit_representatives(rs, records, budget)
+    pairs = [(r.induced, transport_start(rs, r.labels, r.word)) for r in records]
+    return [
+        min([records[k] for k in orbit], key=lambda r: (aff in r.J, r.J, r.labels))
+        for orbit in partition_orbits(rs, pairs, budget)
+    ]
 
 
 def _move_groups(ext: ExtendedDiagram) -> list[list[tuple[int, ...]]]:

@@ -56,7 +56,7 @@ class CartanType(_CartanTypeFields):
     @classmethod
     def parse(cls, text: str) -> "CartanType":
         text = text.strip()
-        if len(text) < 2 or not text[1:].isdigit():
+        if len(text) < 2 or not (text[1:].isascii() and text[1:].isdigit()):
             raise InputError(f"cannot parse Cartan type {text!r}")
         return cls(text[0].upper(), int(text[1:]))
 
@@ -850,36 +850,29 @@ def partition_orbits(
 
     Returns the positions of each orbit's members.  Starts under one lam_dom
     are conjugate iff they are under its stabilizer W_I, I the zero
-    coordinates of lam_dom.  Several distinct starts under one lam_dom are
-    first refined (_refine_start): they are bucketed by v_dom, and each
-    bucket is split under the smaller stabilizer of v_dom in W_I.  One walk is
-    made per orbit found: the orbit of the first unassigned start collects
-    every member whose start lies in it, and a start left alone needs no
-    walk.  budget bounds the states of each walk.
+    coordinates of lam_dom.  Every start is refined under W_I
+    (_refine_start), so pairs are bucketed by the one key (lam_dom, v_dom)
+    and, inside a bucket, by moved start; a bucket is split under the
+    smaller stabilizer of v_dom in W_I.  One walk is made per orbit found:
+    the orbit of the first unassigned start collects every member whose
+    start lies in it, and a start left alone needs no walk.  budget bounds
+    the states of each walk.
     """
-    pending: dict[CocharVec, dict[tuple[int, ...], list[int]]] = {}
+    buckets: dict[tuple, dict[tuple[int, ...], list[int]]] = {}
     for pos, (lam_dom, start) in enumerate(pairs):
-        pending.setdefault(lam_dom, {}).setdefault(start, []).append(pos)
+        v_dom, moved = _refine_start(rs, _zero_nodes(lam_dom, range(rs.rank)), start)
+        buckets.setdefault((lam_dom, v_dom), {}).setdefault(moved, []).append(pos)
     classes = []
-    for lam_dom, by_start in pending.items():
-        if len(by_start) == 1:
-            classes.extend(by_start.values())
-            continue
-        stab = _zero_nodes(lam_dom, range(rs.rank))
-        refined: dict[tuple[int, ...], dict[tuple[int, ...], list[int]]] = {}
-        for start, members in by_start.items():
-            v_dom, moved = _refine_start(rs, stab, start)
-            refined.setdefault(v_dom, {}).setdefault(moved, []).extend(members)
-        for v_dom, group in refined.items():
-            nodes = _zero_nodes(v_dom, stab)
-            while group:
-                start = next(iter(group))
-                members = group.pop(start)
-                if group:
-                    orbit = _stabilizer_orbit(rs, nodes, start, budget)
-                    for other in [s for s in group if s in orbit]:
-                        members += group.pop(other)
-                classes.append(sorted(members))
+    for (lam_dom, v_dom), group in buckets.items():
+        nodes = _zero_nodes(v_dom, _zero_nodes(lam_dom, range(rs.rank)))
+        while group:
+            start = next(iter(group))
+            members = group.pop(start)
+            if group:
+                orbit = _stabilizer_orbit(rs, nodes, start, budget)
+                for other in [s for s in group if s in orbit]:
+                    members += group.pop(other)
+            classes.append(sorted(members))
     return classes
 
 

@@ -40,6 +40,10 @@ def test_usage_errors(capsys):
     assert main(["roots", "Q9"]) == EXIT_USAGE
     assert main(["roots", "A11"]) == EXIT_USAGE  # beyond the default max rank
     assert main(["component-groups", "G2", "--format", "yaml"]) == EXIT_USAGE
+    capsys.readouterr()
+    for text in ("A\u00b2", "A\u0663"):  # Unicode digits that are not ASCII
+        assert main(["roots", text]) == EXIT_USAGE, text
+        assert _one_usage_line(capsys), text
 
 
 def _one_usage_line(capsys):
@@ -251,7 +255,12 @@ def test_cache_entry_whose_groups_do_not_match_its_orders(tmp_path, capsys):
     renamed["reports"][trivial]["group_name"] = "Sym(5)"
     no_identity = json.loads(serialize_document(doc))
     no_identity["reports"][trivial]["classes"][0]["order"] = 2  # InputError
-    for tampered in (renamed, no_identity):
+    negative = json.loads(serialize_document(doc))
+    subregular = next(k for k, rep in enumerate(doc["reports"]) if len(rep["classes"]) == 3)
+    for rec in negative["reports"][subregular]["classes"]:
+        if rec["order"] == 2:
+            rec["order"] = -2  # InputError: a coset order below 1
+    for tampered in (renamed, no_identity, negative):
         path = cache_store(doc, tmp_path)
         path.write_text(serialize_document(tampered))
         argv = ["component-groups", "G2", "--format", "md", "--cache-dir", str(tmp_path)]

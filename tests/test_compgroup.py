@@ -27,17 +27,13 @@ from unipcent import (
 )
 from unipcent.compgroup import _candidate
 from unipcent.oracle import act_labeled_set, brute_orbit, classical_nilpotent_classes
-from unipcent.pseudolevi import (
-    _labeled_records,
-    _orbit_representatives,
-    _proper_subsets,
-    _transport,
-)
+from unipcent.pseudolevi import _labeled_records, _pair_orbits, _proper_subsets
 from unipcent.rootsys import (
     DEFAULT_BUDGET,
     coroot_coefficients,
     coroot_combination,
     dominant_transport,
+    transport_start,
 )
 
 
@@ -95,6 +91,10 @@ def test_recognize_group_table():
 def test_recognize_group_rejects():
     # no cosets, no trivial coset, or two of them
     for torsions in ((), (2, 2), (1, 1, 2)):
+        with pytest.raises(InputError):
+            recognize_group_from_torsion(torsions)
+    # a coset order below 1: 0 and -2 divide by every order, -3 by 3
+    for torsions in ((1, 0), (1, -2), (1, 2, -3)):
         with pytest.raises(InputError):
             recognize_group_from_torsion(torsions)
     # no two-class candidate has a class whose order divides 5
@@ -255,7 +255,7 @@ def test_record_orbits_agree_with_canonical_forms():
     classes = {}
     for rec in records:
         classes.setdefault(canonical_labeled_set(rs, rec.labels), []).append(rec)
-    kept = _orbit_representatives(rs, records, DEFAULT_BUDGET)
+    kept = _pair_orbits(rs, _proper_subsets(len(ext.root_of)), DEFAULT_BUDGET)
     aff = affine_node(rs)
     preferred = [
         min(cls, key=lambda r: (aff in r.J, r.J, r.labels)) for cls in classes.values()
@@ -327,7 +327,8 @@ def test_one_solve_records_match_the_two_solve_path(name):
     count = 0
     for J in _proper_subsets(len(ext.root_of)):
         for rec in _labeled_records(rs, J):
-            assert _transport(rs, rec) == dominant_transport(rs, rec.labels)
+            pair = (rec.induced, transport_start(rs, rec.labels, rec.word))
+            assert pair == dominant_transport(rs, rec.labels)
             assert rec.induced == induced_diagram(rs, cochar_for_labeled_base(rs, rec.labels))
             count += 1
     assert count >= 2 ** (rs.rank + 1) - 1  # every proper subset has a record
@@ -397,6 +398,29 @@ def test_budget_exhaustion_is_loud():
     items = tuple((ext.root_of[j], 2) for j in (0, 2))
     with pytest.raises(BudgetExceeded):
         canonical_labeled_set(g2, items, budget=1)
+
+
+# The smallest --budget each report needs, as README gives it: the states its
+# largest walk visits (1 when it makes no walk of more than one state).
+SMALLEST_BUDGETS = {
+    **dict.fromkeys(["A1", "A2", "A4", "A6", "B2", "B3", "C2", "E8", "F4"], 1),
+    "G2": 2,
+    "B5": 4,
+    "D5": 4,
+    "E6": 16,
+    "B7": 18,
+    "E7": 60,
+    **dict.fromkeys(["B8", "C7", "C8", "D8"], 105),
+}
+
+
+@pytest.mark.parametrize("name, budget", SMALLEST_BUDGETS.items())
+def test_smallest_report_budgets(name, budget):
+    rs = rs_of(name)
+    component_group_report(rs, budget=budget)
+    if budget > 1:
+        with pytest.raises(BudgetExceeded):
+            component_group_report(rs, budget=budget - 1)
 
 
 def test_e8_report_walks_visit_few_states(monkeypatch):

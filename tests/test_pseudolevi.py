@@ -25,7 +25,6 @@ from unipcent.pseudolevi import (
     _labeled_records,
     _move_groups,
     _proper_subsets,
-    _transport,
     base_components,
 )
 from unipcent.rootsys import (
@@ -34,6 +33,7 @@ from unipcent.rootsys import (
     dominant_transport,
     pairing,
     partition_orbits,
+    transport_start,
 )
 
 
@@ -145,7 +145,7 @@ def test_subset_keys_match_the_fraction_transport():
             regular = tuple(sorted([(ext.root_of[j], 2) for j in J]))
             (rec,) = _labeled_records(rs, J, [regular])
             assert rec.J == J
-            lam_dom, start = _transport(rs, rec)
+            lam_dom, start = rec.induced, transport_start(rs, rec.labels, rec.word)
             base = [ext.root_of[j] for j in J]
             expect = dominant_transport(rs, [(r, 2) for r in base])
             assert (lam_dom, start) == expect, (name, J)
@@ -430,7 +430,8 @@ def test_orbit_partition_agrees_with_canonical_forms(name):
     for rec in records:
         canon = canonical_labeled_set(rs, [(ext.root_of[j], 2) for j in rec.J])
         by_canon.setdefault(canon, set()).add(rec.J)
-    orbits = partition_orbits(rs, [_transport(rs, rec) for rec in records])
+    pairs = [(r.induced, transport_start(rs, r.labels, r.word)) for r in records]
+    orbits = partition_orbits(rs, pairs)
     by_walk = {frozenset(records[k].J for k in orbit) for orbit in orbits}
     classes = {frozenset(v) for v in by_canon.values()}
     assert by_walk == classes
