@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 
 from . import __version__
@@ -27,6 +28,7 @@ from .errors import (
 )
 from .oracle import (
     alcove_pseudolevis_by_denominator,
+    classical_group_name,
     classical_nilpotent_classes,
     default_denominator_bound,
 )
@@ -39,6 +41,7 @@ from .pseudolevi import (
 from .rootsys import (
     DEFAULT_BUDGET,
     CartanType,
+    RootSystem,
     bad_primes,
     build_root_system,
 )
@@ -88,13 +91,23 @@ def _display_name(ctype: CartanType, diagram: tuple[int, ...]) -> str:
     return ""
 
 
+def _bad_primes_line(rs: RootSystem) -> str:
+    """The bad-primes line of roots and of a report's good_primes_note."""
+    bad = bad_primes(rs)
+    return "bad primes: " + (", ".join(str(q) for q in bad) if bad else "none")
+
+
+def _factors_cell(factor_types) -> str:
+    """A factor column: the factor types joined by +, or T when there are none."""
+    return "+".join(map(str, factor_types)) if factor_types else "T"
+
+
 def build_report_document(
     ctype: CartanType, p: int = 0, budget: int = DEFAULT_BUDGET
 ) -> dict:
     """The canonical JSON-ready document for one Cartan type."""
     rs = build_root_system(ctype)
     reports = component_group_report(rs, p=p, budget=budget)
-    bad = bad_primes(rs)
     doc_reports = []
     for diagram, rep in reports.items():
         doc_reports.append(
@@ -117,9 +130,7 @@ def build_report_document(
         "schema_version": SCHEMA_VERSION,
         "code_version": __version__,
         "cartan_type": str(ctype),
-        "good_primes_note": (
-            "bad primes: " + (", ".join(str(q) for q in bad) if bad else "none")
-        ),
+        "good_primes_note": _bad_primes_line(rs),
         "reports": doc_reports,
     }
 
@@ -134,7 +145,7 @@ def render_csv(doc: dict) -> str:
     for rep in doc["reports"]:
         diagram = " ".join(str(v) for v in rep["diagram"])
         for idx, rec in enumerate(rep["classes"]):
-            factors = "+".join(rec["factor_types"]) if rec["factor_types"] else "T"
+            factors = _factors_cell(rec["factor_types"])
             j_txt = " ".join(str(v) for v in rec["J"])
             lines.append(
                 f"{doc['cartan_type']},{diagram},{rep['group_name']},"
@@ -155,10 +166,7 @@ def render_markdown(doc: dict) -> str:
     for rep in doc["reports"]:
         diagram = " ".join(str(v) for v in rep["diagram"])
         orders = ", ".join(str(rec["order"]) for rec in rep["classes"])
-        factors = "; ".join(
-            "+".join(rec["factor_types"]) if rec["factor_types"] else "T"
-            for rec in rep["classes"]
-        )
+        factors = "; ".join(_factors_cell(rec["factor_types"]) for rec in rep["classes"])
         name = f" ({rep['display_name']})" if rep["display_name"] else ""
         out.append(f"| {diagram}{name} | {rep['group_name']} | {orders} | {factors} |")
     return "\n".join(out) + "\n"
@@ -233,28 +241,53 @@ def cache_load(ctype: str, cache_dir: str | Path) -> dict | None:
     return doc
 
 
-# The fields the renderers read, with their types.
-_REPORT_FIELDS = {"diagram": list, "group_name": str, "display_name": str, "classes": list}
-_CLASS_FIELDS = {"order": int, "factor_types": list, "J": list}
-
-
-def _has_fields(obj, fields: dict) -> bool:
-    return isinstance(obj, dict) and all(isinstance(obj.get(k), t) for k, t in fields.items())
+# The key sets build_report_document writes, at each level.
+_DOC_KEYS = {"schema_version", "code_version", "cartan_type", "good_primes_note", "reports"}
+_REPORT_KEYS = {"diagram", "group_name", "display_name", "classes"}
+_CLASS_KEYS = {"order", "factor_types", "J", "labels"}
 
 
 def _well_formed(doc: dict) -> bool:
-    """Whether a cache entry carries a report body every renderer can read."""
-    reports = doc.get("reports")
-    if not isinstance(doc.get("good_primes_note"), str) or not isinstance(reports, list):
+    """Whether a cache entry has exactly the shape build_report_document writes.
+
+    Each dict has the writer's key set, the names are strings, and diagram,
+    J, order and each [root, label] pair hold ints that are not bools (JSON
+    true is a bool, and bool is an int).  The fields are gathered by kind
+    and their types read once per kind.
+    """
+    if doc.keys() != _DOC_KEYS or type(doc["reports"]) is not list:
         return False
-    return all(
-        _has_fields(rep, _REPORT_FIELDS)
-        and all(
-            _has_fields(rec, _CLASS_FIELDS)
-            and all(isinstance(t, str) for t in rec["factor_types"])
-            for rec in rep["classes"]
-        )
-        for rep in reports
+    strs = [doc["good_primes_note"]]
+    ints = []
+    int_lists = []
+    for rep in doc["reports"]:
+        if type(rep) is not dict or rep.keys() != _REPORT_KEYS:
+            return False
+        strs += rep["group_name"], rep["display_name"]
+        int_lists.append(rep["diagram"])
+        if type(rep["classes"]) is not list:
+            return False
+        for rec in rep["classes"]:
+            if (
+                type(rec) is not dict
+                or rec.keys() != _CLASS_KEYS
+                or type(rec["factor_types"]) is not list
+                or type(rec["labels"]) is not list
+            ):
+                return False
+            strs += rec["factor_types"]
+            ints.append(rec["order"])
+            int_lists.append(rec["J"])
+            for pair in rec["labels"]:
+                if type(pair) is not list or len(pair) != 2:
+                    return False
+                int_lists.append(pair[0])
+                ints.append(pair[1])
+    return (
+        set(map(type, strs)) <= {str}
+        and set(map(type, ints)) <= {int}
+        and set(map(type, int_lists)) <= {list}
+        and set(map(type, chain.from_iterable(int_lists))) <= {int}
     )
 
 
@@ -273,12 +306,11 @@ def _groups_recognized(doc: dict) -> bool:
 def cmd_roots(args) -> int:
     ct = _parse_type(args.type, args.max_rank)
     rs = build_root_system(ct)
-    bad = bad_primes(rs)
     print(f"type: {ct}")
     print(f"rank: {rs.rank}")
     print(f"positive roots: {len(rs.positive_roots)} (total {2 * len(rs.positive_roots)})")
     print(f"highest root marks: {' '.join(str(a) for a in rs.marks)}")
-    print("bad primes: " + (", ".join(str(q) for q in bad) if bad else "none"))
+    print(_bad_primes_line(rs))
     return EXIT_OK
 
 
@@ -293,8 +325,7 @@ def cmd_pseudolevis(args) -> int:
         "J | factors | d_J" + (" | witness order" if args.witness is not None else ""),
     ]
     for pl in pls:
-        factors = "+".join(str(t) for t in pl.factor_types) if pl.factor_types else "T"
-        row = f"{list(pl.J)} | {factors} | {pl.dJ}"
+        row = f"{list(pl.J)} | {_factors_cell(pl.factor_types)} | {pl.dJ}"
         if args.witness is not None:
             row += f" | {point_order(witness_element(rs, pl.J, args.witness))}"
         rows.append(row)
@@ -339,11 +370,17 @@ def _verify(ct: CartanType, budget: int, doc: dict) -> list[str]:
             failures.append("alcove-point enumeration not stabilized at the bound")
 
     if ct.family in "ABCD":
-        oracle_diagrams = sorted(
-            d for _, d in classical_nilpotent_classes(ct.family, ct.rank)
-        )
-        if oracle_diagrams != list(reports):
+        classes = classical_nilpotent_classes(ct.family, ct.rank)
+        if sorted(d for _, d in classes) != list(reports):
             failures.append("partition oracle diagrams disagree with report keys")
+        else:
+            for part, d in classes:
+                expected = classical_group_name(ct.family, part)
+                if reports[d].group_name != expected:
+                    failures.append(
+                        f"diagram {d}: group {reports[d].group_name},"
+                        f" partition {list(part.parts)} gives {expected}"
+                    )
 
     served = serialize_document(doc)
     differ = [

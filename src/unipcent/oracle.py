@@ -337,6 +337,33 @@ def classical_nilpotent_classes(
     return tuple(out)
 
 
+def classical_group_name(family: str, partition: Partition) -> str:
+    """The group A(u) of the partition's class in the adjoint group, by formula.
+
+    It is (Z/2)^k, named ElemAb2(k), or trivial when k = 0 (Collingwood and
+    McGovern, Nilpotent Orbits in Semisimple Lie Algebras, 6.1).  With a
+    the number of distinct odd parts and b that of distinct even parts, k
+    is 0 for A_n; a - 1 for B_n; b for C_n, less 1 if some even part has
+    odd multiplicity; and max(0, a - 1) for D_n, or max(0, a - 2) if some
+    odd part has odd multiplicity.  The formula makes no Weyl-conjugacy
+    decision, so it checks the report's merges from outside.
+    """
+    parts = partition.parts
+    odd = {p for p in parts if p % 2}
+    even = set(parts) - odd
+    if family == "A":
+        k = 0
+    elif family == "B":
+        k = len(odd) - 1
+    elif family == "C":
+        k = len(even) - any(parts.count(p) % 2 for p in even)
+    elif family == "D":
+        k = max(0, len(odd) - 1 - any(parts.count(p) % 2 for p in odd))
+    else:
+        raise InputError(f"no partition classification for family {family!r}")
+    return f"ElemAb2({k})" if k else "trivial"
+
+
 def brute_orbit(
     rs: RootSystem,
     seed,
@@ -358,12 +385,6 @@ def brute_orbit(
                     nxt.append(image)
         frontier = nxt
     return frozenset(seen)
-
-
-def act_cochar(rs: RootSystem, i: int, vec):
-    from .rootsys import reflect_cochar
-
-    return reflect_cochar(rs, i, vec)
 
 
 def act_labeled_set(rs: RootSystem, i: int, items):

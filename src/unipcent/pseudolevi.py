@@ -82,8 +82,7 @@ def subsystem_closure(ext: ExtendedDiagram, J: Iterable[int]) -> frozenset[RootV
     """
     J = _check_subset(ext, J)
     table = ext.rs.root_index
-    aff = affine_node(ext.rs)
-    perms = [table.affine_reflection if j == aff else table.reflections[j] for j in J]
+    perms = [table.reflections[j] for j in J]
     seen = {table.index[ext.root_of[j]] for j in J}
     frontier = list(seen)
     while frontier:
@@ -413,21 +412,17 @@ def enumerate_pseudolevis(
     carry: every class has a distinguished labeling (all 2, or the empty one
     of the torus), and each record's J is its class's preferred subset.
     Output is sorted by (rank of subsystem, factor types, d_J, J).  budget
-    is enumerate_triples'.  The result is kept in rs.results; only the
-    representatives are closed.
+    is enumerate_triples'.  Only the representatives are closed.
     """
-    key = ("pseudolevis", budget)
-    if key not in rs.results:
-        ext = rs.extended_diagram
-        # Any record of J will do: its order and factor types are J's.
-        by_subset = {r.J: r for r in enumerate_triples(rs, budget)}
-        out = [
-            PseudoLevi(J, subsystem_closure(ext, J), r.factor_types, r.order)
-            for J, r in by_subset.items()
-        ]
-        out.sort(key=lambda pl: (len(pl.J), pl.factor_types, pl.dJ, pl.J))
-        rs.results[key] = tuple(out)
-    return rs.results[key]
+    ext = rs.extended_diagram
+    # Any record of J will do: its order and factor types are J's.
+    by_subset = {r.J: r for r in enumerate_triples(rs, budget)}
+    out = [
+        PseudoLevi(J, subsystem_closure(ext, J), r.factor_types, r.order)
+        for J, r in by_subset.items()
+    ]
+    out.sort(key=lambda pl: (len(pl.J), pl.factor_types, pl.dJ, pl.J))
+    return tuple(out)
 
 
 def point_order(lam: Sequence) -> int:

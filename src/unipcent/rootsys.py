@@ -168,9 +168,8 @@ class RootSystem(_RootSystemFields):
         for g in roots:
             p = sum(g[j] * t for j, t in tv)
             affine.append(index[tuple(c - p * t for c, t in zip(g, theta))])
-        return RootIndex(
-            roots, index, tuple(map(tuple, reflections)), tuple(affine), tuple(coroots)
-        )
+        reflections.append(affine)
+        return RootIndex(roots, index, tuple(map(tuple, reflections)), tuple(coroots))
 
     @cached_property
     def extended_diagram(self) -> "ExtendedDiagram":
@@ -233,16 +232,15 @@ class RootSystem(_RootSystemFields):
 class RootIndex(NamedTuple):
     """All roots in sorted order, their positions, and reflections as permutations.
 
-    reflections holds the simple reflections s_i; affine_reflection is s_theta,
-    the reflection in the affine node's root -theta, kept apart so that
-    reflections stays indexed by the simple nodes.  coroots[k] is the coroot
-    of roots[k] in coweight coordinates (see coroot).
+    reflections[a] is the reflection of extended node a: s_a for a simple
+    node, and s_theta, the reflection in the affine node's root -theta, at
+    index rank.  coroots[k] is the coroot of roots[k] in coweight
+    coordinates (see coroot).
     """
 
     roots: tuple[RootVec, ...]
     index: dict[RootVec, int]
     reflections: tuple[tuple[int, ...], ...]
-    affine_reflection: tuple[int, ...]
     coroots: tuple[RootVec, ...]
 
 
@@ -461,9 +459,7 @@ def to_dominant(rs: RootSystem, lam: Sequence) -> tuple[CocharVec, WeylWord]:
     lam = tuple(lam)
     if len(lam) != rs.rank:
         raise InputError(f"dimension mismatch: {len(lam)} vs {rs.rank}")
-    for c in lam:
-        if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
-            raise InputError(f"exact rational expected, got {c!r}")
+    lam = as_cochar(lam)
     den = math.lcm(*(c.denominator for c in lam))
     m = [c.numerator * (den // c.denominator) for c in lam]
     word = tuple(_reflect_to_dominant(rs, m, range(rs.rank)))

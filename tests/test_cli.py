@@ -20,8 +20,8 @@ from unipcent.cli import (
     main,
     serialize_document,
 )
-from unipcent.errors import InvariantViolation
-from unipcent.rootsys import CartanType
+from unipcent.errors import FingerprintError, InvariantViolation
+from unipcent.rootsys import CartanType, build_root_system
 
 
 def test_roots_command(capsys):
@@ -105,6 +105,13 @@ def test_pseudolevis_command(capsys):
     assert main(["pseudolevis", "G2", "--witness", "5"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "A2 | 3 | 3" in out.replace("  ", " ")
+
+
+def test_pseudolevis_keeps_no_table_of_its_own(capsys):
+    """A run builds the pseudo-Levi table once, so only the triples stage is kept."""
+    assert main(["pseudolevis", "E8"]) == EXIT_OK
+    rs = build_root_system(CartanType.parse("E8"))
+    assert {stage for stage, _ in rs.results} == {"triples"}
 
 
 def test_component_groups_json(capsys):
@@ -215,17 +222,29 @@ def test_cache_misses(tmp_path, capsys):
 
 
 def _stub_bodies(doc):
-    """Entries with the right versions and type but a body the renderers cannot read."""
+    """Entries with the right versions and type but a body not of the writer's shape.
+
+    The renderers cannot read the first five; they would print the last
+    three wrong (True in the class orders, "x None" and "True 7" in a CSV
+    row, an extra key and garbage labels in the JSON).
+    """
     head = {k: doc[k] for k in ("schema_version", "code_version", "cartan_type")}
     rep = doc["reports"][0]
     rec = rep["classes"][0]
     no_j = {k: v for k, v in rec.items() if k != "J"}
+    order_true = [
+        dict(r, classes=[dict(c, order=True) if c["order"] == 1 else c for c in r["classes"]])
+        for r in doc["reports"]
+    ]  # int(True) == 1, so the groups are still recognized
     return [
         head,
         dict(head, good_primes_note=doc["good_primes_note"], reports={}),
         dict(doc, reports=[{k: v for k, v in rep.items() if k != "group_name"}]),
         dict(doc, reports=[dict(rep, classes=[no_j])]),
         dict(doc, reports=[dict(rep, classes=[dict(rec, factor_types=[1])])]),
+        dict(doc, reports=order_true),
+        dict(doc, reports=[dict(rep, diagram=["x", None], classes=[dict(rec, J=[True, "7"])])]),
+        dict(doc, comment="edited by hand", reports=[dict(rep, classes=[dict(rec, labels="garbage")])]),
     ]
 
 
@@ -366,6 +385,73 @@ def test_verify_rejects_an_order_one_datum_on_the_affine_node(monkeypatch, capsy
     assert "order-1 classes" not in err
 
 
+def test_verify_rejects_a_pair_orbit_recount_that_differs(monkeypatch, capsys):
+    import unipcent.cli as cli
+
+    original = cli.count_pair_orbits
+    monkeypatch.setattr(cli, "count_pair_orbits", lambda rs, budget: original(rs, budget) + 1)
+    assert main(["component-groups", "G2", "--verify"]) == EXIT_VERIFY
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["verify: pair-orbit recount 8 != report classes 7"]
+
+
+@pytest.mark.parametrize(
+    "doctor, message",
+    [
+        (
+            lambda levels, beyond: [levels[0] | {"bogus"}, *levels[1:], beyond],
+            "alcove-point oracle disagrees with subset enumeration",
+        ),
+        (
+            lambda levels, beyond: [*levels, beyond | {"bogus"}],
+            "alcove-point enumeration not stabilized at the bound",
+        ),
+    ],
+)
+def test_verify_rejects_a_doctored_alcove_oracle(doctor, message, monkeypatch, capsys):
+    """A subsystem class only the points give, below the bound or beyond it."""
+    import unipcent.cli as cli
+
+    original = cli.alcove_pseudolevis_by_denominator
+
+    def doctored(rs, max_denominator, budget):
+        *levels, beyond = original(rs, max_denominator, budget)
+        return doctor(levels, beyond)
+
+    monkeypatch.setattr(cli, "alcove_pseudolevis_by_denominator", doctored)
+    assert main(["component-groups", "B3", "--verify"]) == EXIT_VERIFY
+    assert capsys.readouterr().err.splitlines() == [f"verify: {message}"]
+
+
+def test_verify_rejects_a_witness_order_divisible_by_p(monkeypatch, capsys):
+    import unipcent.cli as cli
+    from unipcent import enumerate_pseudolevis
+
+    monkeypatch.setattr(cli, "point_order", lambda vec: 7)
+    assert main(["component-groups", "G2", "--verify"]) == EXIT_VERIFY
+    lines = capsys.readouterr().err.splitlines()
+    pls = enumerate_pseudolevis(build_root_system(CartanType.parse("G2")))
+    assert lines == [f"verify: witness order not prime to p for J={pl.J} at p=7" for pl in pls]
+
+
+def test_verify_rejects_a_classical_group_its_partition_does_not_give(monkeypatch, capsys):
+    """B4's rows are checked against the partition formula, not only its diagrams."""
+    import unipcent.cli as cli
+
+    original = cli.component_group_report
+
+    def doctored(rs, p=0, budget=None):
+        reports = original(rs, p=p, budget=budget)
+        diagram, rep = next((d, r) for d, r in reports.items() if r.group_name == "ElemAb2(1)")
+        return {**reports, diagram: rep._replace(group_name="trivial")}
+
+    monkeypatch.setattr(cli, "component_group_report", doctored)
+    assert main(["component-groups", "B4", "--verify"]) == EXIT_VERIFY
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("verify: diagram (")
+    assert "group trivial, partition [" in lines[0] and lines[0].endswith("gives ElemAb2(1)")
+
+
 @pytest.mark.parametrize("name", ["D6", "C8"])
 def test_verify_rejects_a_diagram_no_partition_gives(name, monkeypatch, capsys):
     """The partition oracle runs above rank 4: a rewritten report key is caught."""
@@ -413,6 +499,19 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_verify", lambda ct, budget, doc: ["forced failure"])
     assert main(["component-groups", "A1", "--verify"]) == 2
     assert "forced failure" in capsys.readouterr().err
+
+
+def test_unrecognized_fingerprint_exit_code(monkeypatch, capsys):
+    import unipcent.cli as cli
+
+    def unrecognized(rs, p=0, budget=None):
+        raise FingerprintError("no candidate group has 6 classes")
+
+    monkeypatch.setattr(cli, "component_group_report", unrecognized)
+    assert main(["component-groups", "G2"]) == EXIT_VERIFY
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "verification failure: no candidate group has 6 classes\n"
 
 
 def test_invariant_violation_exit_code(monkeypatch, capsys):
@@ -474,6 +573,15 @@ def test_config_keys_and_choices_follow_the_options(tmp_path, capsys):
     # a key another subcommand takes is accepted and left to that subcommand
     assert main(["--config", str(cfg), "roots", "G2"]) == EXIT_OK
     assert "positive roots: 6" in capsys.readouterr().out
+
+
+def test_config_file_that_cannot_be_read(tmp_path, capsys):
+    argv = ["--config", str(tmp_path / "missing.cfg"), "roots", "A2"]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: bad --config:")
+    assert captured.err.count("\n") == 1
 
 
 def test_config_line_without_an_equals_sign_is_a_usage_error(tmp_path, capsys):

@@ -18,16 +18,18 @@ from unipcent.oracle import (
     _integral_masks,
     _mask_roots,
     _packing,
-    act_cochar,
     alcove_pseudolevis,
     alcove_pseudolevis_by_denominator,
     brute_orbit,
+    classical_group_name,
     classical_nilpotent_classes,
     classical_partitions,
     default_denominator_bound,
     distinguished_partitions,
     integrality_subsystem,
 )
+from unipcent.compgroup import component_group_report
+from unipcent.rootsys import reflect_cochar
 
 
 def rs_of(name):
@@ -220,8 +222,42 @@ def test_integrality_subsystem_direct():
 
 def test_brute_orbit_sizes():
     a1 = rs_of("A1")
-    assert len(brute_orbit(a1, (Fraction(1),), act_cochar)) == 2
-    assert len(brute_orbit(a1, (Fraction(0),), act_cochar)) == 1
+    assert len(brute_orbit(a1, (Fraction(1),), reflect_cochar)) == 2
+    assert len(brute_orbit(a1, (Fraction(0),), reflect_cochar)) == 1
     a2 = rs_of("A2")
-    assert len(brute_orbit(a2, (Fraction(1), Fraction(1)), act_cochar)) == 6
-    assert len(brute_orbit(a2, (Fraction(0), Fraction(0)), act_cochar)) == 1
+    assert len(brute_orbit(a2, (Fraction(1), Fraction(1)), reflect_cochar)) == 6
+    assert len(brute_orbit(a2, (Fraction(0), Fraction(0)), reflect_cochar)) == 1
+
+
+def test_classical_group_name_formula():
+    cases = [
+        ("A", (3, 2, 1), "trivial"),
+        ("B", (5, 3, 1), "ElemAb2(2)"),
+        ("B", (3, 3, 1), "ElemAb2(1)"),
+        ("B", (3, 3, 3), "trivial"),
+        ("C", (4, 2), "ElemAb2(1)"),  # b = 2, less 1: an even part of odd multiplicity
+        ("C", (2, 2), "ElemAb2(1)"),
+        ("D", (5, 3), "trivial"),  # a = 2, less 2: odd parts of odd multiplicity
+        ("D", (3, 3, 1, 1), "ElemAb2(1)"),
+    ]
+    for family, parts, name in cases:
+        assert classical_group_name(family, Partition(parts)) == name, (family, parts)
+    with pytest.raises(InputError):
+        classical_group_name("F", Partition((2, 2)))
+
+
+CLASSICAL_TYPES = [
+    f"{family}{n}" for family, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3)) for n in range(low, 9)
+]
+
+
+@pytest.mark.parametrize("name", CLASSICAL_TYPES)
+def test_classical_group_names_match_the_report(name):
+    """Each classical row's A(u) is the group its partition's formula names."""
+    ct = CartanType.parse(name)
+    reports = component_group_report(build_root_system(ct))
+    by_formula = {
+        d: classical_group_name(ct.family, part)
+        for part, d in classical_nilpotent_classes(ct.family, ct.rank)
+    }
+    assert {d: rep.group_name for d, rep in reports.items()} == by_formula

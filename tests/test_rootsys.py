@@ -23,7 +23,7 @@ from unipcent import (
     pairing,
     to_dominant,
 )
-from unipcent.oracle import act_cochar, act_labeled_set, brute_orbit
+from unipcent.oracle import act_labeled_set, brute_orbit
 from unipcent.rootsys import (
     _coroot_coords,
     _opposition,
@@ -108,6 +108,10 @@ def test_sparse_tables_match_the_dense_reference(name):
         assert table.reflections[i] == expected
     d = symmetrizer(rs)
     assert table.coroots == tuple(_coroot_coords(rs, d, g) for g in table.roots)
+    # The affine node's reflection, the last one, is s_theta.
+    theta, theta_vee = rs.highest_root, _coroot_coords(rs, d, rs.highest_root)
+    s_theta = [tuple(c - pairing(g, theta_vee) * t for c, t in zip(g, theta)) for g in table.roots]
+    assert table.reflections[rs.rank:] == (tuple(map(table.index.__getitem__, s_theta)),)
 
 
 @pytest.mark.parametrize("name", ALL_TYPES)
@@ -236,7 +240,7 @@ def test_to_dominant_matches_orbit_bfs(name):
         ]
     ]
     for lam in samples:
-        orbit = brute_orbit(rs, lam, act_cochar)
+        orbit = brute_orbit(rs, lam, reflect_cochar)
         dominants = [v for v in orbit if all(c >= 0 for c in v)]
         assert len(dominants) == 1
         dom, word = to_dominant(rs, lam)
@@ -522,6 +526,8 @@ def test_to_dominant_rejects_inexact_or_misshapen_input():
             to_dominant(a2, bad)
     with pytest.raises(InputError):
         to_dominant(a2, (1, 2, 3))
+    with pytest.raises(InputError, match="dimension mismatch"):
+        to_dominant(a2, (0.5, 1, 2))
 
 
 @pytest.mark.parametrize("name", ["B2", "G2", "A3", "B3", "C3"])
