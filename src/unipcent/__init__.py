@@ -11,7 +11,6 @@ from .balacarter import (
     LabeledSubDiagram,
     distinguished_classes,
     distinguished_labelings_for_base,
-    is_distinguished,
 )
 from .compgroup import (
     AuReport,
@@ -28,17 +27,24 @@ from .errors import (
     InvariantViolation,
     WitnessSearchExhausted,
 )
-from .induce import LabeledDiagram, cochar_for_labeled_base, induced_diagram
-from .oracle import lattice_root_closure
+from .induce import cochar_for_labeled_base, induced_diagram
+from .oracle import (
+    alcove_reduce_map,
+    all_roots,
+    apply_word,
+    canonical_subsystem,
+    is_distinguished,
+    lattice_root_closure,
+    pairing,
+    subsystem_base,
+)
 from .pseudolevi import (
     ExtendedDiagram,
     PseudoLevi,
     TripleRecord,
-    canonical_subsystem,
     enumerate_pseudolevis,
     extended_diagram,
     point_order,
-    subsystem_base,
     subsystem_closure,
     torsion_order,
     witness_element,
@@ -46,20 +52,17 @@ from .pseudolevi import (
 from .rootsys import (
     CartanType,
     CocharVec,
+    LabeledDiagram,
     RootSystem,
     RootVec,
     WeylWord,
     affine_node,
     alcove_reduce,
-    alcove_reduce_map,
-    all_roots,
-    apply_word,
     bad_primes,
     build_root_system,
     canonical_labeled_set,
     coroot,
     is_good_prime,
-    pairing,
     to_dominant,
 )
 

@@ -10,7 +10,6 @@ import itertools
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import InputError
 from .rootsys import CartanType, RootSystem, RootVec, build_root_system
 
 LabeledSubDiagram = tuple[tuple[RootVec, int], ...]
@@ -56,16 +55,6 @@ def _grading_counts(masks: RootMasks, twos: int) -> tuple[int, int]:
             once = (once & ~supp) | (ones & ~hit)
             hit |= supp
     return 2 * (n_pos - hit.bit_count()), once.bit_count()
-
-
-def is_distinguished(rs_factor: RootSystem, labels: Sequence[int]) -> bool:
-    """Dimension criterion for a {0,2}-labeling of an irreducible factor."""
-    if len(labels) != rs_factor.rank:
-        raise InputError("label vector length must match the rank")
-    if any(v not in (0, 2) for v in labels):
-        raise InputError(f"labels must lie in {{0, 2}}, got {tuple(labels)}")
-    zero, two = _grading_counts(_root_masks(rs_factor), _twos_mask(labels))
-    return zero + rs_factor.rank == two
 
 
 @lru_cache(maxsize=None)

@@ -28,12 +28,12 @@ from .errors import (
 )
 from .oracle import (
     alcove_pseudolevis_by_denominator,
+    canonical_subsystem,
     classical_group_name,
     classical_nilpotent_classes,
     default_denominator_bound,
 )
 from .pseudolevi import (
-    canonical_subsystem,
     enumerate_pseudolevis,
     point_order,
     witness_element,

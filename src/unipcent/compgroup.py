@@ -17,7 +17,6 @@ from typing import Iterable, NamedTuple
 
 from .balacarter import LabeledSubDiagram
 from .errors import FingerprintError, InputError, InvariantViolation
-from .induce import LabeledDiagram
 from .pseudolevi import (
     TripleRecord,
     _check_subset,
@@ -27,7 +26,7 @@ from .pseudolevi import (
     enumerate_triples,
     extended_diagram,
 )
-from .rootsys import DEFAULT_BUDGET, RootSystem, is_good_prime
+from .rootsys import DEFAULT_BUDGET, LabeledDiagram, RootSystem, is_good_prime
 
 
 class AuReport(NamedTuple):
@@ -40,9 +39,12 @@ class AuReport(NamedTuple):
 
     diagram: LabeledDiagram
     classes: tuple[TripleRecord, ...]
-    torsion_orders: tuple[int, ...]
     orders: tuple[int, ...]
     group_name: str
+
+    @property
+    def torsion_orders(self) -> tuple[int, ...]:
+        return tuple(r.order for r in self.classes)
 
 
 def build_triple_record(
@@ -169,5 +171,5 @@ def component_group_report(
                 f"diagram {diagram} of {rs.ctype} has {torsions.count(1)} order-1 classes"
             )
         name, orders = recognize_group_from_torsion(torsions)
-        out[diagram] = AuReport(diagram, classes, torsions, orders, name)
+        out[diagram] = AuReport(diagram, classes, orders, name)
     return out

@@ -9,8 +9,10 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import InputError, InvariantViolation
+from .pseudolevi import diagram_of_dominant
 from .rootsys import (
     CocharVec,
+    LabeledDiagram,
     RootSystem,
     RootVec,
     as_cochar,
@@ -18,10 +20,6 @@ from .rootsys import (
     to_dominant,
     zero_cochar,
 )
-
-LabeledDiagram = tuple[int, ...]
-
-_DIAGRAM_LABELS = frozenset((0, 1, 2))
 
 
 def cochar_for_labeled_base(
@@ -53,12 +51,3 @@ def induced_diagram(rs: RootSystem, lam: Sequence) -> LabeledDiagram:
     dom, _ = to_dominant(rs, lam)
     return diagram_of_dominant([int(c) for c in dom])
 
-
-def diagram_of_dominant(lam_dom: Sequence[int]) -> LabeledDiagram:
-    """The labels of a dominant integer cocharacter; must land in {0, 1, 2}."""
-    labels = tuple(lam_dom)
-    if not _DIAGRAM_LABELS.issuperset(labels):
-        raise InvariantViolation(
-            f"induced labels {labels} leave {{0,1,2}}; upstream data is corrupt"
-        )
-    return labels

@@ -1,10 +1,17 @@
-"""Independent small-scale ground truth for tests and verification.
+"""Independent ground truth and reference code for tests and verification.
 
-Four separate routes that never feed the main pipeline: rational alcove
-points (subsystems found from points, not subsets), the integer-span closure
-of a set of roots (Hermite normal form), classical partition combinatorics
-for types A-D, and brute-force Weyl orbits.  A Smith-form utility exposes the
-torsion of the span quotient for the residue checks.
+No pipeline module imports this one.  Four separate routes to ground truth:
+rational alcove points (subsystems found from points, not subsets), the
+integer-span closure of a set of roots (Hermite normal form), classical
+partition combinatorics for types A-D, and brute-force Weyl orbits.  Beside
+them live the plain references that tests compare the pipeline's fast paths
+against: reflections, pairings and coroots computed root by root on the
+dense Cartan matrix, the alcove reduction with its certificate, the base and
+canonical form of a closed subsystem, and the dimension criterion for a
+labeling.  canonical_subsystem decides conjugacy through
+rootsys.canonical_labeled_set, which shares its primitives with the
+pipeline's split.  A Smith-form utility exposes the torsion of the span
+quotient for the residue checks.
 
 The alcove-point side works on packed integers: the pairings of every
 positive root with a grid vector share one int, a field per root, and each
@@ -20,10 +27,138 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
+from .balacarter import _grading_counts, _root_masks, _twos_mask
 from .errors import BudgetExceeded, InputError, InvariantViolation
-from .induce import LabeledDiagram
-from .pseudolevi import canonical_subsystem
-from .rootsys import DEFAULT_BUDGET, RootSystem, RootVec, all_roots, as_cochar, _dot
+from .rootsys import (
+    DEFAULT_BUDGET,
+    CocharVec,
+    LabeledDiagram,
+    RootSystem,
+    RootVec,
+    _alcove_walk,
+    _dot,
+    as_cochar,
+    canonical_labeled_set,
+    highest_coroot,
+)
+
+
+def all_roots(rs: RootSystem) -> frozenset[RootVec]:
+    return frozenset(rs.root_index.index)
+
+
+def pairing(root: Sequence[int], lam: Sequence) -> Fraction:
+    """<root, lam>: dot product of root coefficients with cocharacter coordinates."""
+    if len(root) != len(lam):
+        raise InputError(f"dimension mismatch: {len(root)} vs {len(lam)}")
+    return Fraction(sum(c * m for c, m in zip(root, lam)))
+
+
+def reflect_root(rs: RootSystem, i: int, gamma: RootVec) -> RootVec:
+    p = _dot(rs.cartan[i], gamma)
+    if p == 0:
+        return gamma
+    image = list(gamma)
+    image[i] -= p
+    return tuple(image)
+
+
+def reflect_cochar(rs: RootSystem, i: int, lam: Sequence) -> CocharVec:
+    coef = lam[i]
+    row = rs.cartan[i]
+    return tuple(m - coef * row[j] for j, m in enumerate(lam))
+
+
+def apply_word(rs: RootSystem, word: Sequence[int], lam: Sequence) -> CocharVec:
+    """Apply a reflection word letter by letter (leftmost letter acts first)."""
+    cur = as_cochar(lam)
+    for i in word:
+        cur = reflect_cochar(rs, i, cur)
+    return cur
+
+
+def _coroot_coords(rs: RootSystem, d: Sequence[int], gamma: RootVec) -> RootVec:
+    """coroot of the root gamma, given the symmetrizer d of rs.
+
+    Computed on the dense Cartan matrix: the reference that tests compare
+    root_index's coroots against.
+    """
+    C = rs.cartan
+    Cg = [_dot(C[k], gamma) for k in range(rs.rank)]
+    norm = sum(c * dk * v for c, dk, v in zip(gamma, d, Cg))
+    out = []
+    for k in range(rs.rank):
+        num = 2 * d[k] * Cg[k]
+        if num % norm != 0:
+            raise InvariantViolation(f"non-integral coroot for {gamma} in {rs.ctype}")
+        out.append(num // norm)
+    return tuple(out)
+
+
+def alcove_reduce_map(rs: RootSystem, point: Sequence):
+    """alcove_reduce with a certificate of the reduction.
+
+    Returns (reduced, walls, (matrix, shift)) where point == matrix . reduced
+    + shift certifies equivalence under the group generated by the Weyl group
+    and coweight-lattice translations.
+    """
+    x, walls, shift0, steps = _alcove_walk(rs, point)
+    n = rs.rank
+    theta_vee = highest_coroot(rs)
+    marks = rs.marks
+    # Inverse bookkeeping: input = B . current + u after every step.  Each
+    # step is a reflection, so B and u stay integral.
+    B = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    u = list(shift0)
+    for i in steps:
+        if i < n:
+            # s_i on coweight coordinates is m_j -> m_j - m_i C[i][j]; it is
+            # its own inverse, and B . s_i changes only column i of B.
+            row = rs.cartan[i]
+            for Ba in B:
+                Ba[i] -= _dot(Ba, row)
+        else:
+            # current_old = (1 - theta^vee marks^T) . current_new + theta^vee
+            for a, Ba in enumerate(B):
+                t = _dot(Ba, theta_vee)
+                u[a] += t
+                B[a] = [v - t * m for v, m in zip(Ba, marks)]
+    return x, walls, (
+        tuple(tuple(Fraction(v) for v in Ba) for Ba in B),
+        tuple(Fraction(v) for v in u),
+    )
+
+
+def subsystem_base(rs: RootSystem, subsystem: Iterable[RootVec]) -> tuple[RootVec, ...]:
+    """The indecomposable positive elements: a base of the closed subsystem."""
+    pos = sorted(g for g in subsystem if sum(g) > 0)
+    posset = set(pos)
+    base = []
+    for g in pos:
+        decomposable = any(
+            tuple(a - b for a, b in zip(g, d)) in posset for d in pos if d != g
+        )
+        if not decomposable:
+            base.append(g)
+    return tuple(base)
+
+
+def canonical_subsystem(
+    rs: RootSystem, subsystem: Iterable[RootVec], budget: int = DEFAULT_BUDGET
+) -> tuple:
+    """Canonical form deciding Weyl conjugacy of closed subsystems (as root sets)."""
+    base = subsystem_base(rs, frozenset(subsystem))
+    return canonical_labeled_set(rs, tuple((r, 2) for r in base), budget=budget)
+
+
+def is_distinguished(rs_factor: RootSystem, labels: Sequence[int]) -> bool:
+    """Dimension criterion for a {0,2}-labeling of an irreducible factor."""
+    if len(labels) != rs_factor.rank:
+        raise InputError("label vector length must match the rank")
+    if any(v not in (0, 2) for v in labels):
+        raise InputError(f"labels must lie in {{0, 2}}, got {tuple(labels)}")
+    zero, two = _grading_counts(_root_masks(rs_factor), _twos_mask(labels))
+    return zero + rs_factor.rank == two
 
 
 def default_denominator_bound(rs: RootSystem) -> int:
@@ -388,8 +523,6 @@ def brute_orbit(
 
 
 def act_labeled_set(rs: RootSystem, i: int, items):
-    from .rootsys import reflect_root
-
     return tuple(sorted((reflect_root(rs, i, r), l) for r, l in items))
 
 

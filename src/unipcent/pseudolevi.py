@@ -27,12 +27,12 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .balacarter import LabeledSubDiagram, distinguished_labelings_for_base
 from .errors import InputError, InvariantViolation, WitnessSearchExhausted
-from .induce import LabeledDiagram, diagram_of_dominant
 from .rootsys import (
     DEFAULT_BUDGET,
     CartanType,
     CocharVec,
     ExtendedDiagram,
+    LabeledDiagram,
     Pairings,
     RootSystem,
     RootVec,
@@ -46,7 +46,6 @@ from .rootsys import (
     alcove_reduce,
     as_cochar,
     base_pairings,
-    canonical_labeled_set,
     cartan_matrix,
     coroot_coefficients,
     coroot_combination,
@@ -95,20 +94,6 @@ def subsystem_closure(ext: ExtendedDiagram, J: Iterable[int]) -> frozenset[RootV
                     nxt.append(k)
         frontier = nxt
     return frozenset(map(table.roots.__getitem__, seen))
-
-
-def subsystem_base(rs: RootSystem, subsystem: Iterable[RootVec]) -> tuple[RootVec, ...]:
-    """The indecomposable positive elements: a base of the closed subsystem."""
-    pos = sorted(g for g in subsystem if sum(g) > 0)
-    posset = set(pos)
-    base = []
-    for g in pos:
-        decomposable = any(
-            tuple(a - b for a, b in zip(g, d)) in posset for d in pos if d != g
-        )
-        if not decomposable:
-            base.append(g)
-    return tuple(base)
 
 
 def _component_split(cartan: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -221,14 +206,6 @@ class PseudoLevi(NamedTuple):
     dJ: int
 
 
-def canonical_subsystem(
-    rs: RootSystem, subsystem: Iterable[RootVec], budget: int = DEFAULT_BUDGET
-) -> tuple:
-    """Canonical form deciding Weyl conjugacy of closed subsystems (as root sets)."""
-    base = subsystem_base(rs, frozenset(subsystem))
-    return canonical_labeled_set(rs, tuple((r, 2) for r in base), budget=budget)
-
-
 def _proper_subsets(n_nodes: int):
     for size in range(n_nodes):
         yield from itertools.combinations(range(n_nodes), size)
@@ -249,6 +226,19 @@ class TripleRecord(NamedTuple):
     order: int
     factor_types: tuple[CartanType, ...]
     word: WeylWord
+
+
+_DIAGRAM_LABELS = frozenset((0, 1, 2))
+
+
+def diagram_of_dominant(lam_dom: Sequence[int]) -> LabeledDiagram:
+    """The labels of a dominant integer cocharacter; must land in {0, 1, 2}."""
+    labels = tuple(lam_dom)
+    if not _DIAGRAM_LABELS.issuperset(labels):
+        raise InvariantViolation(
+            f"induced labels {labels} leave {{0,1,2}}; upstream data is corrupt"
+        )
+    return labels
 
 
 def _labeled_records(

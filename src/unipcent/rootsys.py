@@ -18,6 +18,7 @@ from .errors import BudgetExceeded, InputError, InvariantViolation
 RootVec = tuple[int, ...]
 CocharVec = tuple[Fraction, ...]
 WeylWord = tuple[int, ...]
+LabeledDiagram = tuple[int, ...]
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6, "F": 4, "G": 2}
 _MAX_RANK = {"E": 8, "F": 4, "G": 2}
@@ -97,7 +98,6 @@ def _opposition(ctype: CartanType) -> tuple[int, ...]:
     return tuple(sigma)
 
 
-@lru_cache(maxsize=None)
 def cartan_matrix(ctype: CartanType) -> tuple[tuple[int, ...], ...]:
     """Cartan matrix with C[i][j] = <alpha_j, alpha_i^vee> (Bourbaki numbering)."""
     n = ctype.rank
@@ -123,7 +123,6 @@ class _RootSystemFields(NamedTuple):
     cartan: tuple[tuple[int, ...], ...]
     positive_roots: tuple[RootVec, ...]
     highest_root: RootVec
-    marks: tuple[int, ...]
 
 
 class RootSystem(_RootSystemFields):
@@ -138,13 +137,18 @@ class RootSystem(_RootSystemFields):
     def rank(self) -> int:
         return self.ctype.rank
 
+    @property
+    def marks(self) -> tuple[int, ...]:
+        """The highest root's coefficients on the simple roots."""
+        return self.highest_root
+
     @cached_property
     def root_index(self) -> "RootIndex":
         """Roots as indices, reflections as permutations, and coroots; built lazily.
 
         A root's pairings with the simple coroots, read off the sparse Cartan
         rows once, give both its image under each simple reflection and its
-        coroot (reflect_root and _coroot_coords are the reference).
+        coroot (oracle.reflect_root and oracle._coroot_coords are the reference).
         """
         pos = self.positive_roots
         roots = tuple(sorted(pos + tuple(tuple(-c for c in g) for g in pos)))
@@ -323,14 +327,9 @@ def build_root_system(ctype: CartanType) -> RootSystem:
     for g in positive:
         if any(h < c for h, c in zip(highest, g)):
             raise InvariantViolation(f"highest root of {ctype} fails to dominate {g}")
-    marks = highest
-    if math.gcd(*marks) != 1:
+    if math.gcd(*highest) != 1:
         raise InvariantViolation(f"marks of {ctype} have gcd > 1")
-    return RootSystem(ctype, C, tuple(positive), highest, marks)
-
-
-def all_roots(rs: RootSystem) -> frozenset[RootVec]:
-    return frozenset(rs.root_index.index)
+    return RootSystem(ctype, C, tuple(positive), highest)
 
 
 def _is_prime(p: int) -> bool:
@@ -391,36 +390,6 @@ def zero_cochar(rs: RootSystem) -> CocharVec:
     return tuple(Fraction(0) for _ in range(rs.rank))
 
 
-def pairing(root: Sequence[int], lam: Sequence) -> Fraction:
-    """<root, lam>: dot product of root coefficients with cocharacter coordinates."""
-    if len(root) != len(lam):
-        raise InputError(f"dimension mismatch: {len(root)} vs {len(lam)}")
-    return Fraction(sum(c * m for c, m in zip(root, lam)))
-
-
-def reflect_root(rs: RootSystem, i: int, gamma: RootVec) -> RootVec:
-    p = _dot(rs.cartan[i], gamma)
-    if p == 0:
-        return gamma
-    image = list(gamma)
-    image[i] -= p
-    return tuple(image)
-
-
-def reflect_cochar(rs: RootSystem, i: int, lam: Sequence) -> CocharVec:
-    coef = lam[i]
-    row = rs.cartan[i]
-    return tuple(m - coef * row[j] for j, m in enumerate(lam))
-
-
-def apply_word(rs: RootSystem, word: Sequence[int], lam: Sequence) -> CocharVec:
-    """Apply a reflection word letter by letter (leftmost letter acts first)."""
-    cur = as_cochar(lam)
-    for i in word:
-        cur = reflect_cochar(rs, i, cur)
-    return cur
-
-
 def _reflect_to_dominant(
     rs: RootSystem, m: list[int], nodes: Sequence[int]
 ) -> list[int]:
@@ -463,8 +432,6 @@ def to_dominant(rs: RootSystem, lam: Sequence) -> tuple[CocharVec, WeylWord]:
     den = math.lcm(*(c.denominator for c in lam))
     m = [c.numerator * (den // c.denominator) for c in lam]
     word = tuple(_reflect_to_dominant(rs, m, range(rs.rank)))
-    if den == 1:
-        return tuple(map(Fraction, m)), word
     return tuple(Fraction(v, den) for v in m), word
 
 
@@ -504,24 +471,6 @@ def coroot(rs: RootSystem, gamma: RootVec) -> RootVec:
     if k is None:
         raise InputError(f"{gamma} is not a root of {rs.ctype}")
     return table.coroots[k]
-
-
-def _coroot_coords(rs: RootSystem, d: Sequence[int], gamma: RootVec) -> RootVec:
-    """coroot of the root gamma, given the symmetrizer d of rs.
-
-    Computed on the dense Cartan matrix: the reference that tests compare
-    root_index's coroots against.
-    """
-    C = rs.cartan
-    Cg = [_dot(C[k], gamma) for k in range(rs.rank)]
-    norm = sum(c * dk * v for c, dk, v in zip(gamma, d, Cg))
-    out = []
-    for k in range(rs.rank):
-        num = 2 * d[k] * Cg[k]
-        if num % norm != 0:
-            raise InvariantViolation(f"non-integral coroot for {gamma} in {rs.ctype}")
-        out.append(num // norm)
-    return tuple(out)
 
 
 def highest_coroot(rs: RootSystem) -> RootVec:
@@ -573,40 +522,6 @@ def _alcove_walk(rs: RootSystem, point: Sequence):
     if len(walls) == n + 1:
         walls = set(range(n))  # lattice point: the subsystem is all of R
     return tuple(Fraction(v, den) for v in x), frozenset(walls), shift, steps
-
-
-def alcove_reduce_map(rs: RootSystem, point: Sequence):
-    """alcove_reduce with a certificate of the reduction.
-
-    Returns (reduced, walls, (matrix, shift)) where point == matrix . reduced
-    + shift certifies equivalence under the group generated by the Weyl group
-    and coweight-lattice translations.
-    """
-    x, walls, shift0, steps = _alcove_walk(rs, point)
-    n = rs.rank
-    theta_vee = highest_coroot(rs)
-    marks = rs.marks
-    # Inverse bookkeeping: input = B . current + u after every step.  Each
-    # step is a reflection, so B and u stay integral.
-    B = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    u = list(shift0)
-    for i in steps:
-        if i < n:
-            # s_i on coweight coordinates is m_j -> m_j - m_i C[i][j]; it is
-            # its own inverse, and B . s_i changes only column i of B.
-            row = rs.cartan[i]
-            for Ba in B:
-                Ba[i] -= _dot(Ba, row)
-        else:
-            # current_old = (1 - theta^vee marks^T) . current_new + theta^vee
-            for a, Ba in enumerate(B):
-                t = _dot(Ba, theta_vee)
-                u[a] += t
-                B[a] = [v - t * m for v, m in zip(Ba, marks)]
-    return x, walls, (
-        tuple(tuple(Fraction(v) for v in Ba) for Ba in B),
-        tuple(Fraction(v) for v in u),
-    )
 
 
 def alcove_reduce(rs: RootSystem, point: Sequence) -> tuple[CocharVec, frozenset[int]]:
@@ -826,15 +741,13 @@ def _refine_start(
         weight = code // n_roots + 1
         v = [a + weight * c for a, c in zip(v, table.coroots[code % n_roots])]
     word = _reflect_to_dominant(rs, v, nodes)
-    if word:
-        moved = []
-        for code in start:
-            label, r = divmod(code, n_roots)
-            for s in word:
-                r = table.reflections[s][r]
-            moved.append(label * n_roots + r)
-        start = tuple(sorted(moved))
-    return tuple(v), start
+    moved = []
+    for code in start:
+        label, r = divmod(code, n_roots)
+        for s in word:
+            r = table.reflections[s][r]
+        moved.append(label * n_roots + r)
+    return tuple(v), tuple(sorted(moved))
 
 
 def partition_orbits(

@@ -25,11 +25,12 @@ from unipcent import (
 )
 from unipcent.oracle import (
     alcove_pseudolevis,
+    all_roots,
     classical_nilpotent_classes,
     default_denominator_bound,
+    reflect_root,
 )
 from unipcent.cli import build_report_document, main, serialize_document
-from unipcent.rootsys import all_roots, reflect_root
 
 ALL_TYPES = (
     [f"A{r}" for r in range(1, 9)]

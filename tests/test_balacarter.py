@@ -17,9 +17,8 @@ from unipcent import (
     subsystem_closure,
 )
 from unipcent.balacarter import _grading_counts, _root_masks, _twos_mask
-from unipcent.oracle import distinguished_partitions, partition_diagrams
+from unipcent.oracle import all_roots, distinguished_partitions, partition_diagrams
 from unipcent.pseudolevi import base_components
-from unipcent.rootsys import all_roots
 
 TYPES_UP_TO_RANK_6 = (
     [f"A{r}" for r in range(1, 7)]

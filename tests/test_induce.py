@@ -13,7 +13,7 @@ from unipcent import (
     induced_diagram,
     pairing,
 )
-from unipcent.rootsys import all_roots
+from unipcent.oracle import all_roots
 
 
 def rs_of(name):

@@ -27,9 +27,9 @@ from unipcent.oracle import (
     default_denominator_bound,
     distinguished_partitions,
     integrality_subsystem,
+    reflect_cochar,
 )
 from unipcent.compgroup import component_group_report
-from unipcent.rootsys import reflect_cochar
 
 
 def rs_of(name):
@@ -251,7 +251,7 @@ CLASSICAL_TYPES = [
 ]
 
 
-@pytest.mark.parametrize("name", CLASSICAL_TYPES)
+@pytest.mark.parametrize("name", CLASSICAL_TYPES + ["B10", "C10", "D10"])
 def test_classical_group_names_match_the_report(name):
     """Each classical row's A(u) is the group its partition's formula names."""
     ct = CartanType.parse(name)

@@ -20,7 +20,7 @@ from unipcent import (
     torsion_order,
     witness_element,
 )
-from unipcent.oracle import lattice_root_closure, span_quotient_torsion
+from unipcent.oracle import all_roots, lattice_root_closure, pairing, span_quotient_torsion
 from unipcent.pseudolevi import (
     _labeled_records,
     _move_groups,
@@ -28,10 +28,8 @@ from unipcent.pseudolevi import (
     base_components,
 )
 from unipcent.rootsys import (
-    all_roots,
     canonical_labeled_set,
     dominant_transport,
-    pairing,
     partition_orbits,
     transport_start,
 )
@@ -398,7 +396,7 @@ def test_center_torsion_matches_lattice_quotient(name):
 
 
 def test_lattice_closure_is_weyl_stable():
-    from unipcent.rootsys import reflect_root
+    from unipcent.oracle import reflect_root
 
     g2 = rs_of("G2")
     ext = extended_diagram(g2)

@@ -105,3 +105,46 @@ def test_no_pipeline_module_imports_the_oracle():
         if "oracle" in _imported_names(ast.parse(path.read_text(), str(path))):
             importers.append(name)
     assert importers == []
+
+
+# The reference functions perfbench/shim.py traces by module name, with the
+# two helpers only they call.  They stay in the pipeline modules until the
+# trace list moves with them; every other reference lives in oracle.py.
+TRACED_REFERENCES = {
+    "rootsys": {
+        "canonical_labeled_set",
+        "to_dominant",
+        "solve_cochar_for_base",
+        "dominant_transport",
+        "zero_cochar",
+    },
+    "induce": {"cochar_for_labeled_base", "induced_diagram"},
+}
+
+
+def test_the_report_path_calls_no_reference_code():
+    """Outside the traced stack, no pipeline or cli code loads a name of it,
+    and every other reference-only name is defined in oracle.py."""
+    stack = set().union(*TRACED_REFERENCES.values())
+    leaks = []
+    for name in PIPELINE_MODULES + ("cli",):
+        path = ROOT / "src" / "unipcent" / f"{name}.py"
+        body = ast.parse(path.read_text(), str(path)).body
+        defined_here = {getattr(stmt, "name", None) for stmt in body}
+        assert TRACED_REFERENCES.get(name, set()) <= defined_here
+        for stmt in body:
+            owner = getattr(stmt, "name", "<module>")
+            if owner in TRACED_REFERENCES.get(name, ()):
+                continue
+            for node in ast.walk(stmt):
+                loaded = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if loaded in stack and isinstance(getattr(node, "ctx", None), ast.Load):
+                    leaks.append(f"{name}.{owner} loads {loaded}")
+    assert leaks == []
+    oracle = ROOT / "src" / "unipcent" / "oracle.py"
+    defined = {
+        stmt.name
+        for stmt in ast.parse(oracle.read_text(), str(oracle)).body
+        if isinstance(stmt, ast.FunctionDef)
+    }
+    assert sorted(REFERENCE_ONLY - {"cochar_for_labeled_base"} - defined) == []

@@ -23,17 +23,20 @@ from unipcent import (
     pairing,
     to_dominant,
 )
-from unipcent.oracle import act_labeled_set, brute_orbit
-from unipcent.rootsys import (
+from unipcent.oracle import (
     _coroot_coords,
+    act_labeled_set,
+    brute_orbit,
+    reflect_cochar,
+    reflect_root,
+)
+from unipcent.rootsys import (
     _opposition,
     _refine_start,
     as_cochar,
     dominant_transport,
     highest_coroot,
     partition_orbits,
-    reflect_cochar,
-    reflect_root,
     solve_cochar_for_base,
     symmetrizer,
 )
