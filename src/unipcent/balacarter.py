@@ -2,7 +2,11 @@
 
 A distinguished class is encoded by its {0,2}-labeling of the simple roots;
 the labeling is kept iff the centralizer dimension count balances:
-#roots at pairing 0 plus the rank equals #roots at pairing 2.
+#roots at pairing 0 plus the rank equals #roots at pairing 2, that is
+dim g_0 = dim g_2 (Bala and Carter, Classes of unipotent elements in simple
+algebraic groups I, 1976).  distinguished_classes tests every labeling of a
+type in one scan over the node masks, each mask's counts one step from those
+of the mask without its top node.
 """
 from __future__ import annotations
 
@@ -59,14 +63,26 @@ def _grading_counts(masks: RootMasks, twos: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=None)
 def distinguished_classes(ctype: CartanType) -> tuple[tuple[int, ...], ...]:
-    """All distinguished {0,2}-labelings of an irreducible type, sorted."""
-    masks = _root_masks(build_root_system(ctype))
+    """All distinguished {0,2}-labelings of an irreducible type, sorted.
+
+    Every node mask of twos is tested.  _grading_counts meets the nodes in
+    increasing order, so its state (hit, once) for a mask is one step from
+    its state for the mask without the top node, found earlier: the scan
+    makes 2^rank steps, not rank * 2^rank.
+    """
+    n_pos, per_node = _root_masks(build_root_system(ctype))
     n = ctype.rank
+    hits, onces = [0], [0]  # indexed by mask
     out = []
-    for twos in range(1 << n):
-        zero, two = _grading_counts(masks, twos)
-        if zero + n == two:
-            out.append(tuple(2 if twos >> i & 1 else 0 for i in range(n)))
+    for top, (supp, ones) in enumerate(per_node):
+        for prev in range(1 << top):
+            hit = hits[prev] | supp
+            once = (onces[prev] & ~supp) | (ones & ~hits[prev])
+            hits.append(hit)
+            onces.append(once)
+            if 2 * (n_pos - hit.bit_count()) + n == once.bit_count():
+                twos = prev | 1 << top
+                out.append(tuple(2 if twos >> i & 1 else 0 for i in range(n)))
     return tuple(sorted(out))
 
 

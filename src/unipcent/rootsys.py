@@ -149,29 +149,38 @@ class RootSystem(_RootSystemFields):
         A root's pairings with the simple coroots, read off the sparse Cartan
         rows once, give both its image under each simple reflection and its
         coroot (oracle.reflect_root and oracle._coroot_coords are the reference).
+        Negation reverses the sorted order, so -roots[k] is roots[N - 1 - k],
+        N = |R|; reflections and coroots commute with negation, so only the
+        positive half, roots[N/2:], is computed.
         """
-        pos = self.positive_roots
-        roots = tuple(sorted(pos + tuple(tuple(-c for c in g) for g in pos)))
+        half = sorted(self.positive_roots)
+        roots = tuple([tuple([-c for c in g]) for g in reversed(half)] + half)
+        last = len(roots) - 1
         index = {g: k for k, g in enumerate(roots)}
         rows = _sparse_rows(self.cartan)
         d = symmetrizer(self)
         reflections = [list(range(len(roots))) for _ in rows]
-        coroots = []
-        for k, g in enumerate(roots):
+        coroots: list = [None] * len(roots)
+        for k in range(len(half), len(roots)):
+            g = roots[k]
             pairs = _cartan_pairings(rows, g)
             for i, p in enumerate(pairs):
                 if p:
                     image = list(g)
                     image[i] -= p
-                    reflections[i][k] = index[tuple(image)]
+                    r = index[tuple(image)]
+                    reflections[i][k], reflections[i][last - k] = r, last - r
             norm = sum(c * dk * p for c, dk, p in zip(g, d, pairs))
-            coroots.append(tuple(2 * dk * p // norm for dk, p in zip(d, pairs)))
+            cor = tuple([2 * dk * p // norm for dk, p in zip(d, pairs)])
+            coroots[k], coroots[last - k] = cor, tuple([-c for c in cor])
         theta, theta_vee = self.highest_root, coroots[index[self.highest_root]]
         tv = [(j, t) for j, t in enumerate(theta_vee) if t]
-        affine = []
-        for g in roots:
+        affine = list(range(len(roots)))
+        for k in range(len(half), len(roots)):
+            g = roots[k]
             p = sum(g[j] * t for j, t in tv)
-            affine.append(index[tuple(c - p * t for c, t in zip(g, theta))])
+            r = index[tuple([c - p * t for c, t in zip(g, theta)])]
+            affine[k], affine[last - k] = r, last - r
         reflections.append(affine)
         return RootIndex(roots, index, tuple(map(tuple, reflections)), tuple(coroots))
 
@@ -295,38 +304,47 @@ def _cartan_pairings(rows: SparseRows, gamma: Sequence[int]) -> list[int]:
 
 @lru_cache(maxsize=None)
 def build_root_system(ctype: CartanType) -> RootSystem:
-    """Construct the root system by closing the simple roots under reflections."""
+    """Construct the positive roots level by level along simple-root strings.
+
+    The alpha_i-string through a root gamma runs from gamma - p alpha_i to
+    gamma + q alpha_i with p - q = <gamma, alpha_i^vee> (Humphreys,
+    Introduction to Lie Algebras and Representation Theory, 8.4), so
+    gamma + alpha_i is a root iff p > <gamma, alpha_i^vee>.  Every positive
+    root of height h + 1 is gamma + alpha_i for some gamma of height h, and
+    each such gamma finds it: it keeps p_i(gamma) + 1 as its own p_i, and
+    p_j = 0 for every j no root of height h reaches it by.  Its pairings
+    with the simple coroots are gamma's plus column i of the Cartan matrix.
+    Each level is sorted, so the roots come in (height, coefficients) order.
+    The count is checked against |R| = rank * (ht theta + 1), rank times the
+    Coxeter number (Bourbaki, Lie Groups and Lie Algebras VI, 1.11).
+    """
     C = cartan_matrix(ctype)
-    rows = _sparse_rows(C)
     n = ctype.rank
-    simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    roots: set[RootVec] = set(simples)
-    frontier: list[RootVec] = list(simples)
-    while frontier:
-        nxt: list[RootVec] = []
-        for gamma in frontier:
-            for i, p in enumerate(_cartan_pairings(rows, gamma)):
-                if p == 0:
-                    continue
-                image = list(gamma)
-                image[i] -= p
-                t = tuple(image)
-                if t not in roots:
-                    roots.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    for gamma in roots:
-        if not (all(c >= 0 for c in gamma) or all(c <= 0 for c in gamma)):
-            raise InvariantViolation(f"mixed-sign root {gamma} in {ctype}")
-    positive = sorted(
-        (g for g in roots if sum(g) > 0), key=lambda g: (sum(g), g)
-    )
-    if 2 * len(positive) != len(roots):
-        raise InvariantViolation(f"root count parity broken for {ctype}")
+    cols = [[C[j][i] for j in range(n)] for i in range(n)]
+    # level: each root of one height -> (p, its pairings with the simple coroots)
+    level = {tuple(int(j == i) for j in range(n)): ([0] * n, cols[i]) for i in range(n)}
+    positive: list[RootVec] = []
+    while level:
+        positive += sorted(level)
+        up: dict[RootVec, tuple[list[int], list[int]]] = {}
+        for gamma, (p, q) in level.items():
+            for i in range(n):
+                if p[i] > q[i]:
+                    image = list(gamma)
+                    image[i] += 1
+                    t = tuple(image)
+                    if t not in up:
+                        up[t] = ([0] * n, [a + b for a, b in zip(q, cols[i])])
+                    up[t][0][i] = p[i] + 1
+        level = up
     highest = positive[-1]
-    for g in positive:
-        if any(h < c for h, c in zip(highest, g)):
-            raise InvariantViolation(f"highest root of {ctype} fails to dominate {g}")
+    coxeter = sum(highest) + 1
+    if 2 * len(positive) != n * coxeter:
+        raise InvariantViolation(
+            f"{ctype} has {2 * len(positive)} roots, not rank * (ht theta + 1) = {n * coxeter}"
+        )
+    if tuple(map(max, zip(*positive))) != highest:  # each coefficient peaks at theta
+        raise InvariantViolation(f"highest root of {ctype} fails to dominate every root")
     if math.gcd(*highest) != 1:
         raise InvariantViolation(f"marks of {ctype} have gcd > 1")
     return RootSystem(ctype, C, tuple(positive), highest)
@@ -436,28 +454,34 @@ def to_dominant(rs: RootSystem, lam: Sequence) -> tuple[CocharVec, WeylWord]:
 
 
 def symmetrizer(rs: RootSystem) -> tuple[int, ...]:
-    """Positive integers d with d_i*C[i][j] = d_j*C[j][i], normalized to min 1."""
+    """Positive integers d with d_i*C[i][j] = d_j*C[j][i], normalized to min 1.
+
+    d spreads from node 0 along the diagram's edges on integers: where
+    d_j = d_i * C[i][j] / C[j][i] would not be integral, every d found so far
+    is scaled up first.
+    """
     C = rs.cartan
     n = rs.rank
-    d: list = [None] * n
-    d[0] = Fraction(1)
+    d = [0] * n
+    d[0] = 1
     stack = [0]
     while stack:
         i = stack.pop()
         for j in range(n):
-            if j != i and C[i][j] != 0 and d[j] is None:
-                d[j] = d[i] * C[i][j] / C[j][i]
+            if j != i and C[i][j] != 0 and not d[j]:
+                num, den = d[i] * C[i][j], C[j][i]
+                if num % den:
+                    scale = abs(den) // math.gcd(num, den)
+                    d = [v * scale for v in d]
+                    num *= scale
+                d[j] = num // den
                 stack.append(j)
-    if any(v is None for v in d):
+    if not all(d):
         raise InvariantViolation(f"Dynkin diagram of {rs.ctype} is disconnected")
     low = min(d)
-    out = []
-    for v in d:
-        w = v / low
-        if w.denominator != 1:
-            raise InvariantViolation("non-integral symmetrizer")
-        out.append(int(w))
-    return tuple(out)
+    if any(v % low for v in d):
+        raise InvariantViolation("non-integral symmetrizer")
+    return tuple(v // low for v in d)
 
 
 def coroot(rs: RootSystem, gamma: RootVec) -> RootVec:
@@ -598,23 +622,42 @@ def _eliminate(A: list[list[int]]) -> list[list[int]]:
 
 
 @lru_cache(maxsize=None)
+def _cartan_inverse(ctype: CartanType) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(den, W) with W / den the inverse of C = cartan_matrix(ctype).
+
+    Row b of W / den holds the coefficients of the fundamental coweight
+    omega_b^vee on the simple coroots.  One integer Gauss-Jordan elimination
+    of [C | identity]; den is the lcm of its pivots.
+    """
+    C = cartan_matrix(ctype)
+    k = ctype.rank
+    A = _eliminate([list(C[a]) + [int(a == b) for b in range(k)] for a in range(k)])
+    den = math.lcm(*(A[a][a] for a in range(k)))
+    return den, tuple(tuple(v * (den // A[a][a]) for v in A[a][k:]) for a in range(k))
+
+
 def coroot_coefficients(ctype: CartanType, labels: tuple[int, ...]) -> tuple[int, ...]:
     """The integer c with sum_a c[a] * C[a][b] = labels[b], C = cartan_matrix(ctype).
 
     sum_a c[a] alpha_a^vee is the cocharacter in the span of the simple
-    coroots that pairs to labels[b] with alpha_b; the all-2 labels give
-    2 rho^vee.  A base of type ctype, in the node order of its match, has the
-    same c on its own coroots.  Solved once per (ctype, labels) on integers;
-    a c that is not integral is an InvariantViolation.
+    coroots that pairs to labels[b] with alpha_b, the sum of labels[b] *
+    omega_b^vee; the all-2 labels give 2 rho^vee.  A base of type ctype, in
+    the node order of its match, has the same c on its own coroots.  Read
+    off the type's one integer inverse (_cartan_inverse); a c that is not
+    integral is an InvariantViolation.
     """
-    C = cartan_matrix(ctype)
     k = ctype.rank
     if len(labels) != k:
         raise InputError(f"{len(labels)} labels for {ctype}")
-    A = _eliminate([[C[a][b] for a in range(k)] + [labels[b]] for b in range(k)])
+    den, W = _cartan_inverse(ctype)
+    total = [0] * k
+    for label, row in zip(labels, W):
+        if label:
+            for a, w in enumerate(row):
+                total[a] += label * w
     out = []
-    for a in range(k):
-        x, r = divmod(A[a][k], A[a][a])
+    for t in total:
+        x, r = divmod(t, den)
         if r:
             raise InvariantViolation(
                 f"labels {labels} of {ctype} have non-integral coroot coefficients"

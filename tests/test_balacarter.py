@@ -111,6 +111,18 @@ def test_exceptional_counts():
         assert len(distinguished_classes(ct(name))) == count
 
 
+@pytest.mark.parametrize("name", ["G2", "F4", "E6", "E7", "E8"])
+def test_exceptional_classes_are_what_the_dimension_criterion_accepts(name):
+    """The one-step scan against is_distinguished, labeling by labeling."""
+    rs = build_root_system(ct(name))
+    accepted = [
+        labels
+        for labels in itertools.product((0, 2), repeat=rs.rank)
+        if is_distinguished(rs, labels)
+    ]
+    assert distinguished_classes(ct(name)) == tuple(accepted)
+
+
 def test_all_labelings_even_valued():
     for name in ("B4", "F4", "E6"):
         for labels in distinguished_classes(ct(name)):

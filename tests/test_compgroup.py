@@ -1,5 +1,6 @@
 """Record enumeration, pair conjugacy, grouping, and group recognition."""
 import itertools
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -303,6 +304,22 @@ def test_coefficient_table_matches_the_fraction_solve(name):
     rows = extended_diagram(rs).coroot_rows
     two_rho = coroot_combination(ct.rank, zip(coroot_coefficients(ct, regular), rows))
     assert two_rho == [sum(col) for col in zip(*(coroot(rs, g) for g in rs.positive_roots))]
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_coefficients_of_any_labels_match_the_fraction_solve(name):
+    """build_triple_record passes arbitrary labels, not only distinguished ones."""
+    rs = rs_of(name)
+    ct, C = rs.ctype, rs.cartan
+    rng = random.Random(f"coroot-coefficients-{name}")
+    for _ in range(40):
+        labels = tuple(rng.choice((0, 1, 2)) for _ in range(ct.rank))
+        expected = fraction_coefficients(C, labels)
+        if all(c.denominator == 1 for c in expected):
+            assert coroot_coefficients(ct, labels) == expected
+        else:
+            with pytest.raises(InvariantViolation):
+                coroot_coefficients(ct, labels)
 
 
 def test_coefficients_outside_the_coroot_lattice_are_an_invariant_violation():

@@ -6,9 +6,11 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from unipcent import rootsys
 from unipcent import (
     CartanType,
     InputError,
+    InvariantViolation,
     alcove_reduce,
     alcove_reduce_map,
     all_roots,
@@ -98,6 +100,36 @@ def test_positive_root_counts(name):
     rs = rs_of(name)
     assert len(rs.positive_roots) == classical_positive_count(rs.ctype)
     assert len(set(rs.positive_roots)) == len(rs.positive_roots)
+
+
+BCD_RANKS_9_TO_12 = [f"{family}{r}" for family in "BCD" for r in range(9, 13)]
+
+
+@pytest.mark.parametrize("name", ALL_TYPES + BCD_RANKS_9_TO_12)
+def test_positive_roots_are_the_sorted_reflection_closure(name):
+    """The string builder against the closure of the simple roots under
+    reflect_root, order included: _root_masks' bit order and highest_root =
+    positive_roots[-1] read it."""
+    rs = rs_of(name)
+    n = rs.rank
+    roots = {tuple(int(j == i) for j in range(n)) for i in range(n)}
+    frontier = set(roots)
+    while frontier:
+        frontier = {reflect_root(rs, i, g) for g in frontier for i in range(n)} - roots
+        roots |= frontier
+    positive = sorted((g for g in roots if sum(g) > 0), key=lambda g: (sum(g), g))
+    assert rs.positive_roots == tuple(positive)
+    assert 2 * len(positive) == len(roots)
+    assert rs.highest_root == positive[-1]
+
+
+def test_a_decomposable_matrix_breaks_the_coxeter_count(monkeypatch):
+    """2 |R+| = rank * (ht theta + 1) holds for irreducible types only: A1 x A2
+    has 8 roots and a top root of height 2, and 8 != 3 * 3."""
+    a1_a2 = ((2, 0, 0), (0, 2, -1), (0, -1, 2))
+    monkeypatch.setattr(rootsys, "cartan_matrix", lambda ctype: a1_a2)
+    with pytest.raises(InvariantViolation, match="not rank"):
+        build_root_system.__wrapped__(CartanType("A", 3))
 
 
 @pytest.mark.parametrize("name", ALL_TYPES)
