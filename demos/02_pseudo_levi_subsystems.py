@@ -26,7 +26,8 @@ print()
 print("subsystem classes of F4 up to Weyl conjugacy:")
 for pl in enumerate_pseudolevis(rs):
     factors = "+".join(str(t) for t in pl.factor_types) or "torus"
-    print(f"  J={list(pl.J)}: {factors}, |roots|={len(pl.subsystem)}, d_J={pl.dJ}")
+    n_roots = len(subsystem_closure(ext, pl.J))
+    print(f"  J={list(pl.J)}: {factors}, |roots|={n_roots}, d_J={pl.dJ}")
 
 # d_J is the gcd of the marks outside J: removing the mark-3 node of F4
 # leaves a subsystem centralizing an order-3 element

@@ -10,6 +10,7 @@ from unipcent import (
     canonical_subsystem,
     component_group_report,
     enumerate_pseudolevis,
+    subsystem_closure,
 )
 from unipcent.oracle import (
     alcove_pseudolevis,
@@ -21,8 +22,10 @@ for name in ("A3", "B3", "G2", "F4"):
     rs = build_root_system(CartanType.parse(name))
     bound = default_denominator_bound(rs)
     point_side = alcove_pseudolevis(rs, bound)
+    ext = rs.extended_diagram
     subset_side = {
-        canonical_subsystem(rs, pl.subsystem) for pl in enumerate_pseudolevis(rs)
+        canonical_subsystem(rs, subsystem_closure(ext, pl.J))
+        for pl in enumerate_pseudolevis(rs)
     }
     print(f"{name}: {len(point_side)} classes from alcove points "
           f"(denominators <= {bound}), subset route agrees: {point_side == subset_side}")

@@ -36,39 +36,14 @@ def _root_masks(rsf: RootSystem) -> RootMasks:
     return len(rsf.positive_roots), tuple(zip(supp, ones))
 
 
-def _twos_mask(labels: Sequence[int]) -> int:
-    """The node bitmask of the 2s of a {0,2}-labeling."""
-    return sum(1 << i for i, v in enumerate(labels) if v == 2)
-
-
-def _grading_counts(masks: RootMasks, twos: int) -> tuple[int, int]:
-    """The numbers of roots at pairing 0 and at pairing 2 with a {0,2}-labeling.
-
-    masks come from _root_masks and twos from _twos_mask.  A positive root
-    gamma pairs to 2 * (sum of its coefficients on twos), so gamma and -gamma
-    pair to 0 iff the support misses twos, and gamma pairs to 2 iff the
-    support meets twos in one node, where gamma has coefficient 1.  All
-    positive roots are counted at once: hit collects the roots whose support
-    meets the twos seen so far, and once those met in one node only, with
-    coefficient 1.
-    """
-    n_pos, per_node = masks
-    hit = once = 0
-    for i, (supp, ones) in enumerate(per_node):
-        if twos >> i & 1:
-            once = (once & ~supp) | (ones & ~hit)
-            hit |= supp
-    return 2 * (n_pos - hit.bit_count()), once.bit_count()
-
-
 @lru_cache(maxsize=None)
 def distinguished_classes(ctype: CartanType) -> tuple[tuple[int, ...], ...]:
     """All distinguished {0,2}-labelings of an irreducible type, sorted.
 
-    Every node mask of twos is tested.  _grading_counts meets the nodes in
-    increasing order, so its state (hit, once) for a mask is one step from
-    its state for the mask without the top node, found earlier: the scan
-    makes 2^rank steps, not rank * 2^rank.
+    Every node mask of twos is tested.  oracle._grading_counts meets the
+    nodes in increasing order, so its state (hit, once) for a mask is one
+    step from its state for the mask without the top node, found earlier:
+    the scan makes 2^rank steps, not rank * 2^rank.
     """
     n_pos, per_node = _root_masks(build_root_system(ctype))
     n = ctype.rank

@@ -1,7 +1,8 @@
 """Command-line front end: summaries, tables, reports, verification, caching.
 
-Exit codes: 0 success, 1 usage error, 2 verification failure, unrecognized
-fingerprint or violated internal invariant, 3 resource budget exceeded.
+Exit codes: 0 success, 1 usage error (a failed stdout write among them), 2
+verification failure, unrecognized fingerprint or violated internal
+invariant, 3 resource budget exceeded.
 Output bytes are deterministic for identical inputs.
 """
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .oracle import (
 from .pseudolevi import (
     enumerate_pseudolevis,
     point_order,
+    subsystem_closure,
     witness_element,
 )
 from .rootsys import (
@@ -303,14 +305,26 @@ def _groups_recognized(doc: dict) -> bool:
     return True
 
 
+def _write_stdout(text: str) -> None:
+    """Write text to stdout and flush it; a failed write is an InputError."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        raise InputError(f"cannot write stdout: {exc}") from None
+
+
 def cmd_roots(args) -> int:
     ct = _parse_type(args.type, args.max_rank)
     rs = build_root_system(ct)
-    print(f"type: {ct}")
-    print(f"rank: {rs.rank}")
-    print(f"positive roots: {len(rs.positive_roots)} (total {2 * len(rs.positive_roots)})")
-    print(f"highest root marks: {' '.join(str(a) for a in rs.marks)}")
-    print(_bad_primes_line(rs))
+    lines = [
+        f"type: {ct}",
+        f"rank: {rs.rank}",
+        f"positive roots: {len(rs.positive_roots)} (total {2 * len(rs.positive_roots)})",
+        f"highest root marks: {' '.join(str(a) for a in rs.marks)}",
+        _bad_primes_line(rs),
+    ]
+    _write_stdout("\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -329,7 +343,7 @@ def cmd_pseudolevis(args) -> int:
         if args.witness is not None:
             row += f" | {point_order(witness_element(rs, pl.J, args.witness))}"
         rows.append(row)
-    print("\n".join(rows))
+    _write_stdout("\n".join(rows) + "\n")
     return EXIT_OK
 
 
@@ -359,8 +373,10 @@ def _verify(ct: CartanType, budget: int, doc: dict) -> list[str]:
     # The alcove check stops at rank 4: its canonical forms take seconds at E8.
     if ct.rank <= 4:
         bound = default_denominator_bound(rs)
+        ext = rs.extended_diagram
         subset_side = {
-            canonical_subsystem(rs, pl.subsystem, budget=budget) for pl in pls
+            canonical_subsystem(rs, subsystem_closure(ext, pl.J), budget=budget)
+            for pl in pls
         }
         *levels, beyond = alcove_pseudolevis_by_denominator(rs, bound + 1, budget)
         point_side = frozenset().union(*levels)
@@ -424,7 +440,7 @@ def cmd_component_groups(args) -> int:
             print(f"usage error: cannot write --out: {exc}", file=sys.stderr)
             return EXIT_USAGE
     else:
-        sys.stdout.write(text)
+        _write_stdout(text)
     if args.verify:
         failures = _verify(ct, args.budget, doc)
         if failures:
@@ -545,7 +561,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:  # main has reported it; keep the exit-time flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .balacarter import _grading_counts, _root_masks, _twos_mask
+from .balacarter import RootMasks, _root_masks
 from .errors import BudgetExceeded, InputError, InvariantViolation
 from .rootsys import (
     DEFAULT_BUDGET,
@@ -149,6 +149,31 @@ def canonical_subsystem(
     """Canonical form deciding Weyl conjugacy of closed subsystems (as root sets)."""
     base = subsystem_base(rs, frozenset(subsystem))
     return canonical_labeled_set(rs, tuple((r, 2) for r in base), budget=budget)
+
+
+def _twos_mask(labels: Sequence[int]) -> int:
+    """The node bitmask of the 2s of a {0,2}-labeling."""
+    return sum(1 << i for i, v in enumerate(labels) if v == 2)
+
+
+def _grading_counts(masks: RootMasks, twos: int) -> tuple[int, int]:
+    """The numbers of roots at pairing 0 and at pairing 2 with a {0,2}-labeling.
+
+    masks come from balacarter._root_masks and twos from _twos_mask.  A
+    positive root gamma pairs to 2 * (sum of its coefficients on twos), so
+    gamma and -gamma pair to 0 iff the support misses twos, and gamma pairs
+    to 2 iff the support meets twos in one node, where gamma has coefficient
+    1.  All positive roots are counted at once: hit collects the roots whose
+    support meets the twos seen so far, and once those met in one node only,
+    with coefficient 1.
+    """
+    n_pos, per_node = masks
+    hit = once = 0
+    for i, (supp, ones) in enumerate(per_node):
+        if twos >> i & 1:
+            once = (once & ~supp) | (ones & ~hit)
+            hit |= supp
+    return 2 * (n_pos - hit.bit_count()), once.bit_count()
 
 
 def is_distinguished(rs_factor: RootSystem, labels: Sequence[int]) -> bool:

@@ -198,10 +198,10 @@ def torsion_order(ext: ExtendedDiagram, J: Iterable[int]) -> int:
 
 
 class PseudoLevi(NamedTuple):
-    """One Weyl-conjugacy class of subsystems, with a canonical subset representative."""
+    """One Weyl-conjugacy class of subsystems: its preferred subset J, the
+    factor types of R_J and d_J.  subsystem_closure(ext, J) is R_J."""
 
     J: tuple[int, ...]
-    subsystem: frozenset[RootVec]
     factor_types: tuple[CartanType, ...]
     dJ: int
 
@@ -402,15 +402,12 @@ def enumerate_pseudolevis(
     carry: every class has a distinguished labeling (all 2, or the empty one
     of the torus), and each record's J is its class's preferred subset.
     Output is sorted by (rank of subsystem, factor types, d_J, J).  budget
-    is enumerate_triples'.  Only the representatives are closed.
+    is enumerate_triples'.  Nothing is closed: subsystem_closure(ext, J)
+    gives a class's root set.
     """
-    ext = rs.extended_diagram
     # Any record of J will do: its order and factor types are J's.
     by_subset = {r.J: r for r in enumerate_triples(rs, budget)}
-    out = [
-        PseudoLevi(J, subsystem_closure(ext, J), r.factor_types, r.order)
-        for J, r in by_subset.items()
-    ]
+    out = [PseudoLevi(J, r.factor_types, r.order) for J, r in by_subset.items()]
     out.sort(key=lambda pl: (len(pl.J), pl.factor_types, pl.dJ, pl.J))
     return tuple(out)
 

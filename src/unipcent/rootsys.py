@@ -146,9 +146,10 @@ class RootSystem(_RootSystemFields):
     def root_index(self) -> "RootIndex":
         """Roots as indices, reflections as permutations, and coroots; built lazily.
 
-        A root's pairings with the simple coroots, read off the sparse Cartan
-        rows once, give both its image under each simple reflection and its
-        coroot (oracle.reflect_root and oracle._coroot_coords are the reference).
+        A root's pairings with the simple coroots, read off cartan_rows plus
+        the diagonal entry 2, give both its image under each simple
+        reflection and its coroot (oracle.reflect_root and
+        oracle._coroot_coords are the reference).
         Negation reverses the sorted order, so -roots[k] is roots[N - 1 - k],
         N = |R|; reflections and coroots commute with negation, so only the
         positive half, roots[N/2:], is computed.
@@ -157,13 +158,15 @@ class RootSystem(_RootSystemFields):
         roots = tuple([tuple([-c for c in g]) for g in reversed(half)] + half)
         last = len(roots) - 1
         index = {g: k for k, g in enumerate(roots)}
-        rows = _sparse_rows(self.cartan)
+        rows = self.cartan_rows
         d = symmetrizer(self)
         reflections = [list(range(len(roots))) for _ in rows]
         coroots: list = [None] * len(roots)
         for k in range(len(half), len(roots)):
             g = roots[k]
-            pairs = _cartan_pairings(rows, g)
+            pairs = [
+                2 * g[i] + sum(c * g[j] for j, c in row) for i, row in enumerate(rows)
+            ]
             for i, p in enumerate(pairs):
                 if p:
                     image = list(g)
@@ -209,9 +212,9 @@ class RootSystem(_RootSystemFields):
         with j != i and C[i][j] != 0.
 
         s_i negates coordinate i of a cocharacter m and lowers coordinate j by
-        m[i] * C[i][j] for exactly these j.  The diagonal is left out, and the
-        table kept apart from _sparse_rows, so _reflect_to_dominant's inner
-        loop has no entry to skip.
+        m[i] * C[i][j] for exactly these j.  The diagonal is left out, so
+        _reflect_to_dominant's inner loop has no entry to skip; root_index
+        adds it back.
         """
         return tuple(
             tuple((j, c) for j, c in enumerate(row) if c and j != i)
@@ -295,11 +298,6 @@ SparseRows = tuple[SparseRow, ...]
 
 def _sparse_rows(C: Sequence[Sequence[int]]) -> SparseRows:
     return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in C)
-
-
-def _cartan_pairings(rows: SparseRows, gamma: Sequence[int]) -> list[int]:
-    """<gamma, alpha_i^vee> for each simple node i, from the sparse Cartan rows."""
-    return [sum(c * gamma[j] for j, c in row) for row in rows]
 
 
 @lru_cache(maxsize=None)

@@ -103,7 +103,8 @@ def test_criterion_03_pseudolevi_oracle_equivalence():
         point_side = alcove_pseudolevis(rs, bound)
         assert point_side == alcove_pseudolevis(rs, bound + 1), name
         subset_side = {
-            canonical_subsystem(rs, pl.subsystem) for pl in enumerate_pseudolevis(rs)
+            canonical_subsystem(rs, subsystem_closure(rs.extended_diagram, pl.J))
+            for pl in enumerate_pseudolevis(rs)
         }
         assert point_side == subset_side, name
     elapsed = _report(3, "alcove-point oracle equals subset enumeration, rank <= 4", started)

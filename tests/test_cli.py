@@ -629,6 +629,38 @@ def test_out_to_a_pipe_is_written_in_place(tmp_path, capsys):
     assert pipe.is_fifo()  # not replaced by a regular file
 
 
+def _unwritable_stdout(kind: str):
+    """A file object for a child's stdout that every write fails on."""
+    if kind == "/dev/full":
+        return open("/dev/full", "wb")
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # a write now fails with EPIPE
+    return open(write_end, "wb")
+
+
+@pytest.mark.parametrize("kind", ["closed pipe", "/dev/full"])
+@pytest.mark.parametrize("command", ["roots E8", "pseudolevis E8", "component-groups E8"])
+def test_a_failed_stdout_write_is_one_usage_line(command, kind):
+    """Buffered or not, the child exits 1 with one stderr line and no traceback."""
+    if kind == "/dev/full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)
+    children = []
+    for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+        with _unwritable_stdout(kind) as out:
+            children.append(subprocess.Popen(
+                [sys.executable, "-m", "unipcent.cli", *command.split()],
+                stdout=out, stderr=subprocess.PIPE, env={**env, **unbuffered}, text=True,
+            ))
+    for child in children:
+        _, err = child.communicate(timeout=60)
+        assert child.returncode == EXIT_USAGE, err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("usage error: cannot write stdout: "), err
+
+
 def test_display_names_attached(capsys):
     assert main(["component-groups", "G2", "--format", "json"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)

@@ -118,7 +118,8 @@ def test_alcove_oracle_matches_subset_enumeration(name):
     bound = default_denominator_bound(rs)
     point_side = alcove_pseudolevis(rs, bound)
     subset_side = {
-        canonical_subsystem(rs, pl.subsystem) for pl in enumerate_pseudolevis(rs)
+        canonical_subsystem(rs, subsystem_closure(rs.extended_diagram, pl.J))
+        for pl in enumerate_pseudolevis(rs)
     }
     assert point_side == subset_side
     assert len(point_side) == len(enumerate_pseudolevis(rs))

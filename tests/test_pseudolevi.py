@@ -1,5 +1,6 @@
 """Extended diagram, subsystem closure, enumeration, torsion, witnesses."""
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from unipcent import (
     torsion_order,
     witness_element,
 )
+from unipcent.cli import EXIT_OK, main
 from unipcent.oracle import all_roots, lattice_root_closure, pairing, span_quotient_torsion
 from unipcent.pseudolevi import (
     _labeled_records,
@@ -232,7 +234,8 @@ def test_enumerate_small_types():
     assert types.count((CartanType("A", 1), CartanType("A", 1))) == 1
     assert types.count((CartanType("A", 2),)) == 1
     # Levi representatives preferred: the full system is represented by J = S.
-    full = [pl for pl in g2 if len(pl.subsystem) == 12]
+    ext = extended_diagram(rs_of("G2"))
+    full = [pl for pl in g2 if len(subsystem_closure(ext, pl.J)) == 12]
     assert full[0].J == (0, 1)
 
 
@@ -251,6 +254,35 @@ def test_e8_torsion_five_and_six_classes():
     assert max(pl.dJ for pl in pls) == 6
 
 
+def _count_closures(monkeypatch) -> list:
+    """Patch subsystem_closure wherever a unipcent module binds it; the list
+    collects the J of each call."""
+    calls = []
+
+    def counted(ext, J):
+        calls.append(tuple(J))
+        return subsystem_closure(ext, J)
+
+    for name, module in list(sys.modules.items()):
+        if name == "unipcent" or name.startswith("unipcent."):
+            for attr, value in list(vars(module).items()):
+                if value is subsystem_closure:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_only_the_rank_4_alcove_check_closes_root_sets(monkeypatch, capsys):
+    calls = _count_closures(monkeypatch)
+    enumerate_pseudolevis(rs_of("E8"))
+    assert calls == []
+    assert main(["component-groups", "E7", "--verify"]) == EXIT_OK
+    assert calls == []
+    f4 = enumerate_pseudolevis(rs_of("F4"))
+    assert main(["component-groups", "F4", "--verify"]) == EXIT_OK
+    assert sorted(calls) == sorted(pl.J for pl in f4)
+    capsys.readouterr()
+
+
 def test_representative_prefers_simple_nodes():
     for name in ("A3", "B3", "C3"):
         rs = rs_of(name)
@@ -259,11 +291,12 @@ def test_representative_prefers_simple_nodes():
             if aff in pl.J:
                 # no member of the class avoids the affine node
                 ext = extended_diagram(rs)
-                canon = canonical_subsystem(rs, pl.subsystem)
+                closure = subsystem_closure(ext, pl.J)
+                canon = canonical_subsystem(rs, closure)
                 for size in range(len(pl.J) + 1):
                     for K in itertools.combinations(range(rs.rank), size):
                         sub = subsystem_closure(ext, K)
-                        if len(sub) != len(pl.subsystem):
+                        if len(sub) != len(closure):
                             continue
                         assert canonical_subsystem(rs, sub) != canon
 
