@@ -3,7 +3,10 @@
 Exit codes: 0 success, 1 usage error (a failed stdout write among them), 2
 verification failure, unrecognized fingerprint or violated internal
 invariant, 3 resource budget exceeded.
-Output bytes are deterministic for identical inputs.
+Output bytes are deterministic for identical inputs.  --cache-dir keeps, per
+type and format, the bytes a report prints behind a CRC-32 line over the
+file's name and bytes; an entry whose line does not match is reported and
+recomputed.
 """
 from __future__ import annotations
 
@@ -11,15 +14,10 @@ import argparse
 import json
 import os
 import sys
-from itertools import chain
 from pathlib import Path
 
 from . import __version__
-from .compgroup import (
-    component_group_report,
-    count_pair_orbits,
-    recognize_group_from_torsion,
-)
+from .compgroup import component_group_report, count_pair_orbits
 from .errors import (
     BudgetExceeded,
     FingerprintError,
@@ -49,6 +47,7 @@ from .rootsys import (
 )
 
 SCHEMA_VERSION = 1
+FORMATS = ("json", "csv", "md")
 DEFAULT_MAX_RANK = 8
 
 EXIT_OK = 0
@@ -60,6 +59,12 @@ EXIT_BUDGET = 3
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); the contract wants 1
         raise InputError(message)
+
+    def _print_message(self, message, file=None):  # argparse drops a failed write
+        if file is sys.stdout:
+            _write_stdout(message)
+        else:
+            super()._print_message(message, file)
 
 
 def _positive_int(text: str) -> int:
@@ -174,8 +179,29 @@ def render_markdown(doc: dict) -> str:
     return "\n".join(out) + "\n"
 
 
-def _cache_key(ctype: str) -> str:
-    return f"{ctype}-s{SCHEMA_VERSION}-v{__version__}"
+def _render(doc: dict, fmt: str) -> str:
+    """doc in one output format.
+
+    The renderers are looked up in the module's globals on each call, not
+    kept in a table, so a wrapper installed there sees every call.
+    """
+    if fmt == "json":
+        return serialize_document(doc)
+    if fmt == "csv":
+        return render_csv(doc)
+    return render_markdown(doc)
+
+
+def _cache_path(cache_dir: str | Path, ctype: str, fmt: str) -> Path:
+    return Path(cache_dir) / f"{ctype}-s{SCHEMA_VERSION}-v{__version__}.{fmt}"
+
+
+def _cache_entry(name: str, body: str) -> str:
+    """A cache file: the CRC-32 of its name and body in 8 hex digits, a newline, the body."""
+    import zlib
+
+    crc = zlib.crc32((name + "\n" + body).encode())
+    return f"{crc:08x}\n{body}"
 
 
 def _write_atomic(path: str | Path, text: str) -> None:
@@ -199,110 +225,47 @@ def _write_atomic(path: str | Path, text: str) -> None:
         raise
 
 
-def cache_store(doc: dict, cache_dir: str | Path) -> Path:
-    """Write doc's entry, then remove its type's entries under other versions.
+def cache_store(doc: dict, cache_dir: str | Path) -> dict[str, Path]:
+    """Write doc's entry in each format, then remove its type's other entries.
 
-    Those are the <type>-s*-v*.json siblings with another name: cache_load
-    never reads them.  A sibling that cannot be removed is left in place.
+    Those are the <type>-s*-v*.* siblings with another name, which
+    cache_load never reads.  A sibling that cannot be removed is left in
+    place.  Returns the entries' paths by format.
     """
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     ctype = doc["cartan_type"]
-    path = cache_dir / f"{_cache_key(ctype)}.json"
-    _write_atomic(path, serialize_document(doc))
-    for stale in cache_dir.glob(f"{ctype}-s*-v*.json"):
-        if stale.name != path.name:
+    paths = {fmt: _cache_path(cache_dir, ctype, fmt) for fmt in FORMATS}
+    for fmt, path in paths.items():
+        _write_atomic(path, _cache_entry(path.name, _render(doc, fmt)))
+    names = {path.name for path in paths.values()}
+    for stale in cache_dir.glob(f"{ctype}-s*-v*.*"):
+        if stale.name not in names:
             try:
                 stale.unlink()
             except OSError:
                 pass
-    return path
+    return paths
 
 
-def cache_load(ctype: str, cache_dir: str | Path) -> dict | None:
-    path = Path(cache_dir) / f"{_cache_key(ctype)}.json"
+def cache_load(ctype: str, fmt: str, cache_dir: str | Path) -> str | None:
+    """The bytes cache_store wrote for ctype in fmt, or None on a miss.
+
+    An entry whose checksum line does not match its name and body is
+    reported on stderr and treated as a miss.
+    """
+    path = _cache_path(cache_dir, ctype, fmt)
     if not path.exists():
         return None
     try:
-        doc = json.loads(path.read_text())
-    except (OSError, ValueError):  # ValueError covers bad JSON and bad UTF-8
-        doc = None
-    if not isinstance(doc, dict):
+        text = path.read_bytes().decode()
+    except (OSError, ValueError):  # ValueError: the entry is not UTF-8
+        text = ""
+    body = text.partition("\n")[2]
+    if text != _cache_entry(path.name, body):
         print(f"warning: ignoring corrupt cache entry {path}", file=sys.stderr)
         return None
-    if (
-        doc.get("schema_version") != SCHEMA_VERSION
-        or doc.get("code_version") != __version__
-        or doc.get("cartan_type") != ctype
-    ):
-        print(f"warning: ignoring mismatched cache entry {path}", file=sys.stderr)
-        return None
-    if not (_well_formed(doc) and _groups_recognized(doc)):
-        print(f"warning: ignoring corrupt cache entry {path}", file=sys.stderr)
-        return None
-    return doc
-
-
-# The key sets build_report_document writes, at each level.
-_DOC_KEYS = {"schema_version", "code_version", "cartan_type", "good_primes_note", "reports"}
-_REPORT_KEYS = {"diagram", "group_name", "display_name", "classes"}
-_CLASS_KEYS = {"order", "factor_types", "J", "labels"}
-
-
-def _well_formed(doc: dict) -> bool:
-    """Whether a cache entry has exactly the shape build_report_document writes.
-
-    Each dict has the writer's key set, the names are strings, and diagram,
-    J, order and each [root, label] pair hold ints that are not bools (JSON
-    true is a bool, and bool is an int).  The fields are gathered by kind
-    and their types read once per kind.
-    """
-    if doc.keys() != _DOC_KEYS or type(doc["reports"]) is not list:
-        return False
-    strs = [doc["good_primes_note"]]
-    ints = []
-    int_lists = []
-    for rep in doc["reports"]:
-        if type(rep) is not dict or rep.keys() != _REPORT_KEYS:
-            return False
-        strs += rep["group_name"], rep["display_name"]
-        int_lists.append(rep["diagram"])
-        if type(rep["classes"]) is not list:
-            return False
-        for rec in rep["classes"]:
-            if (
-                type(rec) is not dict
-                or rec.keys() != _CLASS_KEYS
-                or type(rec["factor_types"]) is not list
-                or type(rec["labels"]) is not list
-            ):
-                return False
-            strs += rec["factor_types"]
-            ints.append(rec["order"])
-            int_lists.append(rec["J"])
-            for pair in rec["labels"]:
-                if type(pair) is not list or len(pair) != 2:
-                    return False
-                int_lists.append(pair[0])
-                ints.append(pair[1])
-    return (
-        set(map(type, strs)) <= {str}
-        and set(map(type, ints)) <= {int}
-        and set(map(type, int_lists)) <= {list}
-        and set(map(type, chain.from_iterable(int_lists))) <= {int}
-    )
-
-
-def _groups_recognized(doc: dict) -> bool:
-    """Whether each report's group_name is the group its class orders are recognized as."""
-    for rep in doc["reports"]:
-        try:
-            name, _ = recognize_group_from_torsion(rec["order"] for rec in rep["classes"])
-        except (FingerprintError, InputError):
-            return False
-        if name != rep["group_name"]:
-            return False
-    return True
+    return body
 
 
 def _write_stdout(text: str) -> None:
@@ -347,10 +310,11 @@ def cmd_pseudolevis(args) -> int:
     return EXIT_OK
 
 
-def _verify(ct: CartanType, budget: int, doc: dict) -> list[str]:
-    """Cross-checks for one type and the document doc it served; returns failures.
+def _verify(ct: CartanType, budget: int, fmt: str, served: str) -> list[str]:
+    """Cross-checks for one type and the text it served in fmt; returns failures.
 
-    doc must equal, byte for byte, the document rebuilt at p = 0, 7 and 11.
+    served must equal, byte for byte, the documents rebuilt at p = 0, 7 and
+    11 rendered in fmt.
     """
     failures: list[str] = []
     rs = build_root_system(ct)
@@ -398,10 +362,9 @@ def _verify(ct: CartanType, budget: int, doc: dict) -> list[str]:
                         f" partition {list(part.parts)} gives {expected}"
                     )
 
-    served = serialize_document(doc)
     differ = [
         p for p in (0, 7, 11)
-        if serialize_document(build_report_document(ct, p=p, budget=budget)) != served
+        if _render(build_report_document(ct, p=p, budget=budget), fmt) != served
     ]
     if differ:
         failures.append(f"served document differs from the ones rebuilt at p in {differ}")
@@ -416,10 +379,10 @@ def _verify(ct: CartanType, budget: int, doc: dict) -> list[str]:
 
 def cmd_component_groups(args) -> int:
     ct = _parse_type(args.type, args.max_rank)
-    doc = None
+    text = None
     if args.cache_dir:
-        doc = cache_load(str(ct), args.cache_dir)
-    if doc is None:
+        text = cache_load(str(ct), args.format, args.cache_dir)
+    if text is None:
         doc = build_report_document(ct, p=0, budget=args.budget)
         if args.cache_dir:
             try:
@@ -427,12 +390,7 @@ def cmd_component_groups(args) -> int:
             except OSError as exc:
                 print(f"usage error: cannot write --cache-dir: {exc}", file=sys.stderr)
                 return EXIT_USAGE
-    if args.format == "json":
-        text = serialize_document(doc)
-    elif args.format == "csv":
-        text = render_csv(doc)
-    else:
-        text = render_markdown(doc)
+        text = _render(doc, args.format)
     if args.out:
         try:
             _write_atomic(args.out, text)
@@ -442,7 +400,7 @@ def cmd_component_groups(args) -> int:
     else:
         _write_stdout(text)
     if args.verify:
-        failures = _verify(ct, args.budget, doc)
+        failures = _verify(ct, args.budget, args.format, text)
         if failures:
             for msg in failures:
                 print(f"verify: {msg}", file=sys.stderr)
@@ -503,7 +461,7 @@ def make_parser(defaults: dict | None = None) -> _Parser:
 
     p_cg = sub.add_parser("component-groups", help="full A(u) report table")
     common(p_cg)
-    p_cg.add_argument("--format", choices=("json", "csv", "md"), default="json")
+    p_cg.add_argument("--format", choices=FORMATS, default="json")
     p_cg.add_argument("--out", default=None)
     p_cg.add_argument("--cache-dir", default=None)
     p_cg.add_argument("--verify", action="store_true")

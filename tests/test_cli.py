@@ -1,9 +1,11 @@
 """Command-line behavior: exit codes, formats, determinism, cache, verify."""
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import threading
+import zlib
 from pathlib import Path
 
 import pytest
@@ -13,11 +15,14 @@ from unipcent.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY,
+    FORMATS,
     SCHEMA_VERSION,
     build_report_document,
     cache_load,
     cache_store,
     main,
+    render_csv,
+    render_markdown,
     serialize_document,
 )
 from unipcent.errors import FingerprintError, InvariantViolation
@@ -144,34 +149,60 @@ def test_byte_determinism_across_jobs(tmp_path):
     assert one.read_bytes() == two.read_bytes()
 
 
+RENDERERS = {"json": serialize_document, "csv": render_csv, "md": render_markdown}
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _entry_name(ctype, fmt):
+    from unipcent import __version__
+
+    return f"{ctype}-s{SCHEMA_VERSION}-v{__version__}.{fmt}"
+
+
+def _write_forged(path, body):
+    """Write body to a cache entry under the checksum line that matches it."""
+    crc = zlib.crc32((path.name + "\n" + body).encode())
+    path.write_text(f"{crc:08x}\n{body}")
+
+
 def test_cache_round_trip(tmp_path, capsys):
     doc = build_report_document(CartanType.parse("A2"))
-    path = cache_store(doc, tmp_path)
-    assert path.exists()
-    loaded = cache_load("A2", tmp_path)
-    assert loaded == doc
-    assert serialize_document(loaded) == serialize_document(doc)
+    paths = cache_store(doc, tmp_path)
+    assert sorted(paths) == sorted(FORMATS)
+    for fmt, path in paths.items():
+        assert path.exists()
+        assert cache_load("A2", fmt, tmp_path) == RENDERERS[fmt](doc)
     # two stores of the same computation are byte-identical
-    before = path.read_bytes()
+    before = {fmt: path.read_bytes() for fmt, path in paths.items()}
     cache_store(build_report_document(CartanType.parse("A2")), tmp_path)
-    assert path.read_bytes() == before
+    assert {fmt: path.read_bytes() for fmt, path in paths.items()} == before
+    assert capsys.readouterr().err == ""
 
 
 def test_cache_entry_is_named_by_type_schema_and_version(tmp_path, capsys):
     from unipcent import __version__
 
-    path = cache_store(build_report_document(CartanType.parse("A2")), tmp_path)
-    assert path.name == f"A2-s{SCHEMA_VERSION}-v{__version__}.json"
+    paths = cache_store(build_report_document(CartanType.parse("A2")), tmp_path)
+    assert {fmt: path.name for fmt, path in paths.items()} == {
+        "json": f"A2-s{SCHEMA_VERSION}-v{__version__}.json",
+        "csv": f"A2-s{SCHEMA_VERSION}-v{__version__}.csv",
+        "md": f"A2-s{SCHEMA_VERSION}-v{__version__}.md",
+    }
     # An entry an older version wrote is under another name: a miss.
-    path.rename(tmp_path / f"A2-s{SCHEMA_VERSION}-v0.0.1.json")
-    assert cache_load("A2", tmp_path) is None
+    for fmt, path in paths.items():
+        path.rename(tmp_path / f"A2-s{SCHEMA_VERSION}-v0.0.1.{fmt}")
+        assert cache_load("A2", fmt, tmp_path) is None
     assert capsys.readouterr().err == ""
 
 
 def test_cache_store_removes_its_types_entries_from_other_versions(tmp_path):
     from unipcent import __version__
 
-    stale = [f"A2-s{SCHEMA_VERSION}-v0.0.1.json", f"A2-s{SCHEMA_VERSION + 1}-v{__version__}.json"]
+    stale = [
+        f"A2-s{SCHEMA_VERSION}-v0.0.1.json",
+        f"A2-s{SCHEMA_VERSION}-v0.0.1.md",
+        f"A2-s{SCHEMA_VERSION + 1}-v{__version__}.json",
+    ]
     kept = [
         f"A20-s{SCHEMA_VERSION}-v0.0.1.json",  # another type
         f"B2-s{SCHEMA_VERSION}-v0.0.1.json",
@@ -181,20 +212,25 @@ def test_cache_store_removes_its_types_entries_from_other_versions(tmp_path):
     for name in stale + kept:
         (tmp_path / name).write_text("{}")
     (tmp_path / f"A2-s{SCHEMA_VERSION}-v0.0.2.json").mkdir()  # not a file: kept
-    path = cache_store(build_report_document(CartanType.parse("A2")), tmp_path)
+    paths = cache_store(build_report_document(CartanType.parse("A2")), tmp_path)
+    current = [path.name for path in paths.values()]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        kept + [path.name, f"A2-s{SCHEMA_VERSION}-v0.0.2.json"]
+        kept + current + [f"A2-s{SCHEMA_VERSION}-v0.0.2.json"]
     )
-    assert cache_load("A2", tmp_path) is not None
+    for fmt in FORMATS:
+        assert cache_load("A2", fmt, tmp_path) is not None
 
 
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_hashlib():
-    """Every run imports the CLI first, so its import path stays light."""
+    """Every run imports the CLI first, so its import path stays light.
+
+    zlib, which only the cache needs, is imported when the cache is used.
+    """
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     code = (
         "import sys, unipcent.cli;"
-        " print(sorted({'dataclasses', 'inspect', 'hashlib'} & set(sys.modules)))"
+        " print(sorted({'dataclasses', 'inspect', 'hashlib', 'zlib'} & set(sys.modules)))"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
@@ -203,18 +239,18 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_hashlib():
 
 
 def test_cache_misses(tmp_path, capsys):
-    assert cache_load("A2", tmp_path) is None
+    assert cache_load("A2", "json", tmp_path) is None
     doc = build_report_document(CartanType.parse("A2"))
-    path = cache_store(doc, tmp_path)
-    # version bump: stored under another key, so a miss
+    path = cache_store(doc, tmp_path)["json"]
+    # a schema bump's body under this version's name: no checksum line, so corrupt
     mutated = dict(doc, schema_version=SCHEMA_VERSION + 1)
     path.write_text(serialize_document(mutated))
-    assert cache_load("A2", tmp_path) is None
+    assert cache_load("A2", "json", tmp_path) is None
     err = capsys.readouterr().err
-    assert "mismatched" in err
+    assert "corrupt" in err
     for corrupt in (b"{ not json", b"\xff\xfe{}", b"[1, 2]"):
         path.write_bytes(corrupt)
-        assert cache_load("A2", tmp_path) is None
+        assert cache_load("A2", "json", tmp_path) is None
         err = capsys.readouterr().err
         assert "corrupt" in err
     assert main(["component-groups", "A2", "--cache-dir", str(tmp_path)]) == EXIT_OK
@@ -254,14 +290,14 @@ def test_cache_entry_without_a_readable_body(tmp_path, capsys, fmt):
     uncached = capsys.readouterr().out
     doc = build_report_document(CartanType.parse("A2"))
     for stub in _stub_bodies(doc):
-        path = cache_store(doc, tmp_path)
+        path = cache_store(doc, tmp_path)[fmt]
         path.write_text(json.dumps(stub))
         argv = ["component-groups", "A2", "--format", fmt, "--cache-dir", str(tmp_path)]
         assert main(argv) == EXIT_OK
         captured = capsys.readouterr()
         assert captured.out == uncached
         assert "corrupt" in captured.err
-        assert cache_load("A2", tmp_path) == doc  # the recompute replaced the stub
+        assert cache_load("A2", fmt, tmp_path) == uncached  # the recompute replaced the stub
 
 
 def test_cache_entry_whose_groups_do_not_match_its_orders(tmp_path, capsys):
@@ -280,14 +316,92 @@ def test_cache_entry_whose_groups_do_not_match_its_orders(tmp_path, capsys):
         if rec["order"] == 2:
             rec["order"] = -2  # InputError: a coset order below 1
     for tampered in (renamed, no_identity, negative):
-        path = cache_store(doc, tmp_path)
-        path.write_text(serialize_document(tampered))
+        path = cache_store(doc, tmp_path)["md"]
+        path.write_text(render_markdown(tampered))
         argv = ["component-groups", "G2", "--format", "md", "--cache-dir", str(tmp_path)]
         assert main(argv) == EXIT_OK
         captured = capsys.readouterr()
         assert captured.out == uncached and "Sym(5)" not in captured.out
         assert "corrupt" in captured.err
-        assert cache_load("G2", tmp_path) == doc  # the recompute replaced the entry
+        assert cache_load("G2", "md", tmp_path) == uncached  # the recompute replaced the entry
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_cache_hit_prints_its_bytes_without_parsing_or_rebuilding(tmp_path, monkeypatch, capsys, fmt):
+    """A hit reads one file: no JSON parse, no document, no group recognition."""
+    import unipcent.cli as cli
+
+    golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())["sha256"]
+    argv = ["component-groups", "G2", "--format", fmt, "--cache-dir", str(tmp_path)]
+    assert main(argv) == EXIT_OK  # the miss fills the cache
+    capsys.readouterr()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called on a cache hit")
+
+    monkeypatch.setattr(cli.json, "loads", refuse)
+    monkeypatch.setattr(cli, "build_report_document", refuse)
+    monkeypatch.setattr(cli, "recognize_group_from_torsion", refuse, raising=False)
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == golden["G2"][fmt]
+    assert captured.err == ""
+
+
+def test_cache_entry_that_lost_its_last_report_is_not_served(tmp_path, capsys):
+    """Without --verify, an entry cut short is recomputed, not printed with exit 0."""
+    doc = build_report_document(CartanType.parse("G2"))
+    short = serialize_document(dict(doc, reports=doc["reports"][:-1]))
+
+    def drop_last_row(text):
+        return text[: text.rstrip("\n").rindex("\n") + 1]
+
+    cases = [
+        ("json", lambda text: short),  # as earlier versions wrote an entry
+        ("json", lambda text: text.partition("\n")[0] + "\n" + short),  # checksum line kept
+        ("csv", drop_last_row),
+        ("md", drop_last_row),
+    ]
+    for fmt, doctor in cases:
+        assert main(["component-groups", "G2", "--format", fmt]) == EXIT_OK
+        uncached = capsys.readouterr().out
+        argv = ["component-groups", "G2", "--format", fmt, "--cache-dir", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        path = tmp_path / _entry_name("G2", fmt)
+        path.write_text(doctor(path.read_text()))
+        assert main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == uncached, fmt
+        assert captured.err == f"warning: ignoring corrupt cache entry {path}\n"
+
+
+def test_cache_entry_not_written_under_its_name_is_replaced(tmp_path, capsys):
+    """Each is warned corrupt once, recomputed, and overwritten with the right entry."""
+    a2 = cache_store(build_report_document(CartanType.parse("A2")), tmp_path)
+    entries = {fmt: path.read_text() for fmt, path in a2.items()}
+    a3 = cache_store(build_report_document(CartanType.parse("A3")), tmp_path)
+    cases = []
+    for fmt, other in zip(FORMATS, FORMATS[1:] + FORMATS[:1]):
+        line, _, body = entries[fmt].partition("\n")
+        flipped = body[:-2] + chr(ord(body[-2]) ^ 1) + body[-1:]
+        cases += [
+            (fmt, a3[fmt].read_text()),  # another type's entry
+            (fmt, entries[other]),  # another format's entry
+            (fmt, line + "\n"),  # the checksum line alone
+            (fmt, line + "\n" + flipped),  # one body byte flipped
+            (fmt, body),  # no checksum line: for json, the entry earlier versions wrote
+        ]
+    for fmt, text in cases:
+        assert main(["component-groups", "A2", "--format", fmt]) == EXIT_OK
+        uncached = capsys.readouterr().out
+        a2[fmt].write_text(text)
+        argv = ["component-groups", "A2", "--format", fmt, "--cache-dir", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == uncached
+        assert captured.err == f"warning: ignoring corrupt cache entry {a2[fmt]}\n"
+        assert a2[fmt].read_text() == entries[fmt]
 
 
 @pytest.mark.parametrize("target", ["--out", "--cache-dir"])
@@ -295,9 +409,12 @@ def test_failed_write_leaves_the_old_file(tmp_path, monkeypatch, capsys, target)
     if target == "--out":
         old = tmp_path / "g2.json"
         argv = ["component-groups", "G2", "--out", str(old)]
+        names = [old.name]
     else:
-        old = cache_store(build_report_document(CartanType.parse("G2")), tmp_path)
+        paths = cache_store(build_report_document(CartanType.parse("G2")), tmp_path)
+        old = paths["json"]
         argv = ["component-groups", "G2", "--cache-dir", str(tmp_path)]
+        names = [path.name for path in paths.values()]
     old.write_text("{ an entry the run will replace\n")
     before = old.read_bytes()
     write_text = Path.write_text
@@ -310,7 +427,7 @@ def test_failed_write_leaves_the_old_file(tmp_path, monkeypatch, capsys, target)
     assert main(argv) == EXIT_USAGE
     monkeypatch.undo()
     assert old.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == [old.name]  # no .tmp file
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)  # no .tmp file
     err = capsys.readouterr().err.splitlines()
     assert err[-1].startswith("usage error: cannot write")
 
@@ -479,12 +596,12 @@ def test_verify_small_type(name, capsys):
 
 
 def test_verify_checks_the_served_cache_entry(tmp_path, capsys):
-    """A well-formed entry that lost a report and had one J rewritten is caught."""
+    """An entry that lost a report and had one J rewritten, under a forged checksum, is caught."""
     doc = build_report_document(CartanType.parse("G2"))
     doctored = json.loads(serialize_document(doc))
     del doctored["reports"][-1]
     doctored["reports"][0]["classes"][0]["J"] = [2]
-    cache_store(doc, tmp_path).write_text(serialize_document(doctored))
+    _write_forged(cache_store(doc, tmp_path)["json"], serialize_document(doctored))
     argv = ["component-groups", "G2", "--cache-dir", str(tmp_path), "--verify"]
     assert main(argv) == EXIT_VERIFY
     captured = capsys.readouterr()
@@ -496,7 +613,7 @@ def test_verify_checks_the_served_cache_entry(tmp_path, capsys):
 def test_verify_failure_exit_code(monkeypatch, capsys):
     import unipcent.cli as cli
 
-    monkeypatch.setattr(cli, "_verify", lambda ct, budget, doc: ["forced failure"])
+    monkeypatch.setattr(cli, "_verify", lambda ct, budget, fmt, served: ["forced failure"])
     assert main(["component-groups", "A1", "--verify"]) == 2
     assert "forced failure" in capsys.readouterr().err
 
@@ -639,9 +756,23 @@ def _unwritable_stdout(kind: str):
 
 
 @pytest.mark.parametrize("kind", ["closed pipe", "/dev/full"])
-@pytest.mark.parametrize("command", ["roots E8", "pseudolevis E8", "component-groups E8"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        "roots E8",
+        "pseudolevis E8",
+        "component-groups E8",
+        "--help",
+        "component-groups -h",
+        "pseudolevis --help",
+    ],
+)
 def test_a_failed_stdout_write_is_one_usage_line(command, kind):
-    """Buffered or not, the child exits 1 with one stderr line and no traceback."""
+    """Buffered or not, the child exits 1 with one stderr line and no traceback.
+
+    Help text is printed by argparse, which would drop the failed write and
+    exit 0.
+    """
     if kind == "/dev/full" and not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full")
     src = Path(__file__).resolve().parent.parent / "src"
@@ -659,6 +790,15 @@ def test_a_failed_stdout_write_is_one_usage_line(command, kind):
         assert child.returncode == EXIT_USAGE, err
         assert len(err.splitlines()) == 1, err
         assert err.startswith("usage error: cannot write stdout: "), err
+
+
+@pytest.mark.parametrize("command", ["--help", "component-groups -h", "pseudolevis --help"])
+def test_help_to_a_healthy_stdout_exits_0(command, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(command.split())
+    assert stop.value.code == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: unipcent") and captured.err == ""
 
 
 def test_display_names_attached(capsys):
