@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -268,6 +269,19 @@ def cache_load(ctype: str, fmt: str, cache_dir: str | Path) -> str | None:
     return body
 
 
+@contextmanager
+def _write_failure(flag: str, path: str):
+    """Turn an OSError of the block into an InputError naming flag and path.
+
+    The message names the path as given, not the file that failed, which
+    may be _write_atomic's hidden .tmp sibling.
+    """
+    try:
+        yield
+    except OSError as exc:
+        raise InputError(f"cannot write {flag}: {path}: {exc.strerror or exc}") from None
+
+
 def _write_stdout(text: str) -> None:
     """Write text to stdout and flush it; a failed write is an InputError."""
     try:
@@ -385,18 +399,12 @@ def cmd_component_groups(args) -> int:
     if text is None:
         doc = build_report_document(ct, p=0, budget=args.budget)
         if args.cache_dir:
-            try:
+            with _write_failure("--cache-dir", args.cache_dir):
                 cache_store(doc, args.cache_dir)
-            except OSError as exc:
-                print(f"usage error: cannot write --cache-dir: {exc}", file=sys.stderr)
-                return EXIT_USAGE
         text = _render(doc, args.format)
     if args.out:
-        try:
+        with _write_failure("--out", args.out):
             _write_atomic(args.out, text)
-        except OSError as exc:
-            print(f"usage error: cannot write --out: {exc}", file=sys.stderr)
-            return EXIT_USAGE
     else:
         _write_stdout(text)
     if args.verify:

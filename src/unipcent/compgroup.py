@@ -135,9 +135,13 @@ def recognize_group_from_torsion(torsions: Iterable[int]) -> tuple[str, tuple[in
     of the d_J-th power is central-connected, hence trivial); equality can
     fail, so recognition matches records to classes under divisibility rather
     than insisting the multisets agree.  The class count picks the one
-    candidate tried.
+    candidate tried.  Every order must be an int; a bool is not one.
     """
-    torsions = tuple(sorted(int(d) for d in torsions))
+    torsions = tuple(torsions)
+    for d in torsions:
+        if not isinstance(d, int) or isinstance(d, bool):
+            raise InputError(f"coset orders must be integers, got {d!r}")
+    torsions = tuple(sorted(torsions))
     if not torsions:
         raise InputError("empty torsion multiset")
     if torsions[0] < 1:

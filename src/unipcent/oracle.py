@@ -6,8 +6,9 @@ integer-span closure of a set of roots (Hermite normal form), classical
 partition combinatorics for types A-D, and brute-force Weyl orbits.  Beside
 them live the plain references that tests compare the pipeline's fast paths
 against: reflections, pairings and coroots computed root by root on the
-dense Cartan matrix, the alcove reduction with its certificate, the base and
-canonical form of a closed subsystem, and the dimension criterion for a
+dense Cartan matrix (coroots with the family's own root lengths, which no
+pipeline table uses), the alcove reduction with its certificate, the base
+and canonical form of a closed subsystem, and the dimension criterion for a
 labeling.  canonical_subsystem decides conjugacy through
 rootsys.canonical_labeled_set, which shares its primitives with the
 pipeline's split.  A Smith-form utility exposes the torsion of the span
@@ -77,13 +78,28 @@ def apply_word(rs: RootSystem, word: Sequence[int], lam: Sequence) -> CocharVec:
     return cur
 
 
-def _coroot_coords(rs: RootSystem, d: Sequence[int], gamma: RootVec) -> RootVec:
-    """coroot of the root gamma, given the symmetrizer d of rs.
+def _root_lengths(rs: RootSystem) -> tuple[int, ...]:
+    """d_i = (alpha_i, alpha_i) / (alpha, alpha) for a short root alpha.
 
-    Computed on the dense Cartan matrix: the reference that tests compare
-    root_index's coroots against.
+    Read off the family, not the Cartan matrix: the long simple roots are
+    alpha_1..alpha_{n-1} of B_n, alpha_n of C_n and alpha_1, alpha_2 of F4,
+    with d = 2, and alpha_2 of G2, with d = 3 (Bourbaki, Plates II-IX).
+    Every other d is 1.
+    """
+    n, fam = rs.rank, rs.ctype.family
+    long = {"B": range(n - 1), "C": (n - 1,), "F": (0, 1), "G": (1,)}.get(fam, ())
+    return tuple((3 if fam == "G" else 2) if i in long else 1 for i in range(n))
+
+
+def _coroot_coords(rs: RootSystem, gamma: RootVec) -> RootVec:
+    """gamma^vee of a root: <alpha_k, gamma^vee> = 2 (alpha_k, gamma) / (gamma, gamma).
+
+    (alpha_k, gamma) = d_k <gamma, alpha_k^vee>, d from _root_lengths, on the
+    dense Cartan matrix: the reference for root_index's coroots, sharing
+    nothing with it but the Cartan matrix.
     """
     C = rs.cartan
+    d = _root_lengths(rs)
     Cg = [_dot(C[k], gamma) for k in range(rs.rank)]
     norm = sum(c * dk * v for c, dk, v in zip(gamma, d, Cg))
     out = []

@@ -147,9 +147,12 @@ class RootSystem(_RootSystemFields):
         """Roots as indices, reflections as permutations, and coroots; built lazily.
 
         A root's pairings with the simple coroots, read off cartan_rows plus
-        the diagonal entry 2, give both its image under each simple
-        reflection and its coroot (oracle.reflect_root and
-        oracle._coroot_coords are the reference).
+        the diagonal entry 2, give its image under each simple reflection
+        (oracle.reflect_root is the reference).  The coroot of alpha_i is
+        row i of the Cartan matrix.  A positive root g that is not simple
+        pairs positively with some alpha_i^vee, so s_i g = r is a positive
+        root that sorts before g, and g^vee = s_i(r^vee) = m - m[i] * C[i],
+        m = r^vee (oracle._coroot_coords is the reference).
         Negation reverses the sorted order, so -roots[k] is roots[N - 1 - k],
         N = |R|; reflections and coroots commute with negation, so only the
         positive half, roots[N/2:], is computed.
@@ -158,8 +161,7 @@ class RootSystem(_RootSystemFields):
         roots = tuple([tuple([-c for c in g]) for g in reversed(half)] + half)
         last = len(roots) - 1
         index = {g: k for k, g in enumerate(roots)}
-        rows = self.cartan_rows
-        d = symmetrizer(self)
+        rows, C = self.cartan_rows, self.cartan
         reflections = [list(range(len(roots))) for _ in rows]
         coroots: list = [None] * len(roots)
         for k in range(len(half), len(roots)):
@@ -173,10 +175,15 @@ class RootSystem(_RootSystemFields):
                     image[i] -= p
                     r = index[tuple(image)]
                     reflections[i][k], reflections[i][last - k] = r, last - r
-            norm = sum(c * dk * p for c, dk, p in zip(g, d, pairs))
-            cor = tuple([2 * dk * p // norm for dk, p in zip(d, pairs)])
+            i = next(i for i, p in enumerate(pairs) if p > 0)
+            r = reflections[i][k]
+            if r == last - k:  # s_i g = -g: g is alpha_i
+                cor = C[i]
+            else:
+                m = coroots[r]
+                cor = tuple([a - m[i] * c for a, c in zip(m, C[i])])
             coroots[k], coroots[last - k] = cor, tuple([-c for c in cor])
-        theta, theta_vee = self.highest_root, coroots[index[self.highest_root]]
+        theta, theta_vee = roots[last], coroots[last]
         tv = [(j, t) for j, t in enumerate(theta_vee) if t]
         affine = list(range(len(roots)))
         for k in range(len(half), len(roots)):
@@ -194,12 +201,6 @@ class RootSystem(_RootSystemFields):
         simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
         root_of = tuple(simples) + (tuple(-c for c in self.highest_root),)
         mark_of = self.marks + (1,)
-        total = [0] * n
-        for r, m in zip(root_of, mark_of):
-            for j in range(n):
-                total[j] += m * r[j]
-        if any(total):
-            raise InvariantViolation("affine relation violated")
         coroots = [coroot(self, r) for r in root_of]
         cartan = tuple(tuple(_dot(r, cor) for r in root_of) for cor in coroots)
         return ExtendedDiagram(
@@ -213,8 +214,9 @@ class RootSystem(_RootSystemFields):
 
         s_i negates coordinate i of a cocharacter m and lowers coordinate j by
         m[i] * C[i][j] for exactly these j.  The diagonal is left out, so
-        _reflect_to_dominant's inner loop has no entry to skip; root_index
-        adds it back.
+        _reflect_to_dominant's inner loop, on every report's hot path, has no
+        entry to skip; root_index adds it back to its pairings and takes
+        coroots from the dense rows.
         """
         return tuple(
             tuple((j, c) for j, c in enumerate(row) if c and j != i)
@@ -449,37 +451,6 @@ def to_dominant(rs: RootSystem, lam: Sequence) -> tuple[CocharVec, WeylWord]:
     m = [c.numerator * (den // c.denominator) for c in lam]
     word = tuple(_reflect_to_dominant(rs, m, range(rs.rank)))
     return tuple(Fraction(v, den) for v in m), word
-
-
-def symmetrizer(rs: RootSystem) -> tuple[int, ...]:
-    """Positive integers d with d_i*C[i][j] = d_j*C[j][i], normalized to min 1.
-
-    d spreads from node 0 along the diagram's edges on integers: where
-    d_j = d_i * C[i][j] / C[j][i] would not be integral, every d found so far
-    is scaled up first.
-    """
-    C = rs.cartan
-    n = rs.rank
-    d = [0] * n
-    d[0] = 1
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in range(n):
-            if j != i and C[i][j] != 0 and not d[j]:
-                num, den = d[i] * C[i][j], C[j][i]
-                if num % den:
-                    scale = abs(den) // math.gcd(num, den)
-                    d = [v * scale for v in d]
-                    num *= scale
-                d[j] = num // den
-                stack.append(j)
-    if not all(d):
-        raise InvariantViolation(f"Dynkin diagram of {rs.ctype} is disconnected")
-    low = min(d)
-    if any(v % low for v in d):
-        raise InvariantViolation("non-integral symmetrizer")
-    return tuple(v // low for v in d)
 
 
 def coroot(rs: RootSystem, gamma: RootVec) -> RootVec:

@@ -717,6 +717,13 @@ def test_out_not_writable(tmp_path, capsys):
     assert main(["component-groups", "G2", "--out", str(tmp_path)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and err.count("\n") == 1
+    # A missing directory: the one line names the path given, not a .tmp file.
+    out = str(tmp_path / "missing" / "x.json")
+    assert main(["component-groups", "G2", "--format", "md", "--out", out]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"usage error: cannot write --out: {out}:")
+    assert ".tmp" not in captured.err
 
 
 def test_out_through_a_symlink_replaces_its_target(tmp_path, capsys):

@@ -98,6 +98,11 @@ def test_recognize_group_rejects():
     for torsions in ((1, 0), (1, -2), (1, 2, -3)):
         with pytest.raises(InputError):
             recognize_group_from_torsion(torsions)
+    # an order that is not an int is rejected, not truncated or parsed
+    not_ints = ((1, 2.7), (1, 2.0), (True, "2"), (1, "2"), (True, 2), (1, Fraction(2)))
+    for torsions in not_ints:
+        with pytest.raises(InputError):
+            recognize_group_from_torsion(torsions)
     # no two-class candidate has a class whose order divides 5
     with pytest.raises(FingerprintError):
         recognize_group_from_torsion((1, 5))

@@ -27,6 +27,7 @@ from unipcent import (
 )
 from unipcent.oracle import (
     _coroot_coords,
+    _root_lengths,
     act_labeled_set,
     brute_orbit,
     reflect_cochar,
@@ -40,7 +41,6 @@ from unipcent.rootsys import (
     highest_coroot,
     partition_orbits,
     solve_cochar_for_base,
-    symmetrizer,
 )
 
 ALL_TYPES = (
@@ -132,19 +132,35 @@ def test_a_decomposable_matrix_breaks_the_coxeter_count(monkeypatch):
         build_root_system.__wrapped__(CartanType("A", 3))
 
 
-@pytest.mark.parametrize("name", ALL_TYPES)
+@pytest.mark.parametrize(
+    "name",
+    [f"{f}{r}" for f, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+     for r in range(low, 13)]
+    + ["E6", "E7", "E8", "F4", "G2"],
+)
+def test_root_lengths_symmetrize_the_cartan_matrix(name):
+    """The reference's per-family d: d_i C[i][j] = d_j C[j][i], min(d) = 1."""
+    rs = rs_of(name)
+    C, d = rs.cartan, _root_lengths(rs)
+    assert min(d) == 1
+    for i in range(rs.rank):
+        for j in range(rs.rank):
+            assert d[i] * C[i][j] == d[j] * C[j][i], (i, j)
+
+
+@pytest.mark.parametrize("name", ALL_TYPES + ["B10", "C10", "D10"])
 def test_sparse_tables_match_the_dense_reference(name):
-    """The closure and root_index read sparse Cartan rows; reflect_root and
-    _coroot_coords read the dense matrix."""
+    """The closure and root_index read sparse Cartan rows and take coroots from
+    the reflections; reflect_root and _coroot_coords read the dense matrix and
+    the family's root lengths."""
     rs = rs_of(name)  # test_positive_root_counts checks |R+| against its closed form
     table = rs.root_index
     for i in range(rs.rank):
         expected = tuple(table.index[reflect_root(rs, i, g)] for g in table.roots)
         assert table.reflections[i] == expected
-    d = symmetrizer(rs)
-    assert table.coroots == tuple(_coroot_coords(rs, d, g) for g in table.roots)
+    assert table.coroots == tuple(_coroot_coords(rs, g) for g in table.roots)
     # The affine node's reflection, the last one, is s_theta.
-    theta, theta_vee = rs.highest_root, _coroot_coords(rs, d, rs.highest_root)
+    theta, theta_vee = rs.highest_root, _coroot_coords(rs, rs.highest_root)
     s_theta = [tuple(c - pairing(g, theta_vee) * t for c, t in zip(g, theta)) for g in table.roots]
     assert table.reflections[rs.rank:] == (tuple(map(table.index.__getitem__, s_theta)),)
 
