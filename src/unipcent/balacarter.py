@@ -66,11 +66,12 @@ def distinguished_labelings_for_base(
 ) -> tuple[LabeledSubDiagram, ...]:
     """Distinguished labelings of an ambient base, as (root, label) item tuples.
 
-    components is pseudolevi.base_components of the base: its irreducible
-    components, each with its standard type and its roots in the type's node
-    order.  The per-type labelings are pulled back along that order.  The
-    resulting set is independent of the order chosen, since diagram
-    automorphisms permute the distinguished labelings of a type.
+    components are the base's irreducible components, each with its
+    standard type and its roots in the type's node order, as
+    RootSystem.subset_components or pseudolevi.base_components give them.
+    The per-type labelings are pulled back along that order.  The resulting
+    set is independent of the order chosen, since diagram automorphisms
+    permute the distinguished labelings of a type.
     """
     per = [distinguished_classes(ct) for ct, _ in components]
     out = []

@@ -26,7 +26,7 @@ from .pseudolevi import (
     enumerate_triples,
     extended_diagram,
 )
-from .rootsys import DEFAULT_BUDGET, LabeledDiagram, RootSystem, is_good_prime
+from .rootsys import DEFAULT_BUDGET, LabeledDiagram, RootSystem, _labeled_items, is_good_prime
 
 
 class AuReport(NamedTuple):
@@ -52,10 +52,10 @@ def build_triple_record(
     J: Iterable[int],
     labels: LabeledSubDiagram,
 ) -> TripleRecord:
-    """Assemble a record for a node subset J with labeled base items."""
+    """Assemble a record for a node subset J with labeled base items; every label is an int."""
     ext = extended_diagram(rs)
     J = _check_subset(ext, J)
-    items = tuple(sorted((tuple(r), int(l)) for r, l in labels))
+    items = _labeled_items(labels)
     if len(items) != len(J) or {r for r, _ in items} != {ext.root_of[j] for j in J}:
         raise InputError("labels must cover exactly the roots of J")
     (rec,) = _labeled_records(rs, J, [items])

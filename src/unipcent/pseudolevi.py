@@ -5,6 +5,9 @@ node carrying minus the highest root with mark 1.  For a proper subset J of
 the nodes, the subsystem is the set of roots in the integer span of J's roots,
 with the torsion order d_J = gcd of the marks outside J.
 
+The one split of node subsets into typed components is
+RootSystem.subset_components; the elementary moves and the records both read
+it, and base_components, which splits a base of roots, is its reference.
 A record is J with a labeling of its base.  Weyl conjugacy of records is
 decided by one rootsys.partition_orbits call, which refines every start and
 buckets by one key: _pair_orbits builds the record of every distinguished
@@ -21,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
@@ -33,12 +35,10 @@ from .rootsys import (
     CocharVec,
     ExtendedDiagram,
     LabeledDiagram,
-    Pairings,
     RootSystem,
     RootVec,
     WeylWord,
-    _MAX_RANK,
-    _MIN_RANK,
+    _component_type,
     _is_prime,
     _opposition,
     _reflect_to_dominant,
@@ -46,7 +46,6 @@ from .rootsys import (
     alcove_reduce,
     as_cochar,
     base_pairings,
-    cartan_matrix,
     coroot_coefficients,
     coroot_combination,
     is_good_prime,
@@ -98,91 +97,31 @@ def subsystem_closure(ext: ExtendedDiagram, J: Iterable[int]) -> frozenset[RootV
 
 def _component_split(cartan: Sequence[Sequence[int]]) -> list[list[int]]:
     """The connected components of a Cartan matrix's diagram, as sorted positions."""
-    k = len(cartan)
-    seen = [False] * k
-    comps = []
-    for start in range(k):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        for v in comp:  # comp grows while it is scanned
-            row = cartan[v]
-            for w in range(k):
-                if row[w] and not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-        comp.sort()
-        comps.append(comp)
+    comps, seen = [], set()
+    for start in range(len(cartan)):
+        if start not in seen:
+            seen.add(start)
+            comp = [start]
+            for v in comp:  # comp grows while it is scanned
+                for w, c in enumerate(cartan[v]):
+                    if c and w not in seen:
+                        seen.add(w)
+                        comp.append(w)
+            comps.append(sorted(comp))
     return comps
 
 
-def _candidate_types(k: int) -> list[CartanType]:
-    """Every irreducible type of rank k, families in the order of _MIN_RANK."""
-    return [
-        CartanType(family, k)
-        for family, low in _MIN_RANK.items()
-        if low <= k <= _MAX_RANK.get(family, k)
-    ]
-
-
-def _match_cartan(M: list[list[int]], std: tuple[tuple[int, ...], ...]) -> list[int] | None:
-    """A node order sigma with M[sigma[a]][sigma[b]] == std[a][b], or None."""
-    k = len(M)
-    deg_m = [sum(1 for b in range(k) if b != a and M[a][b] != 0) for a in range(k)]
-    deg_s = [sum(1 for b in range(k) if b != a and std[a][b] != 0) for a in range(k)]
-    assign: list[int] = []
-    used = [False] * k
-
-    def extend(a: int) -> bool:
-        if a == k:
-            return True
-        for cand in range(k):
-            if used[cand] or deg_m[cand] != deg_s[a]:
-                continue
-            ok = True
-            for b in range(a):
-                if (
-                    M[cand][assign[b]] != std[a][b]
-                    or M[assign[b]][cand] != std[b][a]
-                ):
-                    ok = False
-                    break
-            if ok:
-                used[cand] = True
-                assign.append(cand)
-                if extend(a + 1):
-                    return True
-                assign.pop()
-                used[cand] = False
-        return False
-
-    return assign[:] if extend(0) else None
-
-
-@lru_cache(maxsize=None)
-def _component_type(M: tuple[tuple[int, ...], ...]) -> tuple[CartanType, tuple[int, ...]]:
-    """The type of an irreducible Cartan matrix and a node order matching it."""
-    for ct in _candidate_types(len(M)):
-        order = _match_cartan(M, cartan_matrix(ct))
-        if order is not None:
-            return ct, tuple(order)
-    raise InvariantViolation("base is not of finite Cartan type")
-
-
 def base_components(
-    rs: RootSystem,
-    base: Sequence[RootVec],
-    pairings: Pairings | None = None,
+    rs: RootSystem, base: Sequence[RootVec]
 ) -> tuple[tuple[CartanType, tuple[RootVec, ...]], ...]:
     """Irreducible components of a base, each with roots in standard node order.
 
-    pairings is base_pairings(rs, base), or ExtendedDiagram.pairings for a
-    caller that holds node subsets; only its Cartan submatrix is read, and a
-    component's type is read off that alone.
+    The reference for RootSystem.subset_components: it splits the base's own
+    Cartan submatrix (base_pairings), and each component's type is read off
+    its block alone.
     """
     base = tuple(base)
-    cartan, _ = base_pairings(rs, base) if pairings is None else pairings
+    cartan, _ = base_pairings(rs, base)
     out = []
     for comp in _component_split(cartan):
         M = tuple([tuple([cartan[a][b] for b in comp]) for a in comp])
@@ -249,28 +188,27 @@ def _labeled_records(
     """The record of each labeling of J's base.
 
     labelings defaults to every distinguished labeling; each is a tuple of
-    (root, label) items sorted by root.  J's base is split into components
-    once.  A record's cocharacter sums, over the components, the
-    coroot_coefficients of the component's type and labels times its
-    coroots; one dominant reduction gives the induced diagram and the word
-    the record keeps.
+    (root, label) items sorted by root.  J's components are read from
+    rs.subset_components.  A record's cocharacter sums, over the
+    components, the coroot_coefficients of the component's type and labels,
+    read in its node order, times its nodes' coroot_rows; one dominant
+    reduction gives the induced diagram and the word the record keeps.
     """
     ext = rs.extended_diagram
     dJ = torsion_order(ext, J)
-    nodes = sorted(J, key=ext.root_of.__getitem__)  # the order of sorted items
-    base = [ext.root_of[j] for j in nodes]
-    pairings = ext.pairings(nodes)
-    coroot_of = dict(zip(base, pairings[1]))
-    comps = base_components(rs, base, pairings)
-    types = tuple([ct for ct, _ in comps])  # base_components sorts by type first
+    comps = rs.subset_components[sum([1 << j for j in J])]
+    types = tuple([ct for ct, _ in comps])  # the table sorts by type first
+    root_of, rows = ext.root_of, ext.coroot_rows
     if labelings is None:
-        labelings = distinguished_labelings_for_base(comps)
+        labelings = distinguished_labelings_for_base(
+            [(ct, tuple(map(root_of.__getitem__, nodes))) for ct, nodes in comps]
+        )
     for items in labelings:
         label_of = dict(items)
         terms = []
-        for ct, roots in comps:
-            coeffs = coroot_coefficients(ct, tuple(map(label_of.__getitem__, roots)))
-            terms += zip(coeffs, map(coroot_of.__getitem__, roots))
+        for ct, nodes in comps:
+            coeffs = coroot_coefficients(ct, tuple([label_of[root_of[j]] for j in nodes]))
+            terms += zip(coeffs, map(rows.__getitem__, nodes))
         lam = coroot_combination(rs.rank, terms)
         cochar = tuple(lam)
         word = tuple(_reflect_to_dominant(rs, lam, range(rs.rank)))  # lam turns dominant
@@ -306,48 +244,27 @@ def _move_groups(ext: ExtendedDiagram) -> list[list[tuple[int, ...]]]:
     the component C of M that holds s.  The longest element of W_M sends the
     roots of J in C to minus their sigma-images and the root system of each
     other component of M onto itself, so it maps R_J onto the image's
-    subsystem: a group lies in one Weyl class.  The moves generate conjugacy of parabolic subsets in the
-    affine Weyl group (Deodhar, Comm. Algebra 10, 1982); subsets that only W
-    relates are left in different groups.
+    subsystem, and a group lies in one Weyl class.  The moves generate
+    conjugacy of parabolic subsets in the affine Weyl group (Deodhar, Comm.
+    Algebra 10, 1982); subsets that only W relates are left in different
+    groups.
 
     So for each proper M and each 2-cycle (u, v) of the sigma of one of its
-    components, read off the component's type (rootsys._opposition), M less
-    u and M less v are one move apart.  Subsets are bit masks until the
-    groups are returned, in the order of their first subset in
-    _proper_subsets.
+    components (rs.subset_components, rootsys._opposition), M less u and M
+    less v are one move apart.  Subsets are bit masks until the groups are
+    returned, in the order of their first subset in _proper_subsets.
     """
-    n_nodes, nodes, C = len(ext.root_of), ext.nodes, ext.cartan
-    adjacent = [sum([1 << b for b in nodes if b != a and C[a][b]]) for a in nodes]
-    swaps: dict[int, list[tuple[int, int]]] = {}  # component mask -> sigma's 2-cycles
-    components = {0: []}  # subset mask -> masks of its components
     linked: dict[int, list[int]] = {}
-    for M in range(1, (1 << n_nodes) - 1):
-        low = M & -M  # M's components: those of M less its lowest node, joined at it
-        touching = adjacent[low.bit_length() - 1]
-        comps, joined = [], low
-        for c in components[M ^ low]:
-            if c & touching:
-                joined |= c
-            else:
-                comps.append(c)
-        comps.append(joined)
-        components[M] = comps
-        for c in comps:
-            if c not in swaps:
-                comp = [j for j in nodes if c >> j & 1]
-                ct, order = _component_type(
-                    tuple([tuple([C[a][b] for b in comp]) for a in comp])
-                )
-                node = [comp[k] for k in order]  # standard position -> node
-                sigma = _opposition(ct)
-                swaps[c] = [(node[k], node[t]) for k, t in enumerate(sigma) if k < t]
-            for u, v in swaps[c]:
-                J, K = M & ~(1 << u), M & ~(1 << v)
-                linked.setdefault(J, []).append(K)
-                linked.setdefault(K, []).append(J)
+    for M, comps in ext.rs.subset_components.items():
+        for ct, node in comps:  # node: standard position -> node
+            for k, t in enumerate(_opposition(ct)):
+                if k < t:
+                    J, K = M & ~(1 << node[k]), M & ~(1 << node[t])
+                    linked.setdefault(J, []).append(K)
+                    linked.setdefault(K, []).append(J)
     seen = set()
     groups = []
-    for J in _proper_subsets(n_nodes):
+    for J in _proper_subsets(len(ext.root_of)):
         start = sum([1 << j for j in J])
         if start in seen:
             continue
@@ -358,7 +275,7 @@ def _move_groups(ext: ExtendedDiagram) -> list[list[tuple[int, ...]]]:
                 if image not in seen:
                     seen.add(image)
                     group.append(image)
-        groups.append([tuple([j for j in nodes if K >> j & 1]) for K in group])
+        groups.append([tuple([j for j in ext.nodes if K >> j & 1]) for K in group])
     return groups
 
 

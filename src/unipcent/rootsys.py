@@ -118,6 +118,51 @@ def cartan_matrix(ctype: CartanType) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in C)
 
 
+def _candidate_types(k: int) -> list[CartanType]:
+    """Every irreducible type of rank k, families in the order of _MIN_RANK."""
+    return [
+        CartanType(family, k)
+        for family, low in _MIN_RANK.items()
+        if low <= k <= _MAX_RANK.get(family, k)
+    ]
+
+
+def _match_cartan(M: list[list[int]], std: tuple[tuple[int, ...], ...]) -> list[int] | None:
+    """A node order sigma with M[sigma[a]][sigma[b]] == std[a][b], or None."""
+    k = len(M)
+    deg_m = [sum(1 for b in range(k) if b != a and M[a][b] != 0) for a in range(k)]
+    deg_s = [sum(1 for b in range(k) if b != a and std[a][b] != 0) for a in range(k)]
+    assign: list[int] = []
+
+    def extend(a: int) -> bool:
+        if a == k:
+            return True
+        for cand in range(k):
+            if cand in assign or deg_m[cand] != deg_s[a]:
+                continue
+            if all(
+                M[cand][assign[b]] == std[a][b] and M[assign[b]][cand] == std[b][a]
+                for b in range(a)
+            ):
+                assign.append(cand)
+                if extend(a + 1):
+                    return True
+                assign.pop()
+        return False
+
+    return assign if extend(0) else None
+
+
+@lru_cache(maxsize=None)
+def _component_type(M: tuple[tuple[int, ...], ...]) -> tuple[CartanType, tuple[int, ...]]:
+    """The type of an irreducible Cartan matrix and a node order matching it."""
+    for ct in _candidate_types(len(M)):
+        order = _match_cartan(M, cartan_matrix(ct))
+        if order is not None:
+            return ct, tuple(order)
+    raise InvariantViolation("base is not of finite Cartan type")
+
+
 class _RootSystemFields(NamedTuple):
     ctype: CartanType
     cartan: tuple[tuple[int, ...], ...]
@@ -208,6 +253,38 @@ class RootSystem(_RootSystemFields):
         )
 
     @cached_property
+    def subset_components(self) -> dict[int, tuple[tuple[CartanType, tuple[int, ...]], ...]]:
+        """The irreducible components of every proper subset of the extended nodes.
+
+        Keyed by the subset's bit mask, each value holds the components,
+        sorted, as (type, the nodes in the type's standard order, as
+        _component_type matches them).  The components of M are those of M
+        less its lowest node, the ones that node touches joined at it, so
+        each mask is one step and each component is typed once.
+        """
+        C = self.extended_diagram.cartan
+        nodes = range(len(C))
+        adjacent = [sum([1 << b for b in nodes if b != a and C[a][b]]) for a in nodes]
+        typed = {}  # component mask -> (type, nodes in standard order)
+        parts: dict[int, list[int]] = {0: []}  # subset mask -> its component masks
+        for M in range(1, (1 << len(C)) - 1):
+            low = M & -M
+            touching = adjacent[low.bit_length() - 1]
+            comps, joined = [], low
+            for c in parts[M ^ low]:
+                if c & touching:
+                    joined |= c
+                else:
+                    comps.append(c)
+            parts[M] = comps + [joined]
+            if joined not in typed:
+                comp = [j for j in nodes if joined >> j & 1]
+                block = tuple([tuple([C[a][b] for b in comp]) for a in comp])
+                ct, order = _component_type(block)
+                typed[joined] = (ct, tuple([comp[k] for k in order]))
+        return {M: tuple(sorted(map(typed.__getitem__, cs))) for M, cs in parts.items()}
+
+    @cached_property
     def cartan_rows(self) -> "SparseRows":
         """Row i of the Cartan matrix off the diagonal: its (j, C[i][j]) pairs
         with j != i and C[i][j] != 0.
@@ -280,14 +357,6 @@ class ExtendedDiagram(NamedTuple):
     @property
     def nodes(self) -> range:
         return range(len(self.root_of))
-
-    def pairings(self, J: Sequence[int]) -> tuple[list[list[int]], list["SparseRow"]]:
-        """The Cartan submatrix of J's node roots and their coroot_rows, in J's order.
-
-        The submatrix is base_pairings' and the rows are its coroots, sparse.
-        """
-        C, rows = self.cartan, self.coroot_rows
-        return [[C[a][b] for b in J] for a in J], [rows[a] for a in J]
 
 
 def _dot(a: Sequence, b: Sequence):
@@ -402,6 +471,15 @@ def as_cochar(coords: Iterable) -> CocharVec:
         else:
             raise InputError(f"exact rational expected, got {c!r}")
     return tuple(out)
+
+
+def _labeled_items(items: Iterable[tuple[Sequence[int], int]]) -> tuple[tuple[RootVec, int], ...]:
+    """A labeled base as sorted (root, label) items; each label must be an int, not a bool."""
+    items = [(tuple(r), l) for r, l in items]
+    for _, l in items:
+        if not isinstance(l, int) or isinstance(l, bool):
+            raise InputError(f"labels must be integers, got {l!r}")
+    return tuple(sorted(items))
 
 
 def zero_cochar(rs: RootSystem) -> CocharVec:
@@ -543,13 +621,13 @@ def solve_cochar_for_base(
 ) -> CocharVec:
     """The unique lam in the span of the base's coroots with <base[a], lam> = targets[a].
 
-    Solved on integers: the targets are scaled once by the lcm of their
-    denominators, elimination keeps integer rows, and each coordinate is
-    divided out at the end.
+    Solved on integers: the targets, ints or Fractions (as_cochar), are
+    scaled once by the lcm of their denominators, elimination keeps integer
+    rows, and each coordinate is divided out at the end.
     """
     k = len(base)
     cartan, cor = base_pairings(rs, base)
-    rhs = [Fraction(t) for t in targets]
+    rhs = as_cochar(targets)
     scale = math.lcm(*(t.denominator for t in rhs))
     A = _eliminate(
         [
@@ -806,10 +884,11 @@ def canonical_labeled_set(
     labels; best is the decoded smallest state in the orbit of the transported
     base under the stabilizer of lam_dom (see dominant_transport), as a sorted
     labeled base.  Two labeled bases are Weyl-conjugate iff their canonical
-    forms coincide.  budget bounds the states visited (BudgetExceeded).
+    forms coincide.  A label that is not an int is an InputError.  budget
+    bounds the states visited (BudgetExceeded).
     Nothing is memoized: every call walks the orbit.
     """
-    items = tuple(sorted((tuple(r), int(l)) for r, l in items))
+    items = _labeled_items(items)
     lam_dom, start = dominant_transport(rs, items)
     nodes = _zero_nodes(lam_dom, range(rs.rank))
     best = min(_stabilizer_orbit(rs, nodes, start, budget))

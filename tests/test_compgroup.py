@@ -402,6 +402,17 @@ def test_order_drop_census():
     }
 
 
+def test_build_triple_record_rejects():
+    a2 = rs_of("A2")
+    with pytest.raises(InputError):  # labels must cover exactly the roots of J
+        build_triple_record(a2, (0, 1), [((1, 0), 2)])
+    # a label that is not an int is rejected, not truncated or read as 0 or 1
+    for label in (2.9, 2.0, True, Fraction(2), "x", None):
+        with pytest.raises(InputError):
+            build_triple_record(a2, (0,), [((1, 0), label)])
+    assert build_triple_record(a2, (0,), [((1, 0), 2)]).labels == (((1, 0), 2),)
+
+
 def test_characteristic_independence_and_gating():
     for name in ("A3", "G2"):
         rs = rs_of(name)

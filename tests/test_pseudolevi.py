@@ -150,7 +150,7 @@ def test_subset_keys_match_the_fraction_transport():
             expect = dominant_transport(rs, [(r, 2) for r in base])
             assert (lam_dom, start) == expect, (name, J)
             assert hash(lam_dom) == hash(expect[0])
-            comps = base_components(rs, base, ext.pairings(J))
+            comps = base_components(rs, base)
             assert rec.factor_types == tuple(sorted(ct for ct, _ in comps))
             assert rec.order == torsion_order(ext, J)
             checked += 1

@@ -1,5 +1,6 @@
 """Every exported name has a use outside its own definition and the test suite."""
 import ast
+import importlib
 import types
 from pathlib import Path
 
@@ -108,8 +109,10 @@ def test_no_pipeline_module_imports_the_oracle():
 
 
 # The reference functions perfbench/shim.py traces by module name, with the
-# two helpers only they call.  They stay in the pipeline modules until the
-# trace list moves with them; every other reference lives in oracle.py.
+# helpers only they call: the root-base split base_components (the reference
+# for RootSystem.subset_components) and its _component_split.  They stay in
+# the pipeline modules until the trace list moves with them; every other
+# reference lives in oracle.py.
 TRACED_REFERENCES = {
     "rootsys": {
         "canonical_labeled_set",
@@ -119,7 +122,26 @@ TRACED_REFERENCES = {
         "zero_cochar",
     },
     "induce": {"cochar_for_labeled_base", "induced_diagram"},
+    "pseudolevi": {"base_components", "_component_split"},
 }
+
+
+def test_every_traced_name_resolves():
+    """perfbench/shim.py's TRACED, read without importing it, names only
+    functions that exist: Tracer.install raises on a missing one."""
+    shim = ROOT / "perfbench" / "shim.py"
+    (traced,) = [
+        ast.literal_eval(stmt.value)
+        for stmt in ast.parse(shim.read_text(), str(shim)).body
+        if isinstance(stmt, ast.Assign) and ast.unparse(stmt.targets[0]) == "TRACED"
+    ]
+    missing = [
+        f"{module}.{name}"
+        for module, names in traced.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"unipcent.{module}"), name, None))
+    ]
+    assert len(traced) >= 7 and missing == []
 
 
 def test_the_report_path_calls_no_reference_code():

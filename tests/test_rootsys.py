@@ -610,3 +610,18 @@ def test_labeled_base_outside_the_roots_is_rejected():
     # (1, -1) has an integral "coroot" in A2, so only the root lookup catches it
     with pytest.raises(InputError):
         canonical_labeled_set(rs_of("A2"), [((1, -1), 2)])
+    # a label that is not an int is rejected, not truncated or read as 0 or 1
+    for label in (2.7, 2.0, True, Fraction(2), "x", None):
+        with pytest.raises(InputError):
+            canonical_labeled_set(rs_of("A2"), [((1, 0), label)])
+
+
+def test_solve_rejects_inexact_targets():
+    a2 = rs_of("A2")
+    for target in (2.5, 2.0, True, "2"):
+        with pytest.raises(InputError):
+            solve_cochar_for_base(a2, [(1, 0)], [target])
+        with pytest.raises(InputError):
+            cochar_for_labeled_base(a2, [((1, 0), target)])
+    lam = solve_cochar_for_base(a2, [(1, 0)], [Fraction(5, 2)])
+    assert lam == (Fraction(5, 2), Fraction(-5, 4))
