@@ -2,7 +2,6 @@
 
 F4 has a Sym(4), E8 a Sym(5); E8 also shows cosets of order 4 whose image in
 the component group only has order 2 (the report tracks both numbers).
-Takes a few seconds for E8.
 """
 import collections
 

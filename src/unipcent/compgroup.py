@@ -5,14 +5,15 @@ labeling of its base; pseudolevi.enumerate_triples classifies records up to
 Weyl conjugacy of labeled bases, and the report cuts them into runs of equal
 induced ambient diagram.  Each diagram's class count picks the one candidate
 group with that many classes, and its coset orders d_J are matched to the
-candidate's class orders under divisibility (the image of a coset generator
-can have smaller order in the component group than the coset itself has in
-Z/Z°).
+candidate's class orders under divisibility, by Hall's condition (the image of
+a coset generator can have smaller order in the component group than the
+coset itself has in Z/Z°).
 """
 from __future__ import annotations
 
-from itertools import groupby
-from operator import attrgetter
+from functools import reduce
+from itertools import combinations, groupby
+from operator import attrgetter, or_
 from typing import Iterable, NamedTuple
 
 from .balacarter import LabeledSubDiagram
@@ -97,35 +98,31 @@ def _candidate(n_classes: int) -> tuple[str, tuple[int, ...]] | None:
     return _FIXED_CANDIDATES.get(n_classes)
 
 
-def _match_classes(torsions: tuple[int, ...], orders: tuple[int, ...]) -> bool:
-    """Perfect matching of records to group classes under the order constraints.
+def _match_classes(torsions: tuple[int, ...], orders: tuple[int, ...]) -> str | None:
+    """None if the records can carry the group's classes one to one, else why not.
 
     A record of coset order d can carry a class of element order o iff o
-    divides d and o = 1 exactly when d = 1.
+    divides d and o = 1 exactly when d = 1.  Classes of one order fit the
+    same records, so by Hall's marriage theorem the records carry the classes
+    iff they are as many and, for every set V of distinct class orders, the
+    records that fit some order in V number at least the classes of an order
+    in V.  The first V to fail, fewest orders first, is named.
     """
-    remaining = list(orders)
-
-    def backtrack(i: int) -> bool:
-        if i == len(torsions):
-            return not remaining
-        d = torsions[i]
-        tried = set()
-        for idx, o in enumerate(remaining):
-            if o in tried:
-                continue
-            tried.add(o)
-            if (o == 1) != (d == 1):
-                continue
-            if d % o != 0:
-                continue
-            remaining.pop(idx)
-            if backtrack(i + 1):
-                remaining.insert(idx, o)
-                return True
-            remaining.insert(idx, o)
-        return False
-
-    return backtrack(0)
+    if len(torsions) != len(orders):
+        return f"{len(orders)} classes for {len(torsions)} records"
+    fits = {  # bit i of fits[o] is set iff record i fits class order o
+        o: sum(1 << i for i, d in enumerate(torsions) if d % o == 0 and (o == 1) == (d == 1))
+        for o in set(orders)
+    }
+    values = sorted(fits)
+    for size in range(1, len(values) + 1):
+        for V in combinations(values, size):
+            n_classes = sum(map(orders.count, V))
+            n_fit = reduce(or_, map(fits.get, V)).bit_count()
+            if n_fit < n_classes:
+                V = "{" + ", ".join(map(str, V)) + "}"
+                return f"classes of order in {V} number {n_classes}, records fitting them {n_fit}"
+    return None
 
 
 def recognize_group_from_torsion(torsions: Iterable[int]) -> tuple[str, tuple[int, ...]]:
@@ -135,7 +132,8 @@ def recognize_group_from_torsion(torsions: Iterable[int]) -> tuple[str, tuple[in
     of the d_J-th power is central-connected, hence trivial); equality can
     fail, so recognition matches records to classes under divisibility rather
     than insisting the multisets agree.  The class count picks the one
-    candidate tried.  Every order must be an int; a bool is not one.
+    candidate tried, and a FingerprintError names the constraint that rejects
+    it.  Every order must be an int; a bool is not one.
     """
     torsions = tuple(torsions)
     for d in torsions:
@@ -149,9 +147,13 @@ def recognize_group_from_torsion(torsions: Iterable[int]) -> tuple[str, tuple[in
     if torsions.count(1) != 1:
         raise InputError(f"exactly one trivial coset expected: {torsions}")
     candidate = _candidate(len(torsions))
-    if candidate is None or not _match_classes(torsions, candidate[1]):
-        raise FingerprintError(f"coset orders {torsions} fit no candidate group")
-    return candidate
+    if candidate is None:
+        reason = f"none has {len(torsions)} classes"
+    elif mismatch := _match_classes(torsions, candidate[1]):
+        reason = f"{candidate[0]}'s {mismatch}"
+    else:
+        return candidate
+    raise FingerprintError(f"coset orders {torsions} fit no candidate group: {reason}")
 
 
 def component_group_report(

@@ -18,7 +18,6 @@ from .rootsys import (
     as_cochar,
     solve_cochar_for_base,
     to_dominant,
-    zero_cochar,
 )
 
 
@@ -31,11 +30,7 @@ def cochar_for_labeled_base(
     instead; this Fraction solve is the reference tests compare it against.
     """
     items = tuple(items)
-    if not items:
-        return zero_cochar(rs)
-    base = [r for r, _ in items]
-    targets = [l for _, l in items]
-    lam = solve_cochar_for_base(rs, base, targets)
+    lam = solve_cochar_for_base(rs, [r for r, _ in items], [l for _, l in items])
     if any(c.denominator != 1 for c in lam):
         raise InvariantViolation(
             f"cocharacter of labeled base {items} is not integral: {lam}"

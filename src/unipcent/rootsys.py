@@ -482,10 +482,6 @@ def _labeled_items(items: Iterable[tuple[Sequence[int], int]]) -> tuple[tuple[Ro
     return tuple(sorted(items))
 
 
-def zero_cochar(rs: RootSystem) -> CocharVec:
-    return tuple(Fraction(0) for _ in range(rs.rank))
-
-
 def _reflect_to_dominant(
     rs: RootSystem, m: list[int], nodes: Sequence[int]
 ) -> list[int]:
@@ -623,19 +619,26 @@ def solve_cochar_for_base(
 
     Solved on integers: the targets, ints or Fractions (as_cochar), are
     scaled once by the lcm of their denominators, elimination keeps integer
-    rows, and each coordinate is divided out at the end.
+    rows, and each coordinate is divided out at the end.  A target count
+    other than the base's, or a base whose roots are not linearly
+    independent, is an InputError; the empty base gives the zero cochar.
     """
     k = len(base)
+    if len(targets) != k:
+        raise InputError(f"{len(targets)} targets for a base of {k} roots")
     cartan, cor = base_pairings(rs, base)
     rhs = as_cochar(targets)
     scale = math.lcm(*(t.denominator for t in rhs))
-    A = _eliminate(
-        [
-            [cartan[b][a] for b in range(k)]
-            + [rhs[a].numerator * (scale // rhs[a].denominator)]
-            for a in range(k)
-        ]
-    )
+    try:
+        A = _eliminate(
+            [
+                [cartan[b][a] for b in range(k)]
+                + [rhs[a].numerator * (scale // rhs[a].denominator)]
+                for a in range(k)
+            ]
+        )
+    except InvariantViolation:
+        raise InputError(f"base {list(base)} is not linearly independent") from None
     # Now A[a][a] * x_a = A[a][k]; lam = sum_a x_a cor[a] over the denominator den.
     den = math.lcm(*(A[a][a] for a in range(k)))
     x = [A[a][k] * (den // A[a][a]) for a in range(k)]
@@ -739,10 +742,7 @@ def dominant_transport(
     lam_dom equal starts mean equal labeled bases.
     """
     items = tuple(items)
-    if not items:
-        return zero_cochar(rs), ()
-    base = [r for r, _ in items]
-    lam = solve_cochar_for_base(rs, base, [l for _, l in items])
+    lam = solve_cochar_for_base(rs, [r for r, _ in items], [l for _, l in items])
     lam_dom, word = to_dominant(rs, lam)
     return lam_dom, transport_start(rs, items, word)
 

@@ -26,7 +26,7 @@ from unipcent import (
     induced_diagram,
     recognize_group_from_torsion,
 )
-from unipcent.compgroup import _candidate
+from unipcent.compgroup import _candidate, _match_classes
 from unipcent.oracle import act_labeled_set, brute_orbit, classical_nilpotent_classes
 from unipcent.pseudolevi import _labeled_records, _pair_orbits, _proper_subsets
 from unipcent.rootsys import (
@@ -103,9 +103,47 @@ def test_recognize_group_rejects():
     for torsions in not_ints:
         with pytest.raises(InputError):
             recognize_group_from_torsion(torsions)
-    # no two-class candidate has a class whose order divides 5
-    with pytest.raises(FingerprintError):
+    # no two-class candidate has a class whose order divides 5, and the
+    # message names the class order no record fits
+    with pytest.raises(FingerprintError, match=r"of order in \{2\} number 1, records fitting them 0"):
         recognize_group_from_torsion((1, 5))
+
+
+def _augmenting_match(torsions, orders):
+    """A perfect matching of records to classes by augmenting paths (Kuhn)."""
+    if len(torsions) != len(orders):
+        return False
+    owner = [None] * len(orders)  # owner[c]: the record carrying class c
+
+    def fits(d, o):
+        return d % o == 0 and (o == 1) == (d == 1)
+
+    def augment(i, seen):
+        for c, o in enumerate(orders):
+            if c not in seen and fits(torsions[i], o):
+                seen.add(c)
+                if owner[c] is None or augment(owner[c], seen):
+                    owner[c] = i
+                    return True
+        return False
+
+    return all(augment(i, set()) for i in range(len(torsions)))
+
+
+def test_hall_condition_matches_augmenting_paths():
+    """Hall's condition decides exactly what a perfect matching decides."""
+    n_cases = n_matched = 0
+    for n in range(1, 9):
+        candidate = _candidate(n)
+        if candidate is None:
+            continue
+        for torsions in itertools.combinations_with_replacement((1, 2, 3, 4, 5, 6, 8, 12), n):
+            hall = _match_classes(torsions, candidate[1])
+            matched = _augmenting_match(torsions, candidate[1])
+            assert (hall is None) == matched, (torsions, hall)
+            n_cases += 1
+            n_matched += matched
+    assert (n_cases, n_matched) == (11_153, 585)
 
 
 def test_candidate_fingerprints_pairwise_distinct():

@@ -1,4 +1,4 @@
-"""The quick demos run to completion (demo 04 is left to the acceptance tests)."""
+"""Every demo runs to completion and prints something."""
 import runpy
 from pathlib import Path
 
@@ -13,6 +13,7 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
         "01_root_systems.py",
         "02_pseudo_levi_subsystems.py",
         "03_g2_component_groups.py",
+        "04_exceptional_tables.py",
         "05_oracle_crosschecks.py",
     ],
 )

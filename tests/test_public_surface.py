@@ -119,7 +119,6 @@ TRACED_REFERENCES = {
         "to_dominant",
         "solve_cochar_for_base",
         "dominant_transport",
-        "zero_cochar",
     },
     "induce": {"cochar_for_labeled_base", "induced_diagram"},
     "pseudolevi": {"base_components", "_component_split"},

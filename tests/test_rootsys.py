@@ -34,6 +34,7 @@ from unipcent.oracle import (
     reflect_root,
 )
 from unipcent.rootsys import (
+    _eliminate,
     _opposition,
     _refine_start,
     as_cochar,
@@ -625,3 +626,28 @@ def test_solve_rejects_inexact_targets():
             cochar_for_labeled_base(a2, [((1, 0), target)])
     lam = solve_cochar_for_base(a2, [(1, 0)], [Fraction(5, 2)])
     assert lam == (Fraction(5, 2), Fraction(-5, 4))
+
+
+def test_solve_needs_one_target_per_base_root():
+    # a surplus or a missing target is the caller's error
+    a2 = rs_of("A2")
+    for base, targets in (([(1, 0)], [2, 3]), ([(1, 0)], []), ([(1, 0), (0, 1)], [2])):
+        with pytest.raises(InputError, match="targets for a base of"):
+            solve_cochar_for_base(a2, base, targets)
+    # the empty base needs no special case downstream
+    assert solve_cochar_for_base(a2, [], []) == (0, 0)
+    assert dominant_transport(a2, ()) == ((0, 0), ())
+    assert canonical_labeled_set(a2, ()) == ((0, 0), ())
+
+
+def test_dependent_labeled_base_is_an_input_error():
+    """A repeated or dependent root is the caller's error, named with its base;
+    only the pipeline's own elimination reports a singular matrix as corrupt."""
+    a2 = rs_of("A2")
+    bases = ([((1, 0), 2), ((1, 0), 2)], [((1, 0), 2), ((0, 1), 2), ((1, 1), 2)])
+    for items in bases:
+        for entry in (canonical_labeled_set, dominant_transport, cochar_for_labeled_base):
+            with pytest.raises(InputError, match=r"base \[.*\(1, 0\).*\] is not linearly"):
+                entry(a2, items)
+    with pytest.raises(InvariantViolation, match="singular"):
+        _eliminate([[1, 2, 0], [2, 4, 1]])
