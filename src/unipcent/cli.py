@@ -79,6 +79,13 @@ def _positive_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
 
 
+def _path(text: str) -> str:
+    """The type of --out, --cache-dir and --config: a path, which cannot be empty."""
+    if not text:
+        raise argparse.ArgumentTypeError("must be a non-empty path")
+    return text
+
+
 def _parse_type(text: str, max_rank: int) -> CartanType:
     ct = CartanType.parse(text)
     if ct.rank > max_rank:
@@ -394,15 +401,15 @@ def _verify(ct: CartanType, budget: int, fmt: str, served: str) -> list[str]:
 def cmd_component_groups(args) -> int:
     ct = _parse_type(args.type, args.max_rank)
     text = None
-    if args.cache_dir:
+    if args.cache_dir is not None:
         text = cache_load(str(ct), args.format, args.cache_dir)
     if text is None:
         doc = build_report_document(ct, p=0, budget=args.budget)
-        if args.cache_dir:
+        if args.cache_dir is not None:
             with _write_failure("--cache-dir", args.cache_dir):
                 cache_store(doc, args.cache_dir)
         text = _render(doc, args.format)
-    if args.out:
+    if args.out is not None:
         with _write_failure("--out", args.out):
             _write_atomic(args.out, text)
     else:
@@ -438,7 +445,9 @@ def _load_config(path: str) -> dict:
 
 def make_parser(defaults: dict | None = None) -> _Parser:
     parser = _Parser(prog="unipcent", description=__doc__)
-    parser.add_argument("--config", help="key=value file setting flag defaults")
+    parser.add_argument(
+        "--config", type=_path, help="key=value file setting flag defaults"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -470,8 +479,8 @@ def make_parser(defaults: dict | None = None) -> _Parser:
     p_cg = sub.add_parser("component-groups", help="full A(u) report table")
     common(p_cg)
     p_cg.add_argument("--format", choices=FORMATS, default="json")
-    p_cg.add_argument("--out", default=None)
-    p_cg.add_argument("--cache-dir", default=None)
+    p_cg.add_argument("--out", type=_path, default=None)
+    p_cg.add_argument("--cache-dir", type=_path, default=None)
     p_cg.add_argument("--verify", action="store_true")
     p_cg.set_defaults(func=cmd_component_groups)
 
@@ -509,7 +518,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = make_parser().parse_args(argv)
-        if args.config:  # a second parse applies the file's defaults
+        if args.config is not None:  # a second parse applies the file's defaults
             args = make_parser(_load_config(args.config)).parse_args(argv)
         return args.func(args)
     except InputError as exc:

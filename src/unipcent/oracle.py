@@ -40,7 +40,7 @@ from .rootsys import (
     _dot,
     as_cochar,
     canonical_labeled_set,
-    highest_coroot,
+    coroot,
 )
 
 
@@ -120,7 +120,7 @@ def alcove_reduce_map(rs: RootSystem, point: Sequence):
     """
     x, walls, shift0, steps = _alcove_walk(rs, point)
     n = rs.rank
-    theta_vee = highest_coroot(rs)
+    theta_vee = coroot(rs, rs.highest_root)
     marks = rs.marks
     # Inverse bookkeeping: input = B . current + u after every step.  Each
     # step is a reflection, so B and u stay integral.

@@ -59,6 +59,10 @@ def extended_diagram(rs: RootSystem) -> ExtendedDiagram:
 
 
 def _check_subset(ext: ExtendedDiagram, J: Iterable[int]) -> tuple[int, ...]:
+    J = list(J)
+    for j in J:
+        if not isinstance(j, int) or isinstance(j, bool):
+            raise InputError(f"node ids must be integers, got {j!r}")
     J = tuple(sorted(set(J)))
     nodes = set(ext.nodes)
     if not set(J) <= nodes:

@@ -191,8 +191,9 @@ class RootSystem(_RootSystemFields):
     def root_index(self) -> "RootIndex":
         """Roots as indices, reflections as permutations, and coroots; built lazily.
 
-        A root's pairings with the simple coroots, read off cartan_rows plus
-        the diagonal entry 2, give its image under each simple reflection
+        A root's pairings with the simple coroots, taken against the dense
+        Cartan rows (the extended diagram's sparse rows are built from these
+        coroots), give its image under each simple reflection
         (oracle.reflect_root is the reference).  The coroot of alpha_i is
         row i of the Cartan matrix.  A positive root g that is not simple
         pairs positively with some alpha_i^vee, so s_i g = r is a positive
@@ -206,14 +207,12 @@ class RootSystem(_RootSystemFields):
         roots = tuple([tuple([-c for c in g]) for g in reversed(half)] + half)
         last = len(roots) - 1
         index = {g: k for k, g in enumerate(roots)}
-        rows, C = self.cartan_rows, self.cartan
-        reflections = [list(range(len(roots))) for _ in rows]
+        C = self.cartan
+        reflections = [list(range(len(roots))) for _ in C]
         coroots: list = [None] * len(roots)
         for k in range(len(half), len(roots)):
             g = roots[k]
-            pairs = [
-                2 * g[i] + sum(c * g[j] for j, c in row) for i, row in enumerate(rows)
-            ]
+            pairs = [_dot(row, g) for row in C]
             for i, p in enumerate(pairs):
                 if p:
                     image = list(g)
@@ -285,22 +284,6 @@ class RootSystem(_RootSystemFields):
         return {M: tuple(sorted(map(typed.__getitem__, cs))) for M, cs in parts.items()}
 
     @cached_property
-    def cartan_rows(self) -> "SparseRows":
-        """Row i of the Cartan matrix off the diagonal: its (j, C[i][j]) pairs
-        with j != i and C[i][j] != 0.
-
-        s_i negates coordinate i of a cocharacter m and lowers coordinate j by
-        m[i] * C[i][j] for exactly these j.  The diagonal is left out, so
-        _reflect_to_dominant's inner loop, on every report's hot path, has no
-        entry to skip; root_index adds it back to its pairings and takes
-        coroots from the dense rows.
-        """
-        return tuple(
-            tuple((j, c) for j, c in enumerate(row) if c and j != i)
-            for i, row in enumerate(self.cartan)
-        )
-
-    @cached_property
     def results(self) -> dict:
         """Whole-stage results for this type, keyed by (stage, budget).
 
@@ -345,7 +328,9 @@ class ExtendedDiagram(NamedTuple):
     cartan is the extended Cartan matrix, cartan[a][b] = <root_of[b],
     root_of[a]^vee> (the convention of cartan_matrix); the first rank entries
     of row a are the coweight coordinates of node a's coroot, and
-    coroot_rows[a] holds them as sparse (j, value) pairs.
+    coroot_rows[a] holds them as sparse (j, value) pairs.  For a simple node
+    i that is Cartan row i, diagonal 2 included, and coroot_rows[rank] is
+    -theta^vee; every coweight reflection reads this one table.
     """
 
     rs: RootSystem
@@ -488,12 +473,13 @@ def _reflect_to_dominant(
     """Reflect the integer coweight m in place until it is dominant on nodes.
 
     Each step reflects at the first node, in the order of nodes, whose
-    coordinate is negative, then rescans from the first node; a reflection
-    negates its own coordinate and changes only those of its cartan_rows
-    entries.  Returns the word.  The parabolic subgroup on nodes has no
-    element longer than |R+|, so no walk takes more steps.
+    coordinate is negative, then rescans from the first node; s_i takes m to
+    m - m[i] * alpha_i^vee, read off the extended diagram's coroot_rows[i],
+    whose diagonal 2 negates coordinate i.  Returns the word.  The parabolic
+    subgroup on nodes has no element longer than |R+|, so no walk takes more
+    steps.
     """
-    rows = rs.cartan_rows
+    rows = rs.extended_diagram.coroot_rows
     word: list[int] = []
     for _ in range(len(rs.positive_roots) + 1):
         for i in nodes:
@@ -502,7 +488,6 @@ def _reflect_to_dominant(
         else:
             return word
         coef = m[i]
-        m[i] = -coef
         for j, c in rows[i]:
             m[j] -= coef * c
         word.append(i)
@@ -540,10 +525,6 @@ def coroot(rs: RootSystem, gamma: RootVec) -> RootVec:
     return table.coroots[k]
 
 
-def highest_coroot(rs: RootSystem) -> RootVec:
-    return coroot(rs, rs.highest_root)
-
-
 def affine_node(rs: RootSystem) -> int:
     """Node id of the affine vertex alpha_0 (simple roots are 0..rank-1)."""
     return rs.rank
@@ -568,7 +549,7 @@ def _alcove_walk(rs: RootSystem, point: Sequence):
     shift = tuple(math.floor(v) for v in point)
     den = math.lcm(*(v.denominator for v in point))
     x = [(v - s).numerator * (den // v.denominator) for v, s in zip(point, shift)]
-    theta_vee = highest_coroot(rs)
+    minus_theta_vee = rs.extended_diagram.coroot_rows[n]
     marks = rs.marks
     steps: list[int] = []
     for _ in range(_ALCOVE_CAP):
@@ -577,8 +558,8 @@ def _alcove_walk(rs: RootSystem, point: Sequence):
         if h <= den:
             break
         # affine reflection s_{theta,1}: x -> x - (<theta,x> - 1) theta^vee
-        for j, t in enumerate(theta_vee):
-            x[j] -= (h - den) * t
+        for j, t in minus_theta_vee:
+            x[j] += (h - den) * t
         steps.append(n)
     else:
         raise InvariantViolation("alcove reduction failed to terminate")

@@ -726,6 +726,23 @@ def test_out_not_writable(tmp_path, capsys):
     assert ".tmp" not in captured.err
 
 
+@pytest.mark.parametrize("flag", ["out", "cache-dir"])
+def test_an_empty_path_is_a_usage_error(tmp_path, capsys, flag):
+    # An empty value must not pass for "no --out" (stdout) or "no cache";
+    # the config key is cast by the flag's own type, so it is rejected too.
+    argv = ["component-groups", "G2", "--format", "md"]
+    for extra in ([f"--{flag}", ""], [f"--{flag}="]):
+        assert main(argv + extra) == EXIT_USAGE, extra
+        assert _one_usage_line(capsys), extra
+    cfg = tmp_path / "cfg"
+    for text in (f"{flag}=\n", f"{flag.replace('-', '_')} =  \n"):
+        cfg.write_text(text)
+        assert main(["--config", str(cfg)] + argv) == EXIT_USAGE, text
+        assert _one_usage_line(capsys), text
+    assert main(["--config", ""] + argv) == EXIT_USAGE
+    assert _one_usage_line(capsys)
+
+
 def test_out_through_a_symlink_replaces_its_target(tmp_path, capsys):
     assert main(["component-groups", "A2"]) == EXIT_OK
     expected = capsys.readouterr().out

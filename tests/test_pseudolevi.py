@@ -10,6 +10,7 @@ from unipcent import (
     InputError,
     alcove_reduce,
     build_root_system,
+    build_triple_record,
     canonical_subsystem,
     coroot,
     enumerate_pseudolevis,
@@ -101,6 +102,25 @@ def test_subsystem_closure_basics():
         subsystem_closure(ext, (0, 1, 2))
     with pytest.raises(InputError):
         subsystem_closure(ext, (0, 5))
+
+
+@pytest.mark.parametrize("node", [1.0, True, Fraction(1), "1"])
+def test_node_ids_must_be_ints(node):
+    # 1.0 == True == 1, so a set of nodes would read each of these as node 1.
+    g2 = rs_of("G2")
+    ext = extended_diagram(g2)
+    calls = [
+        lambda J: subsystem_closure(ext, J),
+        lambda J: torsion_order(ext, J),
+        lambda J: witness_element(g2, J, 0),
+        lambda J: build_triple_record(g2, J, [(ext.root_of[1], 2)]),
+    ]
+    for call in calls:
+        call([1])
+        with pytest.raises(InputError, match="node ids must be integers"):
+            call([node])
+        with pytest.raises(InputError, match="node ids must be integers"):
+            call([0, node])
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "C3", "D4", "F4"])

@@ -39,7 +39,6 @@ from unipcent.rootsys import (
     _refine_start,
     as_cochar,
     dominant_transport,
-    highest_coroot,
     partition_orbits,
     solve_cochar_for_base,
 )
@@ -151,9 +150,9 @@ def test_root_lengths_symmetrize_the_cartan_matrix(name):
 
 @pytest.mark.parametrize("name", ALL_TYPES + ["B10", "C10", "D10"])
 def test_sparse_tables_match_the_dense_reference(name):
-    """The closure and root_index read sparse Cartan rows and take coroots from
-    the reflections; reflect_root and _coroot_coords read the dense matrix and
-    the family's root lengths."""
+    """root_index takes its pairings from the dense Cartan rows and its coroots
+    from the reflections; reflect_root and _coroot_coords read the dense
+    matrix and the family's root lengths."""
     rs = rs_of(name)  # test_positive_root_counts checks |R+| against its closed form
     table = rs.root_index
     for i in range(rs.rank):
@@ -164,6 +163,20 @@ def test_sparse_tables_match_the_dense_reference(name):
     theta, theta_vee = rs.highest_root, _coroot_coords(rs, rs.highest_root)
     s_theta = [tuple(c - pairing(g, theta_vee) * t for c, t in zip(g, theta)) for g in table.roots]
     assert table.reflections[rs.rank:] == (tuple(map(table.index.__getitem__, s_theta)),)
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_coroot_rows_match_the_dense_reference(name):
+    """Every coweight reflection reads coroot_rows: a simple node's row is its
+    Cartan row, diagonal 2 included, and the affine node's is -theta^vee."""
+    rs = rs_of(name)
+    rows = extended_diagram(rs).coroot_rows
+    assert len(rows) == rs.rank + 1
+    for i, row in enumerate(rs.cartan):
+        assert rows[i] == tuple((j, c) for j, c in enumerate(row) if c), i
+        assert (i, 2) in rows[i]
+    minus_theta_vee = [-c for c in _coroot_coords(rs, rs.highest_root)]
+    assert rows[rs.rank] == tuple((j, c) for j, c in enumerate(minus_theta_vee) if c)
 
 
 @pytest.mark.parametrize("name", ALL_TYPES)
@@ -368,7 +381,7 @@ def reference_alcove_reduce(rs, point):
     """The alcove walk on Fractions: reduce, then read the walls off the point."""
     n = rs.rank
     x = [c - math.floor(c) for c in as_cochar(point)]
-    theta_vee = highest_coroot(rs)
+    theta_vee = coroot(rs, rs.highest_root)
     while True:
         i = next((k for k in range(n) if x[k] < 0), None)
         if i is not None:
