@@ -19,6 +19,7 @@ from typing import Iterable, NamedTuple
 from .balacarter import LabeledSubDiagram
 from .errors import FingerprintError, InputError, InvariantViolation
 from .pseudolevi import (
+    _DIAGRAM_LABELS,
     TripleRecord,
     _check_subset,
     _labeled_records,
@@ -53,13 +54,27 @@ def build_triple_record(
     J: Iterable[int],
     labels: LabeledSubDiagram,
 ) -> TripleRecord:
-    """Assemble a record for a node subset J with labeled base items; every label is an int."""
+    """Assemble a record for a node subset J with labeled base items.
+
+    The labels must form a weighted diagram of J's base: each is 0, 1 or 2,
+    the coroot coefficients they give are integers, and the induced diagram
+    lies in {0, 1, 2}.  Any other labeling is an InputError naming it.
+    """
     ext = extended_diagram(rs)
     J = _check_subset(ext, J)
     items = _labeled_items(labels)
     if len(items) != len(J) or {r for r, _ in items} != {ext.root_of[j] for j in J}:
         raise InputError("labels must cover exactly the roots of J")
-    (rec,) = _labeled_records(rs, J, [items])
+    for _, l in items:
+        if l not in _DIAGRAM_LABELS:
+            raise InputError(f"labels must lie in {{0, 1, 2}}, got {l}")
+    try:
+        (rec,) = _labeled_records(rs, J, [items])
+    except InvariantViolation:
+        raise InputError(
+            f"labels {items} of J={J} are not a weighted diagram: their coroot"
+            " coefficients are not integral or the induced labels leave {0, 1, 2}"
+        ) from None
     return rec
 
 

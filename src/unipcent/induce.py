@@ -15,6 +15,7 @@ from .rootsys import (
     LabeledDiagram,
     RootSystem,
     RootVec,
+    _over_lcm,
     as_cochar,
     solve_cochar_for_base,
     to_dominant,
@@ -31,7 +32,7 @@ def cochar_for_labeled_base(
     """
     items = tuple(items)
     lam = solve_cochar_for_base(rs, [r for r, _ in items], [l for _, l in items])
-    if any(c.denominator != 1 for c in lam):
+    if _over_lcm(lam)[1] != 1:
         raise InvariantViolation(
             f"cocharacter of labeled base {items} is not integral: {lam}"
         )
@@ -41,7 +42,7 @@ def cochar_for_labeled_base(
 def induced_diagram(rs: RootSystem, lam: Sequence) -> LabeledDiagram:
     """Dominant pairings with the simple roots; must land in {0, 1, 2}."""
     lam = as_cochar(lam)
-    if any(c.denominator != 1 for c in lam):
+    if _over_lcm(lam)[1] != 1:
         raise InputError(f"cocharacter {lam} is not integral on the roots")
     dom, _ = to_dominant(rs, lam)
     return diagram_of_dominant([int(c) for c in dom])

@@ -24,8 +24,6 @@ root, is the reference for those masks.
 """
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .balacarter import RootMasks, _root_masks
@@ -38,6 +36,8 @@ from .rootsys import (
     RootVec,
     _alcove_walk,
     _dot,
+    _fractions,
+    _over_lcm,
     as_cochar,
     canonical_labeled_set,
     coroot,
@@ -48,11 +48,12 @@ def all_roots(rs: RootSystem) -> frozenset[RootVec]:
     return frozenset(rs.root_index.index)
 
 
-def pairing(root: Sequence[int], lam: Sequence) -> Fraction:
+def pairing(root: Sequence[int], lam: Sequence) -> "Fraction":
     """<root, lam>: dot product of root coefficients with cocharacter coordinates."""
     if len(root) != len(lam):
         raise InputError(f"dimension mismatch: {len(root)} vs {len(lam)}")
-    return Fraction(sum(c * m for c, m in zip(root, lam)))
+    num, den = _over_lcm(lam)
+    return _fractions([_dot(root, num)], den)[0]
 
 
 def reflect_root(rs: RootSystem, i: int, gamma: RootVec) -> RootVec:
@@ -139,10 +140,7 @@ def alcove_reduce_map(rs: RootSystem, point: Sequence):
                 t = _dot(Ba, theta_vee)
                 u[a] += t
                 B[a] = [v - t * m for v, m in zip(Ba, marks)]
-    return x, walls, (
-        tuple(tuple(Fraction(v) for v in Ba) for Ba in B),
-        tuple(Fraction(v) for v in u),
-    )
+    return x, walls, (tuple([_fractions(Ba, 1) for Ba in B]), _fractions(u, 1))
 
 
 def subsystem_base(rs: RootSystem, subsystem: Iterable[RootVec]) -> tuple[RootVec, ...]:
@@ -207,15 +205,13 @@ def default_denominator_bound(rs: RootSystem) -> int:
     return 1 + sum(rs.marks)
 
 
-def integrality_subsystem(rs: RootSystem, point: Sequence[Fraction]) -> frozenset[RootVec]:
+def integrality_subsystem(rs: RootSystem, point: Sequence) -> frozenset[RootVec]:
     """Roots pairing integrally with the point; computed root by root.
 
     The point is scaled once by the lcm den of its denominators, so a root
     pairs integrally iff its integer pairing with the scaled point is 0 mod den.
     """
-    point = as_cochar(point)
-    den = math.lcm(*(v.denominator for v in point))
-    scaled = [v.numerator * (den // v.denominator) for v in point]
+    scaled, den = _over_lcm(point)
     return frozenset(g for g in all_roots(rs) if _dot(g, scaled) % den == 0)
 
 

@@ -23,7 +23,6 @@ off enumerate_triples' records.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
@@ -39,12 +38,13 @@ from .rootsys import (
     RootVec,
     WeylWord,
     _component_type,
+    _fractions,
     _is_prime,
     _opposition,
+    _over_lcm,
     _reflect_to_dominant,
     affine_node,
     alcove_reduce,
-    as_cochar,
     base_pairings,
     coroot_coefficients,
     coroot_combination,
@@ -335,10 +335,7 @@ def enumerate_pseudolevis(
 
 def point_order(lam: Sequence) -> int:
     """Order of the point in the torus V / (coweight lattice)."""
-    out = 1
-    for c in as_cochar(lam):
-        out = out * c.denominator // gcd(out, c.denominator)
-    return out
+    return _over_lcm(lam)[1]
 
 
 def witness_element(rs: RootSystem, J: Iterable[int], p: int) -> CocharVec:
@@ -362,12 +359,11 @@ def witness_element(rs: RootSystem, J: Iterable[int], p: int) -> CocharVec:
     rest = removed[1:] if on_affine else removed
     t = sum(rs.marks[i] for i in rest)
     q = next(q for q in itertools.count(t + 1) if q != p and _is_prime(q))
-    vec = [Fraction(0)] * rs.rank
-    for i in rest:
-        vec[i] = Fraction(1, q)
+    a = rs.marks[removed[0]] if on_affine else 1
+    num = [a if i in rest else 0 for i in range(rs.rank)]  # the point is num / (a q)
     if on_affine:
-        vec[removed[0]] = Fraction(q - t, rs.marks[removed[0]] * q)
-    vec = tuple(vec)
+        num[removed[0]] = q - t
+    vec = _fractions(num, a * q)
     _, walls = alcove_reduce(rs, vec)
     if walls != frozenset(J):
         raise WitnessSearchExhausted(

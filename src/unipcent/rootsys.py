@@ -4,19 +4,20 @@ A root is an integer tuple of coefficients on the simple basis S (Bourbaki
 numbering, 0-indexed).  A cocharacter is a tuple of rationals in the
 fundamental-coweight basis, so the pairing of a root with a cocharacter is the
 plain dot product of the two coordinate tuples.  Everything is exact; floats
-are rejected.
+are rejected.  The kernels run on integers: as_cochar, _over_lcm and
+_fractions are the one boundary with Fraction, and the only code that loads
+fractions, so a report, whose data are all integers, never does.
 """
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, InputError, InvariantViolation
 
 RootVec = tuple[int, ...]
-CocharVec = tuple[Fraction, ...]
+CocharVec = tuple["Fraction", ...]
 WeylWord = tuple[int, ...]
 LabeledDiagram = tuple[int, ...]
 
@@ -447,6 +448,8 @@ def bad_primes(rs: RootSystem) -> tuple[int, ...]:
 
 def as_cochar(coords: Iterable) -> CocharVec:
     """Coerce a sequence of ints/Fractions to a CocharVec; floats are rejected."""
+    from fractions import Fraction
+
     out = []
     for c in coords:
         if isinstance(c, Fraction):
@@ -458,9 +461,34 @@ def as_cochar(coords: Iterable) -> CocharVec:
     return tuple(out)
 
 
+def _over_lcm(coords: Iterable) -> tuple[list[int], int]:
+    """(numerators, den): an exact vector, checked by as_cochar, as integer
+    numerators over den, the lcm of its denominators."""
+    coords = as_cochar(coords)
+    den = math.lcm(*(c.denominator for c in coords))
+    return [c.numerator * (den // c.denominator) for c in coords], den
+
+
+def _fractions(numerators: Iterable[int], den: int) -> CocharVec:
+    """The vector of numerators / den, as _over_lcm's inverse."""
+    from fractions import Fraction
+
+    return tuple([Fraction(v, den) for v in numerators])
+
+
+def _as_root(gamma: Iterable[int]) -> RootVec:
+    """gamma as a RootVec; each coordinate must be an int, not a bool."""
+    gamma = tuple(gamma)
+    for c in gamma:
+        if not isinstance(c, int) or isinstance(c, bool):
+            raise InputError(f"root coordinates must be integers, got {c!r}")
+    return gamma
+
+
 def _labeled_items(items: Iterable[tuple[Sequence[int], int]]) -> tuple[tuple[RootVec, int], ...]:
-    """A labeled base as sorted (root, label) items; each label must be an int, not a bool."""
-    items = [(tuple(r), l) for r, l in items]
+    """A labeled base as sorted (root, label) items; each root coordinate and
+    each label must be an int, not a bool."""
+    items = [(_as_root(r), l) for r, l in items]
     for _, l in items:
         if not isinstance(l, int) or isinstance(l, bool):
             raise InputError(f"labels must be integers, got {l!r}")
@@ -505,21 +533,19 @@ def to_dominant(rs: RootSystem, lam: Sequence) -> tuple[CocharVec, WeylWord]:
     lam = tuple(lam)
     if len(lam) != rs.rank:
         raise InputError(f"dimension mismatch: {len(lam)} vs {rs.rank}")
-    lam = as_cochar(lam)
-    den = math.lcm(*(c.denominator for c in lam))
-    m = [c.numerator * (den // c.denominator) for c in lam]
+    m, den = _over_lcm(lam)
     word = tuple(_reflect_to_dominant(rs, m, range(rs.rank)))
-    return tuple(Fraction(v, den) for v in m), word
+    return _fractions(m, den), word
 
 
 def coroot(rs: RootSystem, gamma: RootVec) -> RootVec:
     """Coweight-basis coordinates of gamma^vee, i.e. (<alpha_k, gamma^vee>)_k.
 
-    Read from rs.root_index.coroots; a vector that is not a root is an
-    InputError.
+    Read from rs.root_index.coroots; a vector that is not a root, or has a
+    coordinate that is not an int, is an InputError.
     """
     table = rs.root_index
-    k = table.index.get(tuple(gamma))
+    k = table.index.get(_as_root(gamma))
     if k is None:
         raise InputError(f"{gamma} is not a root of {rs.ctype}")
     return table.coroots[k]
@@ -543,12 +569,11 @@ def _alcove_walk(rs: RootSystem, point: Sequence):
     once by the lcm of its denominators.
     """
     n = rs.rank
-    point = as_cochar(point)
-    if len(point) != n:
+    x, den = _over_lcm(point)
+    if len(x) != n:
         raise InputError("dimension mismatch")
-    shift = tuple(math.floor(v) for v in point)
-    den = math.lcm(*(v.denominator for v in point))
-    x = [(v - s).numerator * (den // v.denominator) for v, s in zip(point, shift)]
+    shift = tuple([v // den for v in x])
+    x = [v % den for v in x]
     minus_theta_vee = rs.extended_diagram.coroot_rows[n]
     marks = rs.marks
     steps: list[int] = []
@@ -569,7 +594,7 @@ def _alcove_walk(rs: RootSystem, point: Sequence):
         walls.add(n)
     if len(walls) == n + 1:
         walls = set(range(n))  # lattice point: the subsystem is all of R
-    return tuple(Fraction(v, den) for v in x), frozenset(walls), shift, steps
+    return _fractions(x, den), frozenset(walls), shift, steps
 
 
 def alcove_reduce(rs: RootSystem, point: Sequence) -> tuple[CocharVec, frozenset[int]]:
@@ -608,24 +633,16 @@ def solve_cochar_for_base(
     if len(targets) != k:
         raise InputError(f"{len(targets)} targets for a base of {k} roots")
     cartan, cor = base_pairings(rs, base)
-    rhs = as_cochar(targets)
-    scale = math.lcm(*(t.denominator for t in rhs))
+    rhs, scale = _over_lcm(targets)
     try:
-        A = _eliminate(
-            [
-                [cartan[b][a] for b in range(k)]
-                + [rhs[a].numerator * (scale // rhs[a].denominator)]
-                for a in range(k)
-            ]
-        )
+        A = _eliminate([[cartan[b][a] for b in range(k)] + [rhs[a]] for a in range(k)])
     except InvariantViolation:
         raise InputError(f"base {list(base)} is not linearly independent") from None
     # Now A[a][a] * x_a = A[a][k]; lam = sum_a x_a cor[a] over the denominator den.
     den = math.lcm(*(A[a][a] for a in range(k)))
     x = [A[a][k] * (den // A[a][a]) for a in range(k)]
-    return tuple(
-        Fraction(sum(x[a] * cor[a][j] for a in range(k)), den * scale)
-        for j in range(rs.rank)
+    return _fractions(
+        [sum(x[a] * cor[a][j] for a in range(k)) for j in range(rs.rank)], den * scale
     )
 
 

@@ -238,6 +238,33 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_hashlib():
     assert out == "[]\n"
 
 
+def test_a_report_never_loads_fractions(tmp_path):
+    """A report's data are all integers, so neither importing the CLI nor
+    printing a report loads fractions, or decimal and numbers with it.
+
+    rootsys.as_cochar, _over_lcm and _fractions load it when called, as the
+    --verify witness check does.
+    """
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    loaded = "sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules))"
+    code = "\n".join([
+        "import sys, unipcent.cli as cli",
+        f"seen = [{loaded}]",
+        "assert cli.main(['component-groups', 'E8']) == 0",
+        f"seen.append({loaded})",
+        f"md = ['component-groups', 'C8', '--format', 'md', '--cache-dir', {str(tmp_path)!r}]",
+        "assert cli.main(md) == 0",
+        f"seen.append({loaded})",
+        "print(seen, file=sys.stderr)",
+    ])
+    err = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stderr
+    assert err == "[[], [], []]\n"
+    assert list(tmp_path.glob("C8-*.md"))
+
+
 def test_cache_misses(tmp_path, capsys):
     assert cache_load("A2", "json", tmp_path) is None
     doc = build_report_document(CartanType.parse("A2"))

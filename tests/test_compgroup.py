@@ -448,6 +448,16 @@ def test_build_triple_record_rejects():
     for label in (2.9, 2.0, True, Fraction(2), "x", None):
         with pytest.raises(InputError):
             build_triple_record(a2, (0,), [((1, 0), label)])
+    # labels outside {0, 1, 2} are no weighted diagram, and neither is a
+    # labeling whose coroot coefficients are not integral
+    for label in (4, -2, 3):
+        with pytest.raises(InputError, match="labels must lie in"):
+            build_triple_record(a2, (0,), [((1, 0), label)])
+    g2 = rs_of("G2")
+    with pytest.raises(InputError, match="labels must lie in"):
+        build_triple_record(g2, (0, 1), [((1, 0), 2), ((0, 1), 6)])
+    with pytest.raises(InputError, match=r"labels \(\(\(1, 0\), 1\),\) of J=\(0,\)"):
+        build_triple_record(a2, (0,), [((1, 0), 1)])
     assert build_triple_record(a2, (0,), [((1, 0), 2)]).labels == (((1, 0), 2),)
 
 

@@ -17,6 +17,7 @@ from unipcent import (
     apply_word,
     bad_primes,
     build_root_system,
+    build_triple_record,
     canonical_labeled_set,
     cochar_for_labeled_base,
     coroot,
@@ -24,6 +25,7 @@ from unipcent import (
     is_good_prime,
     pairing,
     to_dominant,
+    witness_element,
 )
 from unipcent.oracle import (
     _coroot_coords,
@@ -35,7 +37,9 @@ from unipcent.oracle import (
 )
 from unipcent.rootsys import (
     _eliminate,
+    _fractions,
     _opposition,
+    _over_lcm,
     _refine_start,
     as_cochar,
     dominant_transport,
@@ -281,6 +285,60 @@ def test_coroot_of_a_non_root_is_an_input_error():
             coroot(a2, bad)
     with pytest.raises(InputError):
         cochar_for_labeled_base(a2, [((1, 2), 2)])
+
+
+def test_root_coordinates_must_be_ints():
+    """True, 1.0 and Fraction(1) hash as 1, so only a type check stops a root
+    lookup from reading them as the coordinate 1."""
+    a2 = rs_of("A2")
+    for bad in [(True, True), (1.0, 1.0), (Fraction(1), 0), (True, False), (1.0, 0)]:
+        with pytest.raises(InputError, match="root coordinates must be integers"):
+            coroot(a2, bad)
+        for entry in (canonical_labeled_set, cochar_for_labeled_base):
+            with pytest.raises(InputError, match="root coordinates must be integers"):
+                entry(a2, [(bad, 2)])
+    for bad in [(True, False), (1.0, 0), (Fraction(1), 0)]:
+        with pytest.raises(InputError, match="root coordinates must be integers"):
+            build_triple_record(a2, (0,), [(bad, 2)])
+    assert coroot(a2, (1, 1)) == (1, 1)
+
+
+@pytest.mark.parametrize("name", ["B3", "G2"])
+def test_exact_vectors_come_back_as_fractions(name):
+    """Fraction(2) == 2, so only the type of each entry shows that a function
+    still returns Fractions when its inputs are ints."""
+    rs = rs_of(name)
+    n = rs.rank
+    lam = tuple(range(2, 2 - 2 * n, -2))  # ints, not all dominant: (2, 0, -2) for B3
+    items = [(tuple(int(j == i) for j in range(n)), 2) for i in range(n)]
+    base, targets = [r for r, _ in items], [l for _, l in items]
+    x, _, (matrix, shift) = alcove_reduce_map(rs, lam)
+    vectors = {
+        "as_cochar": as_cochar(lam),
+        "to_dominant": to_dominant(rs, lam)[0],
+        "alcove_reduce": alcove_reduce(rs, lam)[0],
+        "solve_cochar_for_base": solve_cochar_for_base(rs, base, targets),
+        "cochar_for_labeled_base": cochar_for_labeled_base(rs, items),
+        "witness_element": witness_element(rs, (0,), 0),
+        "dominant_transport": dominant_transport(rs, items)[0],
+        "canonical_labeled_set": canonical_labeled_set(rs, items)[0],
+        "pairing": (pairing(rs.highest_root, lam),),
+        "apply_word": apply_word(rs, (0, 1), lam),
+        "alcove_reduce_map point": x,
+        "alcove_reduce_map certificate": sum(matrix, ()) + shift,
+    }
+    for what, vec in vectors.items():
+        assert vec and all(type(c) is Fraction for c in vec), what
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-60, 60) | st.fractions(max_denominator=60), max_size=9))
+def test_over_lcm_scales_by_the_lcm_and_fractions_inverts_it(coords):
+    nums, den = _over_lcm(coords)
+    assert type(den) is int and all(type(v) is int for v in nums)
+    assert den == math.lcm(*(Fraction(c).denominator for c in coords))
+    back = _fractions(nums, den)
+    assert back == tuple(coords) and all(type(c) is Fraction for c in back)
 
 
 def test_to_dominant_trivial_cases():
