@@ -28,7 +28,14 @@ from .pseudolevi import (
     enumerate_triples,
     extended_diagram,
 )
-from .rootsys import DEFAULT_BUDGET, LabeledDiagram, RootSystem, _labeled_items, is_good_prime
+from .rootsys import (
+    DEFAULT_BUDGET,
+    LabeledDiagram,
+    RootSystem,
+    _check_budget,
+    _labeled_items,
+    is_good_prime,
+)
 
 
 class AuReport(NamedTuple):
@@ -84,6 +91,7 @@ def count_pair_orbits(rs: RootSystem, budget: int = DEFAULT_BUDGET) -> int:
     The same split as enumerate_triples, over all proper subsets instead of
     one per move group, so it checks the elementary moves and nothing else.
     """
+    _check_budget(budget)
     n_nodes = len(extended_diagram(rs).root_of)
     return len(_pair_orbits(rs, _proper_subsets(n_nodes), budget))
 

@@ -37,6 +37,8 @@ from .rootsys import (
     RootSystem,
     RootVec,
     WeylWord,
+    _check_budget,
+    _closure,
     _component_type,
     _fractions,
     _is_prime,
@@ -85,18 +87,9 @@ def subsystem_closure(ext: ExtendedDiagram, J: Iterable[int]) -> frozenset[RootV
     J = _check_subset(ext, J)
     table = ext.rs.root_index
     perms = [table.reflections[j] for j in J]
-    seen = {table.index[ext.root_of[j]] for j in J}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for perm in perms:
-                k = perm[i]
-                if k not in seen:
-                    seen.add(k)
-                    nxt.append(k)
-        frontier = nxt
-    return frozenset(map(table.roots.__getitem__, seen))
+    seeds = {table.index[ext.root_of[j]] for j in J}
+    orbit = _closure(seeds, lambda i: [perm[i] for perm in perms])
+    return frozenset(map(table.roots.__getitem__, orbit))
 
 
 def _component_split(cartan: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -266,20 +259,14 @@ def _move_groups(ext: ExtendedDiagram) -> list[list[tuple[int, ...]]]:
                     J, K = M & ~(1 << node[k]), M & ~(1 << node[t])
                     linked.setdefault(J, []).append(K)
                     linked.setdefault(K, []).append(J)
-    seen = set()
+    grouped: set[int] = set()
     groups = []
     for J in _proper_subsets(len(ext.root_of)):
         start = sum([1 << j for j in J])
-        if start in seen:
-            continue
-        seen.add(start)
-        group = [start]
-        for K in group:  # group grows while it is scanned
-            for image in linked.get(K, ()):
-                if image not in seen:
-                    seen.add(image)
-                    group.append(image)
-        groups.append([tuple([j for j in ext.nodes if K >> j & 1]) for K in group])
+        if start not in grouped:
+            group = _closure([start], lambda K: linked.get(K, ()))
+            grouped.update(group)
+            groups.append([tuple([j for j in ext.nodes if K >> j & 1]) for K in group])
     return groups
 
 
@@ -299,8 +286,10 @@ def enumerate_triples(
     Records are sorted by induced diagram, then by order, factor types,
     labels and J; this is the one place the report's order is decided.
     budget bounds each stabilizer-orbit walk (BudgetExceeded).  The result
-    is kept in rs.results.
+    is kept in rs.results; a budget that is not an int >= 1 is an
+    InputError, raised before anything is built.
     """
+    _check_budget(budget)
     key = ("triples", budget)
     if key not in rs.results:
         aff = affine_node(rs)

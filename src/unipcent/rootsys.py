@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, KeysView, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, InputError, InvariantViolation
 
@@ -25,6 +25,7 @@ _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6, "F": 4, "G": 2}
 _MAX_RANK = {"E": 8, "F": 4, "G": 2}
 
 DEFAULT_BUDGET = 10**7
+_MAX_SUBSET_NODES = 21
 
 
 class _CartanTypeFields(NamedTuple):
@@ -260,8 +261,16 @@ class RootSystem(_RootSystemFields):
         sorted, as (type, the nodes in the type's standard order, as
         _component_type matches them).  The components of M are those of M
         less its lowest node, the ones that node touches joined at it, so
-        each mask is one step and each component is typed once.
+        each mask is one step and each component is typed once.  The table
+        doubles with each node, so an extended diagram of more than
+        _MAX_SUBSET_NODES nodes is an InputError, raised before it is built.
         """
+        n_nodes = self.rank + 1
+        if n_nodes > _MAX_SUBSET_NODES:
+            raise InputError(
+                f"{self.ctype} has {2**n_nodes - 1} proper subsets of its {n_nodes}"
+                f" extended nodes; at most {_MAX_SUBSET_NODES} nodes are supported"
+            )
         C = self.extended_diagram.cartan
         nodes = range(len(C))
         adjacent = [sum([1 << b for b in nodes if b != a and C[a][b]]) for a in nodes]
@@ -569,9 +578,10 @@ def _alcove_walk(rs: RootSystem, point: Sequence):
     once by the lcm of its denominators.
     """
     n = rs.rank
+    point = tuple(point)
+    if len(point) != n:
+        raise InputError(f"dimension mismatch: {len(point)} vs {n}")
     x, den = _over_lcm(point)
-    if len(x) != n:
-        raise InputError("dimension mismatch")
     shift = tuple([v // den for v in x])
     x = [v % den for v in x]
     minus_theta_vee = rs.extended_diagram.coroot_rows[n]
@@ -769,9 +779,31 @@ def transport_start(
     return tuple(sorted(codes))
 
 
+def _check_budget(budget) -> None:
+    """A walk's budget must be an int of at least 1; a bool is not one."""
+    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
+        raise InputError(f"budget must be an integer >= 1, got {budget!r}")
+
+
+def _closure(seeds: Iterable, images: Callable, budget: int | None = None) -> KeysView:
+    """The closure of seeds under images, grown first in, first out, in the
+    order reached.  With a budget, BudgetExceeded is raised as soon as one
+    more element would pass it."""
+    reached = dict.fromkeys(seeds)
+    queue = list(reached)
+    for x in queue:  # queue grows while it is scanned
+        for y in images(x):
+            if y not in reached:
+                if budget is not None and len(reached) >= budget:
+                    raise BudgetExceeded(f"walk exceeded {budget} states")
+                reached[y] = None
+                queue.append(y)
+    return reached.keys()
+
+
 def _stabilizer_orbit(
     rs: RootSystem, nodes: Sequence[int], start: tuple[int, ...], budget: int
-) -> set[tuple[int, ...]]:
+) -> KeysView:
     """Every state of the orbit of start under the parabolic subgroup W_nodes.
 
     W_nodes is generated by the simple reflections s_i, i in nodes; each acts
@@ -786,23 +818,13 @@ def _stabilizer_orbit(
     perms = [table.reflections[i] for i in nodes]
     if n_labels > 1:
         perms = [tuple(k * n_roots + j for k in range(n_labels) for j in p) for p in perms]
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for state in frontier:
-            for perm in perms:
-                image = tuple(sorted([perm[c] for c in state]))
-                if image not in seen:
-                    if len(seen) >= budget:
-                        raise BudgetExceeded(
-                            f"stabilizer-orbit walk exceeded {budget} states"
-                            f" for a labeled base of {rs.ctype}"
-                        )
-                    seen.add(image)
-                    nxt.append(image)
-        frontier = nxt
-    return seen
+    try:
+        return _closure([start], lambda x: [tuple(sorted([p[c] for c in x])) for p in perms], budget)
+    except BudgetExceeded:
+        raise BudgetExceeded(
+            f"stabilizer-orbit walk exceeded {budget} states"
+            f" for a labeled base of {rs.ctype}"
+        ) from None
 
 
 def _zero_nodes(vec: Sequence, nodes: Iterable[int]) -> list[int]:
@@ -855,6 +877,7 @@ def partition_orbits(
     start lies in it, and a start left alone needs no walk.  budget bounds
     the states of each walk.
     """
+    _check_budget(budget)
     buckets: dict[tuple, dict[tuple[int, ...], list[int]]] = {}
     for pos, (lam_dom, start) in enumerate(pairs):
         v_dom, moved = _refine_start(rs, _zero_nodes(lam_dom, range(rs.rank)), start)
@@ -886,6 +909,7 @@ def canonical_labeled_set(
     bounds the states visited (BudgetExceeded).
     Nothing is memoized: every call walks the orbit.
     """
+    _check_budget(budget)
     items = _labeled_items(items)
     lam_dom, start = dominant_transport(rs, items)
     nodes = _zero_nodes(lam_dom, range(rs.rank))

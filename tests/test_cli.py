@@ -72,6 +72,20 @@ def test_budget_and_max_rank_below_one(capsys):
         assert _one_usage_line(capsys), argv
 
 
+def test_setup_refused_past_21_extended_nodes(capsys):
+    """The subset table doubles per node, so a larger type is refused before it is built."""
+    for argv in (
+        ["component-groups", "A21", "--max-rank", "21"],
+        ["pseudolevis", "D30", "--max-rank", "30"],
+    ):
+        assert main(argv) == EXIT_USAGE, argv
+        assert _one_usage_line(capsys), argv
+        rs = build_root_system(CartanType.parse(argv[1]))
+        assert "subset_components" not in rs.__dict__, argv
+    assert main(["roots", "A21", "--max-rank", "21"]) == EXIT_OK
+    assert "positive roots: 231" in capsys.readouterr().out
+
+
 def test_witness_prime_checked_before_any_output(capsys):
     for p in ("3", "2", "4"):
         assert main(["pseudolevis", "G2", "--witness", p]) == EXIT_USAGE, p
@@ -100,6 +114,19 @@ def test_witness_rejects_strong_pseudoprimes_and_primes_past_the_bound():
         assert run.returncode == EXIT_USAGE, p
         assert run.stdout == ""
         assert run.stderr == f"usage error: characteristic must be 0 or a prime, got {p}\n"
+
+
+def test_is_prime_runs_its_squaring_step(capsys):
+    """Primes that are 1 mod 4 need Miller-Rabin's squaring loop to be accepted."""
+    from unipcent.rootsys import _is_prime
+
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(10_000) if _is_prime(n)] == [n for n in range(10_000) if trial(n)]
+    assert _is_prime(2**61 - 1) and _is_prime(2**64 - 59)
+    assert main(["pseudolevis", "E8", "--witness", "41"]) == EXIT_OK
+    capsys.readouterr()
 
 
 def test_pseudolevis_command(capsys):

@@ -370,6 +370,8 @@ def test_coefficients_outside_the_coroot_lattice_are_an_invariant_violation():
         coroot_coefficients(CartanType("A", 1), (1,))
     with pytest.raises(InvariantViolation):  # rho^vee of A3
         coroot_coefficients(CartanType("A", 3), (1, 1, 1))
+    with pytest.raises(InputError, match="2 labels for A3"):  # one label per node
+        coroot_coefficients(CartanType("A", 3), (2, 2))
 
 
 def test_record_cocharacters_match_the_fraction_solve():
@@ -502,6 +504,42 @@ def test_smallest_report_budgets(name, budget):
     if budget > 1:
         with pytest.raises(BudgetExceeded):
             component_group_report(rs, budget=budget - 1)
+
+
+BAD_BUDGETS = ["x", None, 0, -1, 1.5, True]
+
+
+@pytest.mark.parametrize("name", ["G2", "E8"])
+def test_library_rejects_bad_budgets(name):
+    """A budget that is not an int >= 1 is an InputError at every entry point.
+
+    The check runs before anything is built, so even E8, whose report makes
+    no walk, rejects it, and rs.results gains no key.
+    """
+    from unipcent.cli import build_report_document
+    from unipcent.oracle import alcove_pseudolevis, alcove_pseudolevis_by_denominator
+    from unipcent.pseudolevi import enumerate_pseudolevis
+    from unipcent.rootsys import partition_orbits
+
+    rs = rs_of(name)
+    keys = list(rs.results)
+    simple = tuple(int(j == 0) for j in range(rs.rank))
+    calls = [
+        lambda b: enumerate_triples(rs, b),
+        lambda b: count_pair_orbits(rs, b),
+        lambda b: partition_orbits(rs, [], b),
+        lambda b: canonical_labeled_set(rs, [(simple, 2)], b),
+        lambda b: component_group_report(rs, budget=b),
+        lambda b: enumerate_pseudolevis(rs, b),
+        lambda b: build_report_document(rs.ctype, budget=b),
+        lambda b: alcove_pseudolevis(rs, 1, b),
+        lambda b: alcove_pseudolevis_by_denominator(rs, 1, b),
+    ]
+    for call in calls:
+        for bad in BAD_BUDGETS:
+            with pytest.raises(InputError, match="budget must be an integer >= 1"):
+                call(bad)
+    assert list(rs.results) == keys
 
 
 def test_e8_report_walks_visit_few_states(monkeypatch):

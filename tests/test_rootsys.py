@@ -644,13 +644,14 @@ def test_to_dominant_word_is_the_smallest_index_rule(case):
 
 def test_to_dominant_rejects_inexact_or_misshapen_input():
     a2 = rs_of("A2")
-    for bad in [(0.5, 1), (True, 1)]:
+    for entry in (to_dominant, alcove_reduce):
+        for bad in [(0.5, 1), (True, 1)]:
+            with pytest.raises(InputError, match="exact rational expected"):
+                entry(a2, bad)
         with pytest.raises(InputError):
-            to_dominant(a2, bad)
-    with pytest.raises(InputError):
-        to_dominant(a2, (1, 2, 3))
-    with pytest.raises(InputError, match="dimension mismatch"):
-        to_dominant(a2, (0.5, 1, 2))
+            entry(a2, (1, 2, 3))
+        with pytest.raises(InputError, match="dimension mismatch: 3 vs 2"):
+            entry(a2, (0.5, 1, 2))
 
 
 @pytest.mark.parametrize("name", ["B2", "G2", "A3", "B3", "C3"])
@@ -682,6 +683,8 @@ def test_labeled_base_outside_the_roots_is_rejected():
     # (1, -1) has an integral "coroot" in A2, so only the root lookup catches it
     with pytest.raises(InputError):
         canonical_labeled_set(rs_of("A2"), [((1, -1), 2)])
+    with pytest.raises(InputError, match="is not a root of A2"):
+        rootsys.transport_start(rs_of("A2"), [((1, -1), 2)], ())
     # a label that is not an int is rejected, not truncated or read as 0 or 1
     for label in (2.7, 2.0, True, Fraction(2), "x", None):
         with pytest.raises(InputError):
