@@ -9,10 +9,11 @@ The one split of node subsets into typed components is
 RootSystem.subset_components; the elementary moves and the records both read
 it, and base_components, which splits a base of roots, is its reference.
 A record is J with a labeling of its base.  Weyl conjugacy of records is
-decided by one rootsys.partition_orbits call, which refines every start and
-buckets by one key: _pair_orbits builds the record of every distinguished
-labeling of a list of subsets, pairs each with its transported start, and
-keeps one record per orbit, the smallest (affine node in J, J, labels).
+decided by one rootsys.partition_orbits call, which buckets by one key and
+walks: _pair_orbits builds the record of every distinguished labeling of a
+list of subsets, has rootsys.transport_start move and refine each one's
+roots, and keeps one record per orbit, the smallest (affine node in J, J,
+labels).
 It is the one split: enumerate_triples runs it on one subset per move
 group, elementary moves (_move_groups) having merged subsets whose
 subsystems a longest element carries onto each other, and
@@ -217,19 +218,19 @@ def _pair_orbits(
 ) -> list[TripleRecord]:
     """One record per Weyl orbit of the distinguished labelings of the subsets.
 
-    Every distinguished labeling of each subset gets a record, paired with
-    dominant_transport's (lam_dom, start) from the reduction it stored: the
-    dominant cocharacter's coordinates are the induced diagram.  One
-    partition_orbits call splits them all; budget bounds each
-    stabilizer-orbit walk.  Each orbit keeps its smallest record by
-    (affine node in J, J, labels).
+    Every distinguished labeling of each subset gets a record, given
+    dominant_transport's (lam_dom, v_dom, start) from the reduction it
+    stored: its induced diagram, the dominant cocharacter's coordinates, is
+    lam_dom.  One partition_orbits call splits them all; budget bounds each
+    stabilizer-orbit walk.  Each orbit keeps its smallest record by (affine
+    node in J, J, labels).
     """
     aff = affine_node(rs)
     records = [rec for J in subsets for rec in _labeled_records(rs, J)]
-    pairs = [(r.induced, transport_start(rs, r.labels, r.word)) for r in records]
+    triples = [(r.induced, *transport_start(rs, r.labels, r.word, r.induced)) for r in records]
     return [
         min([records[k] for k in orbit], key=lambda r: (aff in r.J, r.J, r.labels))
-        for orbit in partition_orbits(rs, pairs, budget)
+        for orbit in partition_orbits(rs, triples, budget)
     ]
 
 

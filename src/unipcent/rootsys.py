@@ -739,44 +739,55 @@ def coroot_combination(rank: int, terms: Iterable[tuple[int, SparseRow]]) -> lis
 
 def dominant_transport(
     rs: RootSystem, items: Iterable[tuple[RootVec, int]]
-) -> tuple[CocharVec, tuple[int, ...]]:
-    """(lam_dom, start): a labeled base carried along with its cocharacter.
+) -> tuple[CocharVec, tuple[int, ...], tuple[int, ...]]:
+    """(lam_dom, v_dom, start): a labeled base carried along with its cocharacter.
 
     lam_dom is the dominant conjugate of the cocharacter solved from the
-    labels, and start is the base moved by the same Weyl word, encoded for
-    _stabilizer_orbit: a labeled root (r, l) becomes rank(l) * |R| + index of
-    r, where rank(l) is the position of l among the base's distinct labels.
-    The transported labels are the pairings with lam_dom, so under equal
-    lam_dom equal starts mean equal labeled bases.
+    labels, and (v_dom, start) is transport_start's for the word that
+    reduced it.
     """
     items = tuple(items)
     lam = solve_cochar_for_base(rs, [r for r, _ in items], [l for _, l in items])
     lam_dom, word = to_dominant(rs, lam)
-    return lam_dom, transport_start(rs, items, word)
+    return (lam_dom, *transport_start(rs, items, word, lam_dom))
 
 
 def transport_start(
-    rs: RootSystem, items: Iterable[tuple[RootVec, int]], word: WeylWord
-) -> tuple[int, ...]:
-    """The labeled base moved by a Weyl word, encoded as dominant_transport's start.
+    rs: RootSystem, items: Iterable[tuple[RootVec, int]], word: WeylWord, lam_dom: Sequence
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(v_dom, start): a labeled base moved by a Weyl word, then refined under W_I.
 
-    word is the word to_dominant returned for the cocharacter solved from the
-    labels; a caller that already ran that reduction passes its word here
-    instead of solving and reducing again.
+    word is the word to_dominant returned for the cocharacter solved from
+    the labels, and lam_dom the dominant cocharacter it reached; a caller
+    that already ran that reduction passes both here instead of solving and
+    reducing again.  Once moved by word, each label is its root's pairing
+    with lam_dom, which the stabilizer W_I of lam_dom keeps (I the zero
+    coordinates of lam_dom; Humphreys, Reflection Groups and Coxeter
+    Groups, 1.12), so the moved roots alone stand for the labeled base.
+    Their coweight v sums (rank(l) + 1) * coroot over the moved roots,
+    rank(l) the position of l among the base's distinct labels.  It is
+    W-equivariant, so bases in one W_I-orbit have equal v_dom, the
+    W_I-dominant form of v, and two starts with equal v_dom are in one
+    W_I-orbit iff they are in one orbit of v_dom's stabilizer in W_I.  v is
+    reduced by to_dominant's rule restricted to I and the roots are moved
+    by that word too; start is their sorted indices in rs.root_index.
     """
     table = rs.root_index
-    reflections, n_roots = table.reflections, len(table.roots)
+    reflections = table.reflections
     items = tuple(items)
     rank = {l: k for k, l in enumerate(sorted({l for _, l in items}))}
-    codes = []
+    moved, v = [], [0] * rs.rank
     for r, l in items:
         i = table.index.get(tuple(r))
         if i is None:
             raise InputError(f"{r} is not a root of {rs.ctype}")
         for s in word:
             i = reflections[s][i]
-        codes.append(rank[l] * n_roots + i)
-    return tuple(sorted(codes))
+        moved.append(i)
+        v = [a + (rank[l] + 1) * c for a, c in zip(v, table.coroots[i])]
+    for s in _reflect_to_dominant(rs, v, _zero_nodes(lam_dom, range(rs.rank))):
+        moved = [reflections[s][i] for i in moved]
+    return tuple(v), tuple(sorted(moved))
 
 
 def _check_budget(budget) -> None:
@@ -806,18 +817,13 @@ def _stabilizer_orbit(
 ) -> KeysView:
     """Every state of the orbit of start under the parabolic subgroup W_nodes.
 
-    W_nodes is generated by the simple reflections s_i, i in nodes; each acts
-    on the codes of dominant_transport as a permutation.  The stabilizer of a
-    dominant vector is the W_nodes of its zero coordinates (Humphreys,
-    Reflection Groups and Coxeter Groups, 1.12).  budget bounds the states
-    visited (BudgetExceeded).
+    W_nodes is generated by the simple reflections s_i, i in nodes; each
+    permutes the root indices of a start as rs.root_index.reflections[i].
+    The stabilizer of a dominant vector is the W_nodes of its zero
+    coordinates (Humphreys, Reflection Groups and Coxeter Groups, 1.12).
+    budget bounds the states visited (BudgetExceeded).
     """
-    table = rs.root_index
-    n_roots = len(table.roots)
-    n_labels = start[-1] // n_roots + 1 if start else 1
-    perms = [table.reflections[i] for i in nodes]
-    if n_labels > 1:
-        perms = [tuple(k * n_roots + j for k in range(n_labels) for j in p) for p in perms]
+    perms = [rs.root_index.reflections[i] for i in nodes]
     try:
         return _closure([start], lambda x: [tuple(sorted([p[c] for c in x])) for p in perms], budget)
     except BudgetExceeded:
@@ -831,57 +837,27 @@ def _zero_nodes(vec: Sequence, nodes: Iterable[int]) -> list[int]:
     return [i for i in nodes if vec[i] == 0]
 
 
-def _refine_start(
-    rs: RootSystem, nodes: Sequence[int], start: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(v_dom, moved): a start carried to the W_nodes-dominant form of its coweight.
-
-    The coweight v of a start sums (label rank + 1) * coroot of its root over
-    its codes.  It is W-equivariant, so starts in one W_nodes-orbit have
-    equal v_dom, and two moved starts with equal v_dom are in one orbit iff
-    they are in one orbit of v_dom's stabilizer in W_nodes, the parabolic
-    subgroup of the nodes where v_dom vanishes.  v is reduced by
-    to_dominant's rule restricted to nodes, and the start moved by the same
-    word.
-    """
-    table = rs.root_index
-    n_roots = len(table.roots)
-    v = [0] * rs.rank
-    for code in start:
-        weight = code // n_roots + 1
-        v = [a + weight * c for a, c in zip(v, table.coroots[code % n_roots])]
-    word = _reflect_to_dominant(rs, v, nodes)
-    moved = []
-    for code in start:
-        label, r = divmod(code, n_roots)
-        for s in word:
-            r = table.reflections[s][r]
-        moved.append(label * n_roots + r)
-    return tuple(v), tuple(sorted(moved))
-
-
 def partition_orbits(
     rs: RootSystem,
-    pairs: Sequence[tuple[CocharVec, tuple[int, ...]]],
+    triples: Sequence[tuple[CocharVec, tuple[int, ...], tuple[int, ...]]],
     budget: int = DEFAULT_BUDGET,
 ) -> list[list[int]]:
-    """Split (lam_dom, start) pairs of dominant_transport into Weyl orbits.
+    """Split (lam_dom, v_dom, start) triples of dominant_transport into Weyl orbits.
 
     Returns the positions of each orbit's members.  Starts under one lam_dom
     are conjugate iff they are under its stabilizer W_I, I the zero
-    coordinates of lam_dom.  Every start is refined under W_I
-    (_refine_start), so pairs are bucketed by the one key (lam_dom, v_dom)
-    and, inside a bucket, by moved start; a bucket is split under the
-    smaller stabilizer of v_dom in W_I.  One walk is made per orbit found:
-    the orbit of the first unassigned start collects every member whose
-    start lies in it, and a start left alone needs no walk.  budget bounds
-    the states of each walk.
+    coordinates of lam_dom, and transport_start has already refined each
+    under W_I, so triples are bucketed by the one key (lam_dom, v_dom) and,
+    inside a bucket, by start; a bucket is split under the smaller
+    stabilizer of v_dom in W_I.  One walk is made per orbit found: the orbit
+    of the first unassigned start collects every member whose start lies in
+    it, and a start left alone needs no walk.  budget bounds the states of
+    each walk.
     """
     _check_budget(budget)
     buckets: dict[tuple, dict[tuple[int, ...], list[int]]] = {}
-    for pos, (lam_dom, start) in enumerate(pairs):
-        v_dom, moved = _refine_start(rs, _zero_nodes(lam_dom, range(rs.rank)), start)
-        buckets.setdefault((lam_dom, v_dom), {}).setdefault(moved, []).append(pos)
+    for pos, (lam_dom, v_dom, start) in enumerate(triples):
+        buckets.setdefault((lam_dom, v_dom), {}).setdefault(start, []).append(pos)
     classes = []
     for (lam_dom, v_dom), group in buckets.items():
         nodes = _zero_nodes(v_dom, _zero_nodes(lam_dom, range(rs.rank)))
@@ -902,19 +878,18 @@ def canonical_labeled_set(
     """Canonical form (lam_dom, best) of a labeled base under the Weyl group.
 
     lam_dom is the dominant conjugate of the cocharacter solved from the
-    labels; best is the decoded smallest state in the orbit of the transported
-    base under the stabilizer of lam_dom (see dominant_transport), as a sorted
-    labeled base.  Two labeled bases are Weyl-conjugate iff their canonical
-    forms coincide.  A label that is not an int is an InputError.  budget
-    bounds the states visited (BudgetExceeded).
+    labels; best is the smallest start in the orbit of the transported base
+    under the whole stabilizer W_I of lam_dom (see transport_start), as a
+    sorted labeled base whose labels are read back as the pairings of its
+    roots with lam_dom.  Two labeled bases are Weyl-conjugate iff their
+    canonical forms coincide; only that equality is meaningful, not which
+    representative is chosen.  A label that is not an int is an InputError.
+    budget bounds the states visited (BudgetExceeded).
     Nothing is memoized: every call walks the orbit.
     """
     _check_budget(budget)
-    items = _labeled_items(items)
-    lam_dom, start = dominant_transport(rs, items)
+    lam_dom, _, start = dominant_transport(rs, _labeled_items(items))
     nodes = _zero_nodes(lam_dom, range(rs.rank))
-    best = min(_stabilizer_orbit(rs, nodes, start, budget))
-    roots = rs.root_index.roots
-    labels = sorted({l for _, l in items})
-    decoded = ((roots[c % len(roots)], labels[c // len(roots)]) for c in best)
-    return (lam_dom, tuple(sorted(decoded)))
+    best = [rs.root_index.roots[i] for i in min(_stabilizer_orbit(rs, nodes, start, budget))]
+    m, den = _over_lcm(lam_dom)
+    return (lam_dom, tuple(sorted((r, _dot(r, m) // den) for r in best)))

@@ -389,7 +389,7 @@ def test_one_solve_records_match_the_two_solve_path(name):
     count = 0
     for J in _proper_subsets(len(ext.root_of)):
         for rec in _labeled_records(rs, J):
-            pair = (rec.induced, transport_start(rs, rec.labels, rec.word))
+            pair = (rec.induced, *transport_start(rs, rec.labels, rec.word, rec.induced))
             assert pair == dominant_transport(rs, rec.labels)
             assert rec.induced == induced_diagram(rs, cochar_for_labeled_base(rs, rec.labels))
             count += 1
@@ -540,6 +540,41 @@ def test_library_rejects_bad_budgets(name):
             with pytest.raises(InputError, match="budget must be an integer >= 1"):
                 call(bad)
     assert list(rs.results) == keys
+
+
+# (walks, states visited) of each type's report and of its count_pair_orbits
+# recount.  README quotes the report walk counts of G2, E7, B8, C8 and D8.
+WALKS_AND_STATES = {
+    "G2": ((1, 2), (1, 2)),
+    "F4": ((2, 2), (5, 11)),
+    "E6": ((3, 22), (12, 69)),
+    "E7": ((13, 206), (30, 554)),
+    "B8": ((63, 572), (96, 1332)),
+    "C8": ((71, 714), (93, 1114)),
+    "D8": ((68, 975), (84, 1313)),
+}
+
+
+@pytest.mark.parametrize("name, report, recount", [(k, *v) for k, v in WALKS_AND_STATES.items()])
+def test_walks_and_states_per_type(monkeypatch, name, report, recount):
+    import unipcent.rootsys as rootsys
+
+    visited = []
+    original = rootsys._stabilizer_orbit
+
+    def counting(*args):
+        orbit = original(*args)
+        visited.append(len(orbit))
+        return orbit
+
+    monkeypatch.setattr(rootsys, "_stabilizer_orbit", counting)
+    rs = rs_of(name)
+    rs.results.clear()
+    component_group_report(rs)
+    assert (len(visited), sum(visited)) == report
+    visited.clear()
+    count_pair_orbits(rs)
+    assert (len(visited), sum(visited)) == recount
 
 
 def test_e8_report_walks_visit_few_states(monkeypatch):

@@ -165,10 +165,11 @@ def test_subset_keys_match_the_fraction_transport():
             regular = tuple(sorted([(ext.root_of[j], 2) for j in J]))
             (rec,) = _labeled_records(rs, J, [regular])
             assert rec.J == J
-            lam_dom, start = rec.induced, transport_start(rs, rec.labels, rec.word)
+            lam_dom = rec.induced
+            v_dom, start = transport_start(rs, rec.labels, rec.word, lam_dom)
             base = [ext.root_of[j] for j in J]
             expect = dominant_transport(rs, [(r, 2) for r in base])
-            assert (lam_dom, start) == expect, (name, J)
+            assert (lam_dom, v_dom, start) == expect, (name, J)
             assert hash(lam_dom) == hash(expect[0])
             comps = base_components(rs, base)
             assert rec.factor_types == tuple(sorted(ct for ct, _ in comps))
@@ -481,7 +482,7 @@ def test_orbit_partition_agrees_with_canonical_forms(name):
     for rec in records:
         canon = canonical_labeled_set(rs, [(ext.root_of[j], 2) for j in rec.J])
         by_canon.setdefault(canon, set()).add(rec.J)
-    pairs = [(r.induced, transport_start(rs, r.labels, r.word)) for r in records]
+    pairs = [(r.induced, *transport_start(rs, r.labels, r.word, r.induced)) for r in records]
     orbits = partition_orbits(rs, pairs)
     by_walk = {frozenset(records[k].J for k in orbit) for orbit in orbits}
     classes = {frozenset(v) for v in by_canon.values()}

@@ -40,7 +40,6 @@ from unipcent.rootsys import (
     _fractions,
     _opposition,
     _over_lcm,
-    _refine_start,
     as_cochar,
     dominant_transport,
     partition_orbits,
@@ -554,11 +553,10 @@ def test_weyl_word_keeps_the_refined_key(case):
             r = reflect_root(rs, i, r)
         moved.append((r, l))
     pairs = [dominant_transport(rs, items), dominant_transport(rs, moved)]
-    (lam_dom, start), (lam_moved, start_moved) = pairs
+    (lam_dom, v_dom, _), (lam_moved, v_moved, _) = pairs
     assert lam_moved == lam_dom
     stab = [i for i in range(rs.rank) if lam_dom[i] == 0]
-    v_dom, _ = _refine_start(rs, stab, start)
-    assert _refine_start(rs, stab, start_moved)[0] == v_dom
+    assert v_moved == v_dom
     assert all(v_dom[i] >= 0 for i in stab)
     assert partition_orbits(rs, pairs) == [[0, 1]]
 
@@ -656,27 +654,40 @@ def test_to_dominant_rejects_inexact_or_misshapen_input():
 
 @pytest.mark.parametrize("name", ["B2", "G2", "A3", "B3", "C3"])
 def test_partition_orbits_agrees_with_brute_orbit(name):
-    """Labels 0 leave all of W to the walk, so roots of one length split apart."""
+    """Labels 0 leave all of W to the walk, so roots of one length split apart.
+
+    The pairs labeled (0, 2) and (2, 2) carry two label ranks, or one rank
+    on two roots, through the refined split, which must still match the
+    brute-force orbits of the labeled bases.
+    """
     rs = rs_of(name)
     roots = sorted(all_roots(rs))
     bases = [((r, l),) for r in roots for l in (0, 1, 2)]
-    bases += [
-        ((r, 0), (s, 0))
-        for k, r in enumerate(roots)
-        for s in roots[k + 1:]
-        if s != tuple(-c for c in r)
-    ]
+    for r in roots:
+        others = [s for s in roots if s not in (r, tuple(-c for c in r))]
+        bases += [((r, 0), (s, 0)) for s in others if s > r]
+        bases += [((r, 0), (s, 2)) for s in others]
+        bases += [((r, 2), (s, 2)) for s in others if s > r]
     pairs = [dominant_transport(rs, items) for items in bases]
     found = {frozenset(orbit) for orbit in partition_orbits(rs, pairs)}
-    orbit_of = [brute_orbit(rs, tuple(sorted(items)), act_labeled_set) for items in bases]
-    expected = {
-        frozenset(k for k, other in enumerate(orbit_of) if other == orbit)
-        for orbit in orbit_of
-    }
+    states = [tuple(sorted(items)) for items in bases]
+    orbit_of = {}  # each labeled base to its brute-force orbit, one walk per orbit
+    for state in states:
+        if state not in orbit_of:
+            orbit = brute_orbit(rs, state, act_labeled_set)
+            orbit_of.update(dict.fromkeys(orbit, orbit))
+    expected = _positions_by_key([orbit_of[state] for state in states])
     assert found == expected
     assert len(expected) > 3
-    canon = [canonical_labeled_set(rs, items) for items in bases]
-    assert {frozenset(k for k, c in enumerate(canon) if c == c0) for c0 in canon} == expected
+    assert _positions_by_key([canonical_labeled_set(rs, items) for items in bases]) == expected
+
+
+def _positions_by_key(keys):
+    """The positions of equal keys, as a set of frozensets."""
+    groups = {}
+    for k, key in enumerate(keys):
+        groups.setdefault(key, set()).add(k)
+    return {frozenset(g) for g in groups.values()}
 
 
 def test_labeled_base_outside_the_roots_is_rejected():
@@ -684,7 +695,7 @@ def test_labeled_base_outside_the_roots_is_rejected():
     with pytest.raises(InputError):
         canonical_labeled_set(rs_of("A2"), [((1, -1), 2)])
     with pytest.raises(InputError, match="is not a root of A2"):
-        rootsys.transport_start(rs_of("A2"), [((1, -1), 2)], ())
+        rootsys.transport_start(rs_of("A2"), [((1, -1), 2)], (), (0, 0))
     # a label that is not an int is rejected, not truncated or read as 0 or 1
     for label in (2.7, 2.0, True, Fraction(2), "x", None):
         with pytest.raises(InputError):
@@ -710,7 +721,7 @@ def test_solve_needs_one_target_per_base_root():
             solve_cochar_for_base(a2, base, targets)
     # the empty base needs no special case downstream
     assert solve_cochar_for_base(a2, [], []) == (0, 0)
-    assert dominant_transport(a2, ()) == ((0, 0), ())
+    assert dominant_transport(a2, ()) == ((0, 0), (0, 0), ())
     assert canonical_labeled_set(a2, ()) == ((0, 0), ())
 
 
