@@ -33,6 +33,7 @@ from .rootsys import (
     LabeledDiagram,
     RootSystem,
     _check_budget,
+    _ints,
     _labeled_items,
     is_good_prime,
 )
@@ -158,11 +159,7 @@ def recognize_group_from_torsion(torsions: Iterable[int]) -> tuple[str, tuple[in
     candidate tried, and a FingerprintError names the constraint that rejects
     it.  Every order must be an int; a bool is not one.
     """
-    torsions = tuple(torsions)
-    for d in torsions:
-        if not isinstance(d, int) or isinstance(d, bool):
-            raise InputError(f"coset orders must be integers, got {d!r}")
-    torsions = tuple(sorted(torsions))
+    torsions = tuple(sorted(_ints(torsions, "coset orders")))
     if not torsions:
         raise InputError("empty torsion multiset")
     if torsions[0] < 1:

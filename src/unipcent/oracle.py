@@ -37,8 +37,8 @@ from .rootsys import (
     _alcove_walk,
     _dot,
     _fractions,
+    _ints,
     _over_lcm,
-    as_cochar,
     canonical_labeled_set,
     coroot,
 )
@@ -50,9 +50,8 @@ def all_roots(rs: RootSystem) -> frozenset[RootVec]:
 
 def pairing(root: Sequence[int], lam: Sequence) -> "Fraction":
     """<root, lam>: dot product of root coefficients with cocharacter coordinates."""
-    if len(root) != len(lam):
-        raise InputError(f"dimension mismatch: {len(root)} vs {len(lam)}")
-    num, den = _over_lcm(lam)
+    root = _ints(root, "root coordinates")
+    num, den = _over_lcm(lam, len(root))
     return _fractions([_dot(root, num)], den)[0]
 
 
@@ -72,9 +71,14 @@ def reflect_cochar(rs: RootSystem, i: int, lam: Sequence) -> CocharVec:
 
 
 def apply_word(rs: RootSystem, word: Sequence[int], lam: Sequence) -> CocharVec:
-    """Apply a reflection word letter by letter (leftmost letter acts first)."""
-    cur = as_cochar(lam)
-    for i in word:
+    """Apply a reflection word letter by letter (leftmost letter acts first).
+
+    Each letter is a simple node, 0 <= i < rank.
+    """
+    cur = _fractions(*_over_lcm(lam, rs.rank))
+    for i in _ints(word, "node ids"):
+        if not 0 <= i < rs.rank:
+            raise InputError(f"node {i} is not a simple node of {rs.ctype}")
         cur = reflect_cochar(rs, i, cur)
     return cur
 
@@ -192,6 +196,7 @@ def _grading_counts(masks: RootMasks, twos: int) -> tuple[int, int]:
 
 def is_distinguished(rs_factor: RootSystem, labels: Sequence[int]) -> bool:
     """Dimension criterion for a {0,2}-labeling of an irreducible factor."""
+    labels = _ints(labels, "labels")
     if len(labels) != rs_factor.rank:
         raise InputError("label vector length must match the rank")
     if any(v not in (0, 2) for v in labels):
@@ -211,7 +216,7 @@ def integrality_subsystem(rs: RootSystem, point: Sequence) -> frozenset[RootVec]
     The point is scaled once by the lcm den of its denominators, so a root
     pairs integrally iff its integer pairing with the scaled point is 0 mod den.
     """
-    scaled, den = _over_lcm(point)
+    scaled, den = _over_lcm(point, rs.rank)
     return frozenset(g for g in all_roots(rs) if _dot(g, scaled) % den == 0)
 
 
@@ -384,7 +389,7 @@ def _in_lattice(pivots: list[tuple[int, list[int]]], v: RootVec) -> bool:
 
 def lattice_root_closure(rs: RootSystem, vectors: Sequence[RootVec]) -> frozenset[RootVec]:
     """The roots of rs lying in the integer span of the given root vectors."""
-    vecs = [tuple(v) for v in vectors]
+    vecs = [_ints(v, "root coordinates") for v in vectors]
     if not vecs:
         return frozenset()
     pivots = _hnf_pivots(vecs)
@@ -401,6 +406,7 @@ class Partition(_PartitionFields):
     __slots__ = ()
 
     def __new__(cls, parts: tuple[int, ...]) -> "Partition":
+        parts = _ints(parts, "parts")
         if any(p < 1 for p in parts):
             raise InputError(f"parts must be positive: {parts}")
         if any(a < b for a, b in zip(parts, parts[1:])):
@@ -429,6 +435,14 @@ def _partitions_of(n: int):
     yield from rec(n, n, [])
 
 
+def _size(family: str, rank: int) -> int:
+    """The n whose admissible partitions classify the family's classes at rank."""
+    sizes = {"A": rank + 1, "B": 2 * rank + 1, "C": 2 * rank, "D": 2 * rank}
+    if family not in sizes:
+        raise InputError(f"no partition classification for family {family!r}")
+    return sizes[family]
+
+
 def _admissible(family: str, parts: tuple[int, ...]) -> bool:
     counts: dict[int, int] = {}
     for p in parts:
@@ -442,10 +456,7 @@ def _admissible(family: str, parts: tuple[int, ...]) -> bool:
 
 def classical_partitions(family: str, rank: int) -> tuple[Partition, ...]:
     """Admissible partitions for the classical family at the given rank."""
-    sizes = {"A": rank + 1, "B": 2 * rank + 1, "C": 2 * rank, "D": 2 * rank}
-    if family not in sizes:
-        raise InputError(f"no partition classification for family {family!r}")
-    n = sizes[family]
+    n = _size(family, rank)
     return tuple(
         Partition(p) for p in sorted(_partitions_of(n), reverse=True)
         if _admissible(family, p)
@@ -480,7 +491,15 @@ def _exponent_string(parts: tuple[int, ...]) -> list[int]:
 def partition_diagrams(
     family: str, rank: int, partition: Partition
 ) -> tuple[LabeledDiagram, ...]:
-    """Labeled diagram(s) of the partition; two for the very even D cases."""
+    """Labeled diagram(s) of the partition; two for the very even D cases.
+
+    The partition must be one of classical_partitions(family, rank).
+    """
+    n = _size(family, rank)
+    if partition.total != n or not _admissible(family, partition.parts):
+        raise InputError(
+            f"{partition.parts} is not an admissible partition of {n} for {family}{rank}"
+        )
     h = _exponent_string(partition.parts)
     if family == "A":
         return (tuple(h[i] - h[i + 1] for i in range(rank)),)
@@ -489,13 +508,11 @@ def partition_diagrams(
         return (tuple(top[i] - top[i + 1] for i in range(rank - 1)) + (top[-1],),)
     if family == "C":
         return (tuple(top[i] - top[i + 1] for i in range(rank - 1)) + (2 * top[-1],),)
-    if family == "D":
-        body = tuple(top[i] - top[i + 1] for i in range(rank - 2))
-        a, b = top[-2] - top[-1], top[-2] + top[-1]
-        if a == b:
-            return (body + (a, b),)
-        return (body + (a, b), body + (b, a))
-    raise InputError(f"no diagram recipe for family {family!r}")
+    body = tuple(top[i] - top[i + 1] for i in range(rank - 2))  # D
+    a, b = top[-2] - top[-1], top[-2] + top[-1]
+    if a == b:
+        return (body + (a, b),)
+    return (body + (a, b), body + (b, a))
 
 
 def classical_nilpotent_classes(
@@ -533,6 +550,8 @@ def classical_group_name(family: str, partition: Partition) -> str:
         k = max(0, len(odd) - 1 - any(parts.count(p) % 2 for p in odd))
     else:
         raise InputError(f"no partition classification for family {family!r}")
+    if not _admissible(family, parts):
+        raise InputError(f"{parts} is not an admissible partition for family {family}")
     return f"ElemAb2({k})" if k else "trivial"
 
 

@@ -42,6 +42,7 @@ from .rootsys import (
     _closure,
     _component_type,
     _fractions,
+    _ints,
     _is_prime,
     _opposition,
     _over_lcm,
@@ -62,11 +63,7 @@ def extended_diagram(rs: RootSystem) -> ExtendedDiagram:
 
 
 def _check_subset(ext: ExtendedDiagram, J: Iterable[int]) -> tuple[int, ...]:
-    J = list(J)
-    for j in J:
-        if not isinstance(j, int) or isinstance(j, bool):
-            raise InputError(f"node ids must be integers, got {j!r}")
-    J = tuple(sorted(set(J)))
+    J = tuple(sorted(set(_ints(J, "node ids"))))
     nodes = set(ext.nodes)
     if not set(J) <= nodes:
         raise InputError(f"J contains unknown nodes: {J}")

@@ -470,9 +470,13 @@ def as_cochar(coords: Iterable) -> CocharVec:
     return tuple(out)
 
 
-def _over_lcm(coords: Iterable) -> tuple[list[int], int]:
+def _over_lcm(coords: Iterable, dim: int | None = None) -> tuple[list[int], int]:
     """(numerators, den): an exact vector, checked by as_cochar, as integer
-    numerators over den, the lcm of its denominators."""
+    numerators over den, the lcm of its denominators.  Given dim, a vector of
+    another length is an InputError, checked before exactness."""
+    coords = tuple(coords)
+    if dim is not None and len(coords) != dim:
+        raise InputError(f"dimension mismatch: {len(coords)} vs {dim}")
     coords = as_cochar(coords)
     den = math.lcm(*(c.denominator for c in coords))
     return [c.numerator * (den // c.denominator) for c in coords], den
@@ -485,22 +489,21 @@ def _fractions(numerators: Iterable[int], den: int) -> CocharVec:
     return tuple([Fraction(v, den) for v in numerators])
 
 
-def _as_root(gamma: Iterable[int]) -> RootVec:
-    """gamma as a RootVec; each coordinate must be an int, not a bool."""
-    gamma = tuple(gamma)
-    for c in gamma:
-        if not isinstance(c, int) or isinstance(c, bool):
-            raise InputError(f"root coordinates must be integers, got {c!r}")
-    return gamma
+def _ints(values: Iterable, what: str) -> tuple[int, ...]:
+    """values as a tuple; each must be an int, not a bool (True, 1.0 and
+    Fraction(1) all hash and compare as 1), or it is an InputError naming what."""
+    values = tuple(values)
+    for v in values:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise InputError(f"{what} must be integers, got {v!r}")
+    return values
 
 
 def _labeled_items(items: Iterable[tuple[Sequence[int], int]]) -> tuple[tuple[RootVec, int], ...]:
     """A labeled base as sorted (root, label) items; each root coordinate and
     each label must be an int, not a bool."""
-    items = [(_as_root(r), l) for r, l in items]
-    for _, l in items:
-        if not isinstance(l, int) or isinstance(l, bool):
-            raise InputError(f"labels must be integers, got {l!r}")
+    items = [(_ints(r, "root coordinates"), l) for r, l in items]
+    _ints([l for _, l in items], "labels")
     return tuple(sorted(items))
 
 
@@ -539,10 +542,7 @@ def to_dominant(rs: RootSystem, lam: Sequence) -> tuple[CocharVec, WeylWord]:
     walk runs in place on a list of integers: the input is scaled once by the
     lcm of its denominators.
     """
-    lam = tuple(lam)
-    if len(lam) != rs.rank:
-        raise InputError(f"dimension mismatch: {len(lam)} vs {rs.rank}")
-    m, den = _over_lcm(lam)
+    m, den = _over_lcm(lam, rs.rank)
     word = tuple(_reflect_to_dominant(rs, m, range(rs.rank)))
     return _fractions(m, den), word
 
@@ -554,7 +554,7 @@ def coroot(rs: RootSystem, gamma: RootVec) -> RootVec:
     coordinate that is not an int, is an InputError.
     """
     table = rs.root_index
-    k = table.index.get(_as_root(gamma))
+    k = table.index.get(_ints(gamma, "root coordinates"))
     if k is None:
         raise InputError(f"{gamma} is not a root of {rs.ctype}")
     return table.coroots[k]
@@ -578,10 +578,7 @@ def _alcove_walk(rs: RootSystem, point: Sequence):
     once by the lcm of its denominators.
     """
     n = rs.rank
-    point = tuple(point)
-    if len(point) != n:
-        raise InputError(f"dimension mismatch: {len(point)} vs {n}")
-    x, den = _over_lcm(point)
+    x, den = _over_lcm(point, n)
     shift = tuple([v // den for v in x])
     x = [v % den for v in x]
     minus_theta_vee = rs.extended_diagram.coroot_rows[n]

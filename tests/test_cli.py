@@ -67,6 +67,9 @@ def test_budget_and_max_rank_below_one(capsys):
         ["component-groups", "G2", "--max-rank", "0"],
         ["pseudolevis", "G2", "--budget", "0"],
         ["roots", "G2", "--max-rank", "-1"],
+        ["component-groups", "G2", "--budget", "x"],
+        ["component-groups", "G2", "--budget", "1.5"],
+        ["component-groups", "G2", "--max-rank", "x"],
     ):
         assert main(argv) == EXIT_USAGE, argv
         assert _one_usage_line(capsys), argv
@@ -87,7 +90,7 @@ def test_setup_refused_past_21_extended_nodes(capsys):
 
 
 def test_witness_prime_checked_before_any_output(capsys):
-    for p in ("3", "2", "4"):
+    for p in ("3", "2", "4", "x"):
         assert main(["pseudolevis", "G2", "--witness", p]) == EXIT_USAGE, p
         assert _one_usage_line(capsys), p
 

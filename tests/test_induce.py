@@ -5,6 +5,7 @@ import pytest
 
 from unipcent import (
     CartanType,
+    InputError,
     InvariantViolation,
     apply_word,
     build_root_system,
@@ -76,6 +77,11 @@ def test_labels_outside_alphabet_fault():
     a2 = rs_of("A2")
     with pytest.raises(InvariantViolation):
         induced_diagram(a2, (Fraction(3), Fraction(0)))
+    # a label 1 on a single root of A2 solves to half its coroot
+    with pytest.raises(InvariantViolation, match="not integral"):
+        cochar_for_labeled_base(a2, [((1, 0), 1)])
+    with pytest.raises(InputError, match="not integral"):
+        induced_diagram(a2, (Fraction(1, 2), 0))
 
 
 def test_all_pipeline_cochars_integral():

@@ -4,12 +4,15 @@ from fractions import Fraction
 import pytest
 
 from unipcent import (
+    BudgetExceeded,
     CartanType,
     InputError,
+    apply_word,
     build_root_system,
     canonical_subsystem,
     enumerate_pseudolevis,
     extended_diagram,
+    is_distinguished,
     subsystem_closure,
 )
 from unipcent.oracle import (
@@ -27,6 +30,9 @@ from unipcent.oracle import (
     default_denominator_bound,
     distinguished_partitions,
     integrality_subsystem,
+    lattice_root_closure,
+    pairing,
+    partition_diagrams,
     reflect_cochar,
 )
 from unipcent.compgroup import component_group_report
@@ -225,6 +231,8 @@ def test_brute_orbit_sizes():
     a1 = rs_of("A1")
     assert len(brute_orbit(a1, (Fraction(1),), reflect_cochar)) == 2
     assert len(brute_orbit(a1, (Fraction(0),), reflect_cochar)) == 1
+    with pytest.raises(BudgetExceeded, match="orbit budget 1 exceeded"):
+        brute_orbit(a1, (Fraction(1),), reflect_cochar, budget=1)
     a2 = rs_of("A2")
     assert len(brute_orbit(a2, (Fraction(1), Fraction(1)), reflect_cochar)) == 6
     assert len(brute_orbit(a2, (Fraction(0), Fraction(0)), reflect_cochar)) == 1
@@ -245,6 +253,50 @@ def test_classical_group_name_formula():
         assert classical_group_name(family, Partition(parts)) == name, (family, parts)
     with pytest.raises(InputError):
         classical_group_name("F", Partition((2, 2)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # B admits an even part only with even multiplicity, C an odd one
+        lambda: classical_group_name("B", Partition((4,))),
+        lambda: classical_group_name("C", Partition((3,))),
+        # B2 partitions 5 and A2 partitions 3
+        lambda: partition_diagrams("B", 2, Partition((7,))),
+        lambda: partition_diagrams("A", 2, Partition((2,))),
+        lambda: partition_diagrams("C", 2, Partition((3, 1))),
+        lambda: Partition((2.0, 1)),
+        lambda: Partition((True,)),
+    ],
+    ids=["group-B-4", "group-C-3", "diagrams-B2-7", "diagrams-A2-2", "diagrams-C2-31",
+         "parts-float", "parts-bool"],
+)
+def test_partition_references_reject_what_the_family_or_rank_does_not_admit(call):
+    with pytest.raises(InputError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # node -1 would read row -1 of the Cartan matrix, True node 1
+        lambda a2: apply_word(a2, [-1], (0, 1)),
+        lambda a2: apply_word(a2, [True], (0, 1)),
+        lambda a2: apply_word(a2, [2], (0, 1)),
+        lambda a2: apply_word(a2, [0], (1,)),
+        lambda a2: pairing((1.0, 0), (1, 0)),
+        lambda a2: pairing((True, 0), (1, 0)),
+        # zip would truncate the point and keep every root
+        lambda a2: integrality_subsystem(a2, (1,)),
+        lambda a2: is_distinguished(a2, (2.0, 2)),
+        lambda a2: lattice_root_closure(a2, [(1.0, 0)]),
+    ],
+    ids=["word-negative", "word-bool", "word-affine", "word-short-point", "pairing-float",
+         "pairing-bool", "integrality-short-point", "distinguished-float", "closure-float"],
+)
+def test_oracle_references_reject_misshapen_input(call):
+    with pytest.raises(InputError):
+        call(rs_of("A2"))
 
 
 CLASSICAL_TYPES = [
