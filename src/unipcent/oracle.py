@@ -26,19 +26,22 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .balacarter import RootMasks, _root_masks
 from .errors import BudgetExceeded, InputError, InvariantViolation
 from .rootsys import (
     DEFAULT_BUDGET,
+    CartanType,
     CocharVec,
     LabeledDiagram,
+    RootMasks,
     RootSystem,
     RootVec,
     _alcove_walk,
     _dot,
     _fractions,
     _ints,
+    _of_length,
     _over_lcm,
+    _root_masks,
     canonical_labeled_set,
     coroot,
 )
@@ -55,7 +58,17 @@ def pairing(root: Sequence[int], lam: Sequence) -> "Fraction":
     return _fractions([_dot(root, num)], den)[0]
 
 
+def _simple_node(rs: RootSystem, i: int) -> int:
+    """i, which must be an int, not a bool, in 0..rank-1: a simple node."""
+    (i,) = _ints([i], "node ids")
+    if not 0 <= i < rs.rank:
+        raise InputError(f"node {i} is not a simple node of {rs.ctype}")
+    return i
+
+
 def reflect_root(rs: RootSystem, i: int, gamma: RootVec) -> RootVec:
+    i = _simple_node(rs, i)
+    gamma = _ints(gamma, "root coordinates", rs.rank)
     p = _dot(rs.cartan[i], gamma)
     if p == 0:
         return gamma
@@ -65,6 +78,8 @@ def reflect_root(rs: RootSystem, i: int, gamma: RootVec) -> RootVec:
 
 
 def reflect_cochar(rs: RootSystem, i: int, lam: Sequence) -> CocharVec:
+    i = _simple_node(rs, i)
+    lam = _of_length(lam, rs.rank)
     coef = lam[i]
     row = rs.cartan[i]
     return tuple(m - coef * row[j] for j, m in enumerate(lam))
@@ -76,9 +91,7 @@ def apply_word(rs: RootSystem, word: Sequence[int], lam: Sequence) -> CocharVec:
     Each letter is a simple node, 0 <= i < rank.
     """
     cur = _fractions(*_over_lcm(lam, rs.rank))
-    for i in _ints(word, "node ids"):
-        if not 0 <= i < rs.rank:
-            raise InputError(f"node {i} is not a simple node of {rs.ctype}")
+    for i in word:
         cur = reflect_cochar(rs, i, cur)
     return cur
 
@@ -149,7 +162,8 @@ def alcove_reduce_map(rs: RootSystem, point: Sequence):
 
 def subsystem_base(rs: RootSystem, subsystem: Iterable[RootVec]) -> tuple[RootVec, ...]:
     """The indecomposable positive elements: a base of the closed subsystem."""
-    pos = sorted(g for g in subsystem if sum(g) > 0)
+    roots = [_ints(g, "root coordinates", rs.rank) for g in subsystem]
+    pos = sorted(g for g in roots if sum(g) > 0)
     posset = set(pos)
     base = []
     for g in pos:
@@ -177,7 +191,7 @@ def _twos_mask(labels: Sequence[int]) -> int:
 def _grading_counts(masks: RootMasks, twos: int) -> tuple[int, int]:
     """The numbers of roots at pairing 0 and at pairing 2 with a {0,2}-labeling.
 
-    masks come from balacarter._root_masks and twos from _twos_mask.  A
+    masks come from rootsys._root_masks and twos from _twos_mask.  A
     positive root gamma pairs to 2 * (sum of its coefficients on twos), so
     gamma and -gamma pair to 0 iff the support misses twos, and gamma pairs
     to 2 iff the support meets twos in one node, where gamma has coefficient
@@ -389,7 +403,7 @@ def _in_lattice(pivots: list[tuple[int, list[int]]], v: RootVec) -> bool:
 
 def lattice_root_closure(rs: RootSystem, vectors: Sequence[RootVec]) -> frozenset[RootVec]:
     """The roots of rs lying in the integer span of the given root vectors."""
-    vecs = [_ints(v, "root coordinates") for v in vectors]
+    vecs = [_ints(v, "root coordinates", rs.rank) for v in vectors]
     if not vecs:
         return frozenset()
     pivots = _hnf_pivots(vecs)
@@ -436,11 +450,14 @@ def _partitions_of(n: int):
 
 
 def _size(family: str, rank: int) -> int:
-    """The n whose admissible partitions classify the family's classes at rank."""
-    sizes = {"A": rank + 1, "B": 2 * rank + 1, "C": 2 * rank, "D": 2 * rank}
-    if family not in sizes:
+    """The n whose admissible partitions classify the family's classes at rank.
+
+    The family must be one of A-D and the rank one CartanType admits for it.
+    """
+    if family not in ("A", "B", "C", "D"):
         raise InputError(f"no partition classification for family {family!r}")
-    return sizes[family]
+    CartanType(family, rank)
+    return {"A": rank + 1, "B": 2 * rank + 1, "C": 2 * rank, "D": 2 * rank}[family]
 
 
 def _admissible(family: str, parts: tuple[int, ...]) -> bool:

@@ -155,7 +155,6 @@ def _match_cartan(M: list[list[int]], std: tuple[tuple[int, ...], ...]) -> list[
     return assign if extend(0) else None
 
 
-@lru_cache(maxsize=None)
 def _component_type(M: tuple[tuple[int, ...], ...]) -> tuple[CartanType, tuple[int, ...]]:
     """The type of an irreducible Cartan matrix and a node order matching it."""
     for ct in _candidate_types(len(M)):
@@ -163,6 +162,22 @@ def _component_type(M: tuple[tuple[int, ...], ...]) -> tuple[CartanType, tuple[i
         if order is not None:
             return ct, tuple(order)
     raise InvariantViolation("base is not of finite Cartan type")
+
+
+RootMasks = tuple[int, tuple[tuple[int, int], ...]]
+
+
+def _root_masks(rs: "RootSystem") -> RootMasks:
+    """|R+|, and for each node the positive roots whose support holds it and
+    those with coefficient 1 there, as bitmasks over the positive roots."""
+    supp, ones = [0] * rs.rank, [0] * rs.rank
+    for k, gamma in enumerate(rs.positive_roots):
+        for i, c in enumerate(gamma):
+            if c:
+                supp[i] |= 1 << k
+                if c == 1:
+                    ones[i] |= 1 << k
+    return len(rs.positive_roots), tuple(zip(supp, ones))
 
 
 class _RootSystemFields(NamedTuple):
@@ -275,6 +290,7 @@ class RootSystem(_RootSystemFields):
         nodes = range(len(C))
         adjacent = [sum([1 << b for b in nodes if b != a and C[a][b]]) for a in nodes]
         typed = {}  # component mask -> (type, nodes in standard order)
+        matched = {}  # Cartan block -> _component_type's match, found once
         parts: dict[int, list[int]] = {0: []}  # subset mask -> its component masks
         for M in range(1, (1 << len(C)) - 1):
             low = M & -M
@@ -289,9 +305,47 @@ class RootSystem(_RootSystemFields):
             if joined not in typed:
                 comp = [j for j in nodes if joined >> j & 1]
                 block = tuple([tuple([C[a][b] for b in comp]) for a in comp])
-                ct, order = _component_type(block)
+                if block not in matched:
+                    matched[block] = _component_type(block)
+                ct, order = matched[block]
                 typed[joined] = (ct, tuple([comp[k] for k in order]))
         return {M: tuple(sorted(map(typed.__getitem__, cs))) for M, cs in parts.items()}
+
+    @cached_property
+    def cartan_inverse(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(den, W) with W / den the inverse of the Cartan matrix C: row b
+        holds the coefficients of omega_b^vee on the simple coroots.  One
+        integer Gauss-Jordan elimination of [C | identity]; den is the lcm
+        of its pivots."""
+        C, k = self.cartan, self.rank
+        A = _eliminate([list(C[a]) + [int(a == b) for b in range(k)] for a in range(k)])
+        den = math.lcm(*(A[a][a] for a in range(k)))
+        return den, tuple(tuple(v * (den // A[a][a]) for v in A[a][k:]) for a in range(k))
+
+    @cached_property
+    def distinguished_labelings(self) -> tuple[tuple[int, ...], ...]:
+        """All distinguished {0,2}-labelings, sorted: those with dim g_0 =
+        dim g_2, #roots at pairing 0 plus the rank = #roots at pairing 2
+        (Bala and Carter, Classes of unipotent elements in simple algebraic
+        groups I, 1976).  Every node mask of twos is tested.
+        oracle._grading_counts meets the nodes in increasing order, so its
+        state (hit, once) for a mask is one step from its state for the mask
+        without the top node, found earlier: the scan makes 2^rank steps,
+        not rank * 2^rank."""
+        n_pos, per_node = _root_masks(self)
+        n = self.rank
+        hits, onces = [0], [0]  # indexed by mask
+        out = []
+        for top, (supp, ones) in enumerate(per_node):
+            for prev in range(1 << top):
+                hit = hits[prev] | supp
+                once = (onces[prev] & ~supp) | (ones & ~hits[prev])
+                hits.append(hit)
+                onces.append(once)
+                if 2 * (n_pos - hit.bit_count()) + n == once.bit_count():
+                    twos = prev | 1 << top
+                    out.append(tuple(2 if twos >> i & 1 else 0 for i in range(n)))
+        return tuple(sorted(out))
 
     @cached_property
     def results(self) -> dict:
@@ -381,6 +435,7 @@ def build_root_system(ctype: CartanType) -> RootSystem:
     Each level is sorted, so the roots come in (height, coefficients) order.
     The count is checked against |R| = rank * (ht theta + 1), rank times the
     Coxeter number (Bourbaki, Lie Groups and Lie Algebras VI, 1.11).
+    Its cache, the package's only one, holds every per-type table.
     """
     C = cartan_matrix(ctype)
     n = ctype.rank
@@ -474,10 +529,7 @@ def _over_lcm(coords: Iterable, dim: int | None = None) -> tuple[list[int], int]
     """(numerators, den): an exact vector, checked by as_cochar, as integer
     numerators over den, the lcm of its denominators.  Given dim, a vector of
     another length is an InputError, checked before exactness."""
-    coords = tuple(coords)
-    if dim is not None and len(coords) != dim:
-        raise InputError(f"dimension mismatch: {len(coords)} vs {dim}")
-    coords = as_cochar(coords)
+    coords = as_cochar(_of_length(coords, dim))
     den = math.lcm(*(c.denominator for c in coords))
     return [c.numerator * (den // c.denominator) for c in coords], den
 
@@ -489,10 +541,19 @@ def _fractions(numerators: Iterable[int], den: int) -> CocharVec:
     return tuple([Fraction(v, den) for v in numerators])
 
 
-def _ints(values: Iterable, what: str) -> tuple[int, ...]:
-    """values as a tuple; each must be an int, not a bool (True, 1.0 and
-    Fraction(1) all hash and compare as 1), or it is an InputError naming what."""
+def _of_length(values: Iterable, dim: int | None) -> tuple:
+    """values as a tuple; given dim, a vector of another length is an InputError."""
     values = tuple(values)
+    if dim is not None and len(values) != dim:
+        raise InputError(f"dimension mismatch: {len(values)} vs {dim}")
+    return values
+
+
+def _ints(values: Iterable, what: str, dim: int | None = None) -> tuple[int, ...]:
+    """values as a tuple; each must be an int, not a bool (True, 1.0 and
+    Fraction(1) all hash and compare as 1), or it is an InputError naming what.
+    Given dim, the length is checked first, as in _over_lcm."""
+    values = _of_length(values, dim)
     for v in values:
         if not isinstance(v, int) or isinstance(v, bool):
             raise InputError(f"{what} must be integers, got {v!r}")
@@ -676,21 +737,6 @@ def _eliminate(A: list[list[int]]) -> list[list[int]]:
     return A
 
 
-@lru_cache(maxsize=None)
-def _cartan_inverse(ctype: CartanType) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(den, W) with W / den the inverse of C = cartan_matrix(ctype).
-
-    Row b of W / den holds the coefficients of the fundamental coweight
-    omega_b^vee on the simple coroots.  One integer Gauss-Jordan elimination
-    of [C | identity]; den is the lcm of its pivots.
-    """
-    C = cartan_matrix(ctype)
-    k = ctype.rank
-    A = _eliminate([list(C[a]) + [int(a == b) for b in range(k)] for a in range(k)])
-    den = math.lcm(*(A[a][a] for a in range(k)))
-    return den, tuple(tuple(v * (den // A[a][a]) for v in A[a][k:]) for a in range(k))
-
-
 def coroot_coefficients(ctype: CartanType, labels: tuple[int, ...]) -> tuple[int, ...]:
     """The integer c with sum_a c[a] * C[a][b] = labels[b], C = cartan_matrix(ctype).
 
@@ -698,13 +744,13 @@ def coroot_coefficients(ctype: CartanType, labels: tuple[int, ...]) -> tuple[int
     coroots that pairs to labels[b] with alpha_b, the sum of labels[b] *
     omega_b^vee; the all-2 labels give 2 rho^vee.  A base of type ctype, in
     the node order of its match, has the same c on its own coroots.  Read
-    off the type's one integer inverse (_cartan_inverse); a c that is not
-    integral is an InvariantViolation.
+    off the type's one integer inverse (RootSystem.cartan_inverse); a c that
+    is not integral is an InvariantViolation.
     """
     k = ctype.rank
     if len(labels) != k:
         raise InputError(f"{len(labels)} labels for {ctype}")
-    den, W = _cartan_inverse(ctype)
+    den, W = build_root_system(ctype).cartan_inverse
     total = [0] * k
     for label, row in zip(labels, W):
         if label:

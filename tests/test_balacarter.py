@@ -16,7 +16,7 @@ from unipcent import (
     pairing,
     subsystem_closure,
 )
-from unipcent.balacarter import _root_masks
+from unipcent.rootsys import _root_masks
 from unipcent.oracle import _grading_counts, _twos_mask
 from unipcent.oracle import all_roots, distinguished_partitions, partition_diagrams
 from unipcent.pseudolevi import base_components

@@ -34,6 +34,8 @@ from unipcent.oracle import (
     pairing,
     partition_diagrams,
     reflect_cochar,
+    reflect_root,
+    subsystem_base,
 )
 from unipcent.compgroup import component_group_report
 
@@ -267,9 +269,13 @@ def test_classical_group_name_formula():
         lambda: partition_diagrams("C", 2, Partition((3, 1))),
         lambda: Partition((2.0, 1)),
         lambda: Partition((True,)),
+        # D needs rank >= 3, as CartanType does
+        lambda: classical_partitions("D", 1),
+        lambda: partition_diagrams("D", 2, Partition((3, 1))),
+        lambda: partition_diagrams("D", 1, Partition((1, 1))),
     ],
     ids=["group-B-4", "group-C-3", "diagrams-B2-7", "diagrams-A2-2", "diagrams-C2-31",
-         "parts-float", "parts-bool"],
+         "parts-float", "parts-bool", "partitions-D1", "diagrams-D2-31", "diagrams-D1-11"],
 )
 def test_partition_references_reject_what_the_family_or_rank_does_not_admit(call):
     with pytest.raises(InputError):
@@ -290,9 +296,28 @@ def test_partition_references_reject_what_the_family_or_rank_does_not_admit(call
         lambda a2: integrality_subsystem(a2, (1,)),
         lambda a2: is_distinguished(a2, (2.0, 2)),
         lambda a2: lattice_root_closure(a2, [(1.0, 0)]),
+        # node -1 would reflect in the last Cartan row: (1, 0) -> (1, 1)
+        lambda a2: reflect_root(a2, -1, (1, 0)),
+        lambda a2: reflect_root(a2, True, (1, 0)),
+        lambda a2: reflect_root(a2, 2, (1, 0)),
+        lambda a2: reflect_cochar(a2, -1, (1, 0)),
+        lambda a2: reflect_cochar(a2, False, (1, 0)),
+        # a long vector would be cut to the rank, a short one end in IndexError
+        lambda a2: lattice_root_closure(a2, [(1, 0, 0)]),
+        lambda a2: lattice_root_closure(a2, [(1,)]),
+        lambda a2: subsystem_base(a2, [(1.0, 0), (-1.0, 0)]),
+        # zip would cut the rank's Cartan row to the vector: (1,) -> (-1,)
+        lambda a2: reflect_root(a2, 0, (1,)),
+        lambda a2: reflect_root(a2, 0, (1, 0, 5)),
+        lambda a2: reflect_cochar(a2, 0, (1,)),
+        lambda a2: subsystem_base(a2, [(1, 0, 0), (-1, 0, 0)]),
     ],
     ids=["word-negative", "word-bool", "word-affine", "word-short-point", "pairing-float",
-         "pairing-bool", "integrality-short-point", "distinguished-float", "closure-float"],
+         "pairing-bool", "integrality-short-point", "distinguished-float", "closure-float",
+         "reflect-root-negative", "reflect-root-bool", "reflect-root-affine",
+         "reflect-cochar-negative", "reflect-cochar-bool", "closure-long", "closure-short",
+         "base-float", "reflect-root-short", "reflect-root-long", "reflect-cochar-short",
+         "base-long"],
 )
 def test_oracle_references_reject_misshapen_input(call):
     with pytest.raises(InputError):

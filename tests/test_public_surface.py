@@ -5,6 +5,8 @@ import types
 from pathlib import Path
 
 import unipcent
+from unipcent import CartanType, build_root_system, distinguished_classes
+from unipcent.rootsys import coroot_coefficients
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "unipcent").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
@@ -82,6 +84,33 @@ def test_no_lru_cache_is_keyed_on_a_root_system():
             ):
                 keyed.add(node.name)
     assert keyed == RESULT_CACHES
+
+
+def test_build_root_system_is_the_only_lru_cache():
+    """One cache, owned by rootsys, with one entry per Cartan type built;
+    every other per-type table is a cached_property of its RootSystem."""
+    cached, loads = set(), 0
+    for path in (ROOT / "src" / "unipcent").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef) and any(map(_is_lru_cache, node.decorator_list)):
+                cached.add(f"{path.stem}.{node.name}")
+            loaded = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            loads += loaded == "lru_cache"
+    assert cached == {"rootsys.build_root_system"} and loads == 1
+
+
+def test_factor_tables_are_read_off_the_factor_root_system():
+    """distinguished_classes and coroot_coefficients read the one table of
+    each factor type that its RootSystem holds."""
+    e8 = build_root_system(CartanType("E", 8))
+    factor_types = {ct for comps in e8.subset_components.values() for ct, _ in comps}
+    assert len(factor_types) > 10
+    for ct in factor_types:
+        rs = build_root_system(ct)
+        assert distinguished_classes(ct) is rs.distinguished_labelings
+        vars(rs).pop("cartan_inverse", None)  # rebuilt, equal, on the next read
+        coroot_coefficients(ct, (2,) * ct.rank)
+        assert "cartan_inverse" in vars(rs)
 
 
 PIPELINE_MODULES = ("rootsys", "pseudolevi", "balacarter", "induce", "compgroup")
