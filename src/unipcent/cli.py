@@ -15,10 +15,12 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from math import prod
 from pathlib import Path
 
 from . import __version__
 from .compgroup import component_group_report, count_pair_orbits
+from .conjugacy import DEFAULT_BUDGET
 from .errors import (
     BudgetExceeded,
     FingerprintError,
@@ -32,6 +34,7 @@ from .oracle import (
     classical_group_name,
     classical_nilpotent_classes,
     default_denominator_bound,
+    span_quotient_torsion,
 )
 from .pseudolevi import (
     enumerate_pseudolevis,
@@ -39,13 +42,7 @@ from .pseudolevi import (
     subsystem_closure,
     witness_element,
 )
-from .rootsys import (
-    DEFAULT_BUDGET,
-    CartanType,
-    RootSystem,
-    bad_primes,
-    build_root_system,
-)
+from .rootsys import CartanType, RootSystem, bad_primes, build_root_system
 
 SCHEMA_VERSION = 1
 FORMATS = ("json", "csv", "md")
@@ -347,13 +344,23 @@ def _verify(ct: CartanType, budget: int, fmt: str, served: str) -> list[str]:
     if n_records != recount:
         failures.append(f"pair-orbit recount {recount} != report classes {n_records}")
 
-    # A J of simple nodes alone spans a standard Levi subsystem.
+    # A J of simple nodes alone spans a standard Levi subsystem.  d_J, the
+    # gcd of the marks off J, is the order of the torsion of the root
+    # lattice over the span of J's roots.
     for rep in reports.values():
         ones = [rec for rec in rep.classes if rec.order == 1]
         if len(ones) != 1:
             failures.append(f"diagram {rep.diagram}: {len(ones)} order-1 classes")
         elif any(j >= rs.rank for j in ones[0].J):
             failures.append(f"diagram {rep.diagram}: order-1 datum is not a Levi")
+        for rec in rep.classes:
+            torsion, _ = span_quotient_torsion([r for r, _ in rec.labels], rs.rank)
+            d = prod(f for _, f in torsion)
+            if d != rec.order:
+                failures.append(
+                    f"diagram {rep.diagram}: J={list(rec.J)} has d_J {rec.order},"
+                    f" span quotient torsion {d}"
+                )
 
     # The alcove check stops at rank 4: its canonical forms take seconds at E8.
     if ct.rank <= 4:

@@ -17,6 +17,7 @@ from operator import attrgetter, or_
 from typing import Iterable, NamedTuple
 
 from .balacarter import LabeledSubDiagram
+from .conjugacy import DEFAULT_BUDGET, _check_budget
 from .errors import FingerprintError, InputError, InvariantViolation
 from .pseudolevi import (
     _DIAGRAM_LABELS,
@@ -28,15 +29,7 @@ from .pseudolevi import (
     enumerate_triples,
     extended_diagram,
 )
-from .rootsys import (
-    DEFAULT_BUDGET,
-    LabeledDiagram,
-    RootSystem,
-    _check_budget,
-    _ints,
-    _labeled_items,
-    is_good_prime,
-)
+from .rootsys import LabeledDiagram, RootSystem, _ints, _labeled_items, is_good_prime
 
 
 class AuReport(NamedTuple):

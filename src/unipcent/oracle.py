@@ -8,11 +8,12 @@ them live the plain references that tests compare the pipeline's fast paths
 against: reflections, pairings and coroots computed root by root on the
 dense Cartan matrix (coroots with the family's own root lengths, which no
 pipeline table uses), the alcove reduction with its certificate, the base
-and canonical form of a closed subsystem, and the dimension criterion for a
-labeling.  canonical_subsystem decides conjugacy through
-rootsys.canonical_labeled_set, which shares its primitives with the
-pipeline's split.  A Smith-form utility exposes the torsion of the span
-quotient for the residue checks.
+and canonical form of a closed subsystem, the transport of a labeled base
+solved afresh, and the dimension criterion for a labeling.
+canonical_subsystem decides conjugacy through rootsys.canonical_labeled_set,
+which walks with conjugacy as the pipeline's split does.  A Smith-form
+utility exposes the torsion of the span quotient for the residue checks
+and --verify's d_J check.
 
 The alcove-point side works on packed integers: the pairings of every
 positive root with a grid vector share one int, a field per root, and each
@@ -26,9 +27,9 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, NamedTuple, Sequence
 
+from .conjugacy import DEFAULT_BUDGET, transport_start
 from .errors import BudgetExceeded, InputError, InvariantViolation
 from .rootsys import (
-    DEFAULT_BUDGET,
     CartanType,
     CocharVec,
     LabeledDiagram,
@@ -44,6 +45,8 @@ from .rootsys import (
     _root_masks,
     canonical_labeled_set,
     coroot,
+    solve_cochar_for_base,
+    to_dominant,
 )
 
 
@@ -181,6 +184,21 @@ def canonical_subsystem(
     """Canonical form deciding Weyl conjugacy of closed subsystems (as root sets)."""
     base = subsystem_base(rs, frozenset(subsystem))
     return canonical_labeled_set(rs, tuple((r, 2) for r in base), budget=budget)
+
+
+def dominant_transport(
+    rs: RootSystem, items: Iterable[tuple[RootVec, int]]
+) -> tuple[CocharVec, tuple[int, ...], tuple[int, ...]]:
+    """(lam_dom, v_dom, start): a labeled base carried along with its cocharacter.
+
+    lam_dom is the dominant conjugate of the cocharacter solved afresh from
+    the labels, and (v_dom, start) is transport_start's for the word that
+    reduced it: the reference for the records' stored reductions.
+    """
+    items = tuple(items)
+    lam = solve_cochar_for_base(rs, [r for r, _ in items], [l for _, l in items])
+    lam_dom, word = to_dominant(rs, lam)
+    return (lam_dom, *transport_start(rs, items, word, lam_dom))
 
 
 def _twos_mask(labels: Sequence[int]) -> int:

@@ -9,9 +9,9 @@ The one split of node subsets into typed components is
 RootSystem.subset_components; the elementary moves and the records both read
 it, and base_components, which splits a base of roots, is its reference.
 A record is J with a labeling of its base.  Weyl conjugacy of records is
-decided by one rootsys.partition_orbits call, which buckets by one key and
+decided by one conjugacy.partition_orbits call, which buckets by one key and
 walks: _pair_orbits builds the record of every distinguished labeling of a
-list of subsets, has rootsys.transport_start move and refine each one's
+list of subsets, has conjugacy.transport_start move and refine each one's
 roots, and keeps one record per orbit, the smallest (affine node in J, J,
 labels).
 It is the one split: enumerate_triples runs it on one subset per move
@@ -28,9 +28,16 @@ from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
 from .balacarter import LabeledSubDiagram, distinguished_labelings_for_base
+from .conjugacy import (
+    DEFAULT_BUDGET,
+    _check_budget,
+    _closure,
+    _reflect_to_dominant,
+    partition_orbits,
+    transport_start,
+)
 from .errors import InputError, InvariantViolation, WitnessSearchExhausted
 from .rootsys import (
-    DEFAULT_BUDGET,
     CartanType,
     CocharVec,
     ExtendedDiagram,
@@ -38,23 +45,18 @@ from .rootsys import (
     RootSystem,
     RootVec,
     WeylWord,
-    _check_budget,
-    _closure,
     _component_type,
     _fractions,
     _ints,
     _is_prime,
     _opposition,
     _over_lcm,
-    _reflect_to_dominant,
     affine_node,
     alcove_reduce,
     base_pairings,
     coroot_coefficients,
     coroot_combination,
     is_good_prime,
-    partition_orbits,
-    transport_start,
 )
 
 
@@ -215,10 +217,10 @@ def _pair_orbits(
 ) -> list[TripleRecord]:
     """One record per Weyl orbit of the distinguished labelings of the subsets.
 
-    Every distinguished labeling of each subset gets a record, given
-    dominant_transport's (lam_dom, v_dom, start) from the reduction it
-    stored: its induced diagram, the dominant cocharacter's coordinates, is
-    lam_dom.  One partition_orbits call splits them all; budget bounds each
+    Every distinguished labeling of each subset gets a record, and the
+    reduction it stored gives its triple: lam_dom is its induced diagram,
+    the dominant cocharacter's coordinates, and transport_start moves and
+    refines its base.  One partition_orbits call splits them all; budget bounds each
     stabilizer-orbit walk.  Each orbit keeps its smallest record by (affine
     node in J, J, labels).
     """

@@ -559,6 +559,25 @@ def test_verify_rejects_an_order_one_datum_on_the_affine_node(monkeypatch, capsy
     assert "order-1 classes" not in err
 
 
+def test_verify_rejects_a_d_j_that_the_span_does_not_give(monkeypatch, capsys):
+    """G2's J = (1, 2) spans A2, of index 3 in the root lattice, not 2."""
+    import unipcent.cli as cli
+
+    original = cli.component_group_report
+
+    def doctored(rs, p=0, budget=None):
+        reports = original(rs, p=p, budget=budget)
+        rep = reports[(0, 2)]
+        classes = tuple(rec._replace(order=2) if rec.J == (1, 2) else rec for rec in rep.classes)
+        assert classes != rep.classes
+        return {**reports, rep.diagram: rep._replace(classes=classes)}
+
+    monkeypatch.setattr(cli, "component_group_report", doctored)
+    assert main(["component-groups", "G2", "--verify"]) == EXIT_VERIFY
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["verify: diagram (0, 2): J=[1, 2] has d_J 2, span quotient torsion 3"]
+
+
 def test_verify_rejects_a_pair_orbit_recount_that_differs(monkeypatch, capsys):
     import unipcent.cli as cli
 

@@ -1,6 +1,7 @@
 """Record enumeration, pair conjugacy, grouping, and group recognition."""
 import itertools
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -27,15 +28,15 @@ from unipcent import (
     recognize_group_from_torsion,
 )
 from unipcent.compgroup import _candidate, _match_classes
-from unipcent.oracle import act_labeled_set, brute_orbit, classical_nilpotent_classes
-from unipcent.pseudolevi import _labeled_records, _pair_orbits, _proper_subsets
-from unipcent.rootsys import (
-    DEFAULT_BUDGET,
-    coroot_coefficients,
-    coroot_combination,
+from unipcent.conjugacy import DEFAULT_BUDGET, partition_orbits, transport_start
+from unipcent.oracle import (
+    act_labeled_set,
+    brute_orbit,
+    classical_nilpotent_classes,
     dominant_transport,
-    transport_start,
 )
+from unipcent.pseudolevi import _labeled_records, _pair_orbits, _proper_subsets
+from unipcent.rootsys import coroot_coefficients, coroot_combination
 
 
 def rs_of(name):
@@ -309,6 +310,29 @@ def test_record_orbits_agree_with_canonical_forms():
     assert {(r.labels, r.J) for r in kept} == expected
 
 
+@pytest.mark.parametrize("name", ["F4", "E6"])
+def test_canonical_forms_walk_from_the_unrefined_base(monkeypatch, name):
+    """canonical_labeled_set walks all of W_I from the base as to_dominant's
+    word moves it, so it needs no refine from transport_start; its forms
+    still split every record of every proper subset as partition_orbits does."""
+    rs = rs_of(name)
+    records = [rec for J in _proper_subsets(rs.rank + 1) for rec in _labeled_records(rs, J)]
+    triples = [(r.induced, *transport_start(rs, r.labels, r.word, r.induced)) for r in records]
+    orbits = {frozenset(orbit) for orbit in partition_orbits(rs, triples)}
+
+    def refuse(*args):
+        raise AssertionError("canonical_labeled_set refined its start")
+
+    for module in [m for n, m in sys.modules.items() if n.startswith("unipcent")]:
+        if getattr(module, "transport_start", None) is transport_start:
+            monkeypatch.setattr(module, "transport_start", refuse)
+    forms = {}
+    for k, rec in enumerate(records):
+        forms.setdefault(canonical_labeled_set(rs, rec.labels), set()).add(k)
+    assert {frozenset(group) for group in forms.values()} == orbits
+    assert len(orbits) < len(records)
+
+
 ALL_TYPES = (
     [f"A{r}" for r in range(1, 9)]
     + [f"B{r}" for r in range(2, 9)]
@@ -519,7 +543,6 @@ def test_library_rejects_bad_budgets(name):
     from unipcent.cli import build_report_document
     from unipcent.oracle import alcove_pseudolevis, alcove_pseudolevis_by_denominator
     from unipcent.pseudolevi import enumerate_pseudolevis
-    from unipcent.rootsys import partition_orbits
 
     rs = rs_of(name)
     keys = list(rs.results)
@@ -557,17 +580,17 @@ WALKS_AND_STATES = {
 
 @pytest.mark.parametrize("name, report, recount", [(k, *v) for k, v in WALKS_AND_STATES.items()])
 def test_walks_and_states_per_type(monkeypatch, name, report, recount):
-    import unipcent.rootsys as rootsys
+    import unipcent.conjugacy as conjugacy
 
     visited = []
-    original = rootsys._stabilizer_orbit
+    original = conjugacy._stabilizer_orbit
 
     def counting(*args):
         orbit = original(*args)
         visited.append(len(orbit))
         return orbit
 
-    monkeypatch.setattr(rootsys, "_stabilizer_orbit", counting)
+    monkeypatch.setattr(conjugacy, "_stabilizer_orbit", counting)
     rs = rs_of(name)
     rs.results.clear()
     component_group_report(rs)
@@ -588,10 +611,10 @@ def test_e8_report_walks_visit_few_states(monkeypatch):
     refining the starts).
     """
     import unipcent.pseudolevi as pseudolevi
-    import unipcent.rootsys as rootsys
+    import unipcent.conjugacy as conjugacy
 
     visited, subsets = [], set()
-    original = rootsys._stabilizer_orbit
+    original = conjugacy._stabilizer_orbit
     original_records = pseudolevi._labeled_records
 
     def counting(*args):
@@ -603,7 +626,7 @@ def test_e8_report_walks_visit_few_states(monkeypatch):
         subsets.add(J)
         yield from original_records(rs, J, labelings)
 
-    monkeypatch.setattr(rootsys, "_stabilizer_orbit", counting)
+    monkeypatch.setattr(conjugacy, "_stabilizer_orbit", counting)
     monkeypatch.setattr(pseudolevi, "_labeled_records", counting_records)
     rs = rs_of("E8")
     rs.results.clear()

@@ -23,19 +23,21 @@ from unipcent import (
     witness_element,
 )
 from unipcent.cli import EXIT_OK, main
-from unipcent.oracle import all_roots, lattice_root_closure, pairing, span_quotient_torsion
+from unipcent.conjugacy import partition_orbits, transport_start
+from unipcent.oracle import (
+    all_roots,
+    dominant_transport,
+    lattice_root_closure,
+    pairing,
+    span_quotient_torsion,
+)
 from unipcent.pseudolevi import (
     _labeled_records,
     _move_groups,
     _proper_subsets,
     base_components,
 )
-from unipcent.rootsys import (
-    canonical_labeled_set,
-    dominant_transport,
-    partition_orbits,
-    transport_start,
-)
+from unipcent.rootsys import canonical_labeled_set
 
 
 def rs_of(name):

@@ -1,6 +1,8 @@
 """Every exported name has a use outside its own definition and the test suite."""
 import ast
 import importlib
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -113,7 +115,7 @@ def test_factor_tables_are_read_off_the_factor_root_system():
         assert "cartan_inverse" in vars(rs)
 
 
-PIPELINE_MODULES = ("rootsys", "pseudolevi", "balacarter", "induce", "compgroup")
+PIPELINE_MODULES = ("conjugacy", "rootsys", "pseudolevi", "balacarter", "induce", "compgroup")
 
 
 def _imported_names(tree: ast.Module) -> set[str]:
@@ -147,7 +149,6 @@ TRACED_REFERENCES = {
         "canonical_labeled_set",
         "to_dominant",
         "solve_cochar_for_base",
-        "dominant_transport",
     },
     "induce": {"cochar_for_labeled_base", "induced_diagram"},
     "pseudolevi": {"base_components", "_component_split"},
@@ -198,3 +199,65 @@ def test_the_report_path_calls_no_reference_code():
         if isinstance(stmt, ast.FunctionDef)
     }
     assert sorted(REFERENCE_ONLY - {"cochar_for_labeled_base"} - defined) == []
+
+
+# The walks that decide Weyl conjugacy, and their budget.
+CONJUGACY_NAMES = (
+    "DEFAULT_BUDGET",
+    "_check_budget",
+    "_closure",
+    "_reflect_to_dominant",
+    "_stabilizer_orbit",
+    "_zero_nodes",
+    "partition_orbits",
+    "transport_start",
+)
+
+
+def _imports_the_package(node: ast.AST) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").split(".")[0] == "unipcent"
+    return isinstance(node, ast.Import) and any(
+        alias.name.split(".")[0] == "unipcent" for alias in node.names
+    )
+
+
+def test_conjugacy_imports_only_errors():
+    """A fresh interpreter that imports conjugacy, without running the
+    package's __init__, loads no package module but errors, so rootsys
+    imports it one way; and no module in src imports a package module
+    inside a function (fractions and zlib are loaded late on purpose)."""
+    probe = (
+        "import sys, types; pkg = types.ModuleType('unipcent'); pkg.__path__ = [sys.argv[1]];"
+        " sys.modules['unipcent'] = pkg; import unipcent.conjugacy;"
+        " print(*sorted(m for m in sys.modules if m.startswith('unipcent.')))"
+    )
+    src = str(ROOT / "src" / "unipcent")
+    run = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", probe, src], capture_output=True, text=True
+    )
+    assert run.stdout.split() == ["unipcent.conjugacy", "unipcent.errors"], run.stderr
+    nested = []
+    for path in (ROOT / "src" / "unipcent").glob("*.py"):
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                nested += [
+                    f"{path.stem}.{stmt.name}"
+                    for node in ast.walk(stmt)
+                    if _imports_the_package(node)
+                ]
+    assert nested == []
+
+
+def test_the_walks_are_defined_once_in_conjugacy():
+    """Each walk name has one definition in src, in conjugacy; the transport
+    reference dominant_transport has one, in oracle."""
+    owners: dict[str, list[str]] = {}
+    for path in sorted((ROOT / "src" / "unipcent").glob("*.py")):
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt]
+            for target in targets:
+                name = getattr(target, "name", getattr(target, "id", None))
+                owners.setdefault(name, []).append(path.stem)
+    expected = dict.fromkeys(CONJUGACY_NAMES, ["conjugacy"]) | {"dominant_transport": ["oracle"]}
+    assert {name: owners.get(name) for name in expected} == expected

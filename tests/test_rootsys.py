@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unipcent import rootsys
+from unipcent import conjugacy, rootsys
 from unipcent import (
     CartanType,
     InputError,
@@ -27,11 +27,13 @@ from unipcent import (
     to_dominant,
     witness_element,
 )
+from unipcent.conjugacy import partition_orbits
 from unipcent.oracle import (
     _coroot_coords,
     _root_lengths,
     act_labeled_set,
     brute_orbit,
+    dominant_transport,
     reflect_cochar,
     reflect_root,
 )
@@ -41,8 +43,6 @@ from unipcent.rootsys import (
     _opposition,
     _over_lcm,
     as_cochar,
-    dominant_transport,
-    partition_orbits,
     solve_cochar_for_base,
 )
 
@@ -695,7 +695,7 @@ def test_labeled_base_outside_the_roots_is_rejected():
     with pytest.raises(InputError):
         canonical_labeled_set(rs_of("A2"), [((1, -1), 2)])
     with pytest.raises(InputError, match="is not a root of A2"):
-        rootsys.transport_start(rs_of("A2"), [((1, -1), 2)], (), (0, 0))
+        conjugacy.transport_start(rs_of("A2"), [((1, -1), 2)], (), (0, 0))
     # a label that is not an int is rejected, not truncated or read as 0 or 1
     for label in (2.7, 2.0, True, Fraction(2), "x", None):
         with pytest.raises(InputError):
