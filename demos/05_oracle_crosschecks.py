@@ -7,13 +7,13 @@ labeled diagrams must biject with the admissible-partition classification.
 from unipcent import (
     CartanType,
     build_root_system,
-    canonical_subsystem,
     component_group_report,
     enumerate_pseudolevis,
     subsystem_closure,
 )
 from unipcent.oracle import (
     alcove_pseudolevis,
+    canonical_subsystem,
     classical_nilpotent_classes,
     default_denominator_bound,
 )

@@ -27,17 +27,7 @@ from .errors import (
     InvariantViolation,
     WitnessSearchExhausted,
 )
-from .induce import cochar_for_labeled_base, induced_diagram
-from .oracle import (
-    alcove_reduce_map,
-    all_roots,
-    apply_word,
-    canonical_subsystem,
-    is_distinguished,
-    lattice_root_closure,
-    pairing,
-    subsystem_base,
-)
+from .induce import induced_diagram
 from .pseudolevi import (
     ExtendedDiagram,
     PseudoLevi,

@@ -61,42 +61,46 @@ def pairing(root: Sequence[int], lam: Sequence) -> "Fraction":
     return _fractions([_dot(root, num)], den)[0]
 
 
-def _simple_node(rs: RootSystem, i: int) -> int:
-    """i, which must be an int, not a bool, in 0..rank-1: a simple node."""
-    (i,) = _ints([i], "node ids")
-    if not 0 <= i < rs.rank:
-        raise InputError(f"node {i} is not a simple node of {rs.ctype}")
-    return i
+def _simple_nodes(rs: RootSystem, nodes: Iterable[int]) -> tuple[int, ...]:
+    """nodes, each an int, not a bool, in 0..rank-1: simple nodes."""
+    nodes = _ints(nodes, "node ids")
+    for i in nodes:
+        if not 0 <= i < rs.rank:
+            raise InputError(f"node {i} is not a simple node of {rs.ctype}")
+    return nodes
+
+
+def _reflect_root(row: Sequence[int], i: int, gamma: RootVec) -> RootVec:
+    """s_i(gamma), given Cartan row i, with nothing checked."""
+    p = _dot(row, gamma)
+    return gamma[:i] + (gamma[i] - p,) + gamma[i + 1 :] if p else gamma
+
+
+def _reflect_cochar(row: Sequence[int], i: int, lam: Sequence) -> tuple:
+    """s_i(lam), given Cartan row i, with nothing checked."""
+    coef = lam[i]
+    return tuple([m - coef * c for m, c in zip(lam, row)])
 
 
 def reflect_root(rs: RootSystem, i: int, gamma: RootVec) -> RootVec:
-    i = _simple_node(rs, i)
-    gamma = _ints(gamma, "root coordinates", rs.rank)
-    p = _dot(rs.cartan[i], gamma)
-    if p == 0:
-        return gamma
-    image = list(gamma)
-    image[i] -= p
-    return tuple(image)
+    (i,) = _simple_nodes(rs, [i])
+    return _reflect_root(rs.cartan[i], i, _ints(gamma, "root coordinates", rs.rank))
 
 
 def reflect_cochar(rs: RootSystem, i: int, lam: Sequence) -> CocharVec:
-    i = _simple_node(rs, i)
-    lam = _of_length(lam, rs.rank)
-    coef = lam[i]
-    row = rs.cartan[i]
-    return tuple(m - coef * row[j] for j, m in enumerate(lam))
+    (i,) = _simple_nodes(rs, [i])
+    return _reflect_cochar(rs.cartan[i], i, _of_length(lam, rs.rank))
 
 
 def apply_word(rs: RootSystem, word: Sequence[int], lam: Sequence) -> CocharVec:
     """Apply a reflection word letter by letter (leftmost letter acts first).
 
-    Each letter is a simple node, 0 <= i < rank.
+    Each letter is a simple node, 0 <= i < rank; it reflects lam's integer numerators.
     """
-    cur = _fractions(*_over_lcm(lam, rs.rank))
-    for i in word:
-        cur = reflect_cochar(rs, i, cur)
-    return cur
+    num, den = _over_lcm(lam, rs.rank)
+    for i in _simple_nodes(rs, word):
+        num = _reflect_cochar(rs.cartan[i], i, num)
+    return _fractions(num, den)
 
 
 def _root_lengths(rs: RootSystem) -> tuple[int, ...]:
@@ -614,7 +618,9 @@ def brute_orbit(
 
 
 def act_labeled_set(rs: RootSystem, i: int, items):
-    return tuple(sorted((reflect_root(rs, i, r), l) for r, l in items))
+    """s_i of a labeled base, sorted; only the node is checked, once."""
+    (i,) = _simple_nodes(rs, [i])
+    return tuple(sorted((_reflect_root(rs.cartan[i], i, r), l) for r, l in items))
 
 
 def span_quotient_torsion(

@@ -34,7 +34,7 @@ LabeledDiagram = tuple[int, ...]
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6, "F": 4, "G": 2}
 _MAX_RANK = {"E": 8, "F": 4, "G": 2}
 
-_MAX_SUBSET_NODES = 21
+_MAX_SUBSET_NODES = 18
 
 
 class _CartanTypeFields(NamedTuple):

@@ -12,7 +12,6 @@ from unipcent import (
     CartanType,
     alcove_reduce,
     build_root_system,
-    canonical_subsystem,
     component_group_report,
     count_pair_orbits,
     enumerate_pseudolevis,
@@ -26,6 +25,7 @@ from unipcent import (
 from unipcent.oracle import (
     alcove_pseudolevis,
     all_roots,
+    canonical_subsystem,
     classical_nilpotent_classes,
     default_denominator_bound,
     reflect_root,

@@ -8,17 +8,21 @@ from unipcent import (
     CartanType,
     InputError,
     build_root_system,
-    cochar_for_labeled_base,
     distinguished_classes,
     distinguished_labelings_for_base,
     extended_diagram,
-    is_distinguished,
-    pairing,
     subsystem_closure,
 )
+from unipcent.induce import cochar_for_labeled_base
 from unipcent.rootsys import _root_masks
 from unipcent.oracle import _grading_counts, _twos_mask
-from unipcent.oracle import all_roots, distinguished_partitions, partition_diagrams
+from unipcent.oracle import (
+    all_roots,
+    distinguished_partitions,
+    is_distinguished,
+    pairing,
+    partition_diagrams,
+)
 from unipcent.pseudolevi import base_components
 
 TYPES_UP_TO_RANK_6 = (

@@ -75,10 +75,11 @@ def test_budget_and_max_rank_below_one(capsys):
         assert _one_usage_line(capsys), argv
 
 
-def test_setup_refused_past_21_extended_nodes(capsys):
+def test_setup_refused_past_18_extended_nodes(capsys):
     """The subset table doubles per node, so a larger type is refused before it is built."""
     for argv in (
         ["component-groups", "A21", "--max-rank", "21"],
+        ["component-groups", "A18", "--max-rank", "18"],
         ["pseudolevis", "D30", "--max-rank", "30"],
     ):
         assert main(argv) == EXIT_USAGE, argv

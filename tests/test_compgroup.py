@@ -17,7 +17,6 @@ from unipcent import (
     build_root_system,
     build_triple_record,
     canonical_labeled_set,
-    cochar_for_labeled_base,
     component_group_report,
     coroot,
     count_pair_orbits,
@@ -29,6 +28,7 @@ from unipcent import (
 )
 from unipcent.compgroup import _candidate, _match_classes
 from unipcent.conjugacy import DEFAULT_BUDGET, partition_orbits, transport_start
+from unipcent.induce import cochar_for_labeled_base
 from unipcent.oracle import (
     act_labeled_set,
     brute_orbit,

@@ -7,14 +7,12 @@ from unipcent import (
     CartanType,
     InputError,
     InvariantViolation,
-    apply_word,
     build_root_system,
-    cochar_for_labeled_base,
     extended_diagram,
     induced_diagram,
-    pairing,
 )
-from unipcent.oracle import all_roots
+from unipcent.induce import cochar_for_labeled_base
+from unipcent.oracle import all_roots, apply_word, pairing
 
 
 def rs_of(name):

@@ -7,12 +7,9 @@ from unipcent import (
     BudgetExceeded,
     CartanType,
     InputError,
-    apply_word,
     build_root_system,
-    canonical_subsystem,
     enumerate_pseudolevis,
     extended_diagram,
-    is_distinguished,
     subsystem_closure,
 )
 from unipcent.oracle import (
@@ -23,13 +20,16 @@ from unipcent.oracle import (
     _packing,
     alcove_pseudolevis,
     alcove_pseudolevis_by_denominator,
+    apply_word,
     brute_orbit,
+    canonical_subsystem,
     classical_group_name,
     classical_nilpotent_classes,
     classical_partitions,
     default_denominator_bound,
     distinguished_partitions,
     integrality_subsystem,
+    is_distinguished,
     lattice_root_closure,
     pairing,
     partition_diagrams,

@@ -11,13 +11,11 @@ from unipcent import (
     alcove_reduce,
     build_root_system,
     build_triple_record,
-    canonical_subsystem,
     coroot,
     enumerate_pseudolevis,
     extended_diagram,
     is_good_prime,
     point_order,
-    subsystem_base,
     subsystem_closure,
     torsion_order,
     witness_element,
@@ -26,10 +24,12 @@ from unipcent.cli import EXIT_OK, main
 from unipcent.conjugacy import partition_orbits, transport_start
 from unipcent.oracle import (
     all_roots,
+    canonical_subsystem,
     dominant_transport,
     lattice_root_closure,
     pairing,
     span_quotient_torsion,
+    subsystem_base,
 )
 from unipcent.pseudolevi import (
     _labeled_records,

@@ -12,28 +12,28 @@ from unipcent import (
     InputError,
     InvariantViolation,
     alcove_reduce,
-    alcove_reduce_map,
-    all_roots,
-    apply_word,
     bad_primes,
     build_root_system,
     build_triple_record,
     canonical_labeled_set,
-    cochar_for_labeled_base,
     coroot,
     extended_diagram,
     is_good_prime,
-    pairing,
     to_dominant,
     witness_element,
 )
 from unipcent.conjugacy import partition_orbits
+from unipcent.induce import cochar_for_labeled_base
 from unipcent.oracle import (
     _coroot_coords,
     _root_lengths,
     act_labeled_set,
+    alcove_reduce_map,
+    all_roots,
+    apply_word,
     brute_orbit,
     dominant_transport,
+    pairing,
     reflect_cochar,
     reflect_root,
 )
